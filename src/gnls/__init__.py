@@ -4,9 +4,8 @@ tracking, dispersive-norm audits, and the radius lower-bound bookkeeping."""
 __version__ = "0.1.0"
 
 from .grid import Field, FourierGrid
-from .spectral import (apply_multiplier, dealiased_triple_product, exp_gevrey,
-                       forward_transform, free_propagator, gradient_magnitude,
-                       inverse_transform, japanese_bracket, l4_norm, Multiplier)
+from .spectral import (apply_exp_gevrey, dealiased_triple_product,
+                       forward_transform, inverse_transform, l4_norm)
 from .norms import (a_sigma, energy, gevrey_norm, GevreyParams, mass,
                     norm_report, NormReport, radius_estimate, RadiusEstimate)
 from .integrator import (evolve, linear_half_step, nonlinear_step,

@@ -1,45 +1,24 @@
-"""Hot pointwise kernels, numba-compiled with a pure-numpy fallback.
+"""Hot pointwise kernels in numpy.
 
 The FFTs that dominate the integrator are delegated to numpy/pocketfft and
-are not compiled here; what numba buys us is the pointwise nonlinear phase
-rotation, the Monte-Carlo triple-frequency inequality check, and the shell
-envelope reduction used by the radius estimator.
-
-Set ``GNLS_DISABLE_NUMBA=1`` in the environment to force the numpy path
-(useful for debugging and for the benchmark in ``benchmarks/``).
+are not here; these are the pointwise nonlinear phase rotation, the
+Monte-Carlo triple-frequency inequality check, and the shell envelope
+reduction used by the radius estimator.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("GNLS_DISABLE_NUMBA", "0") not in ("0", "", "false", "False")
 
-if not _DISABLE:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        numba = None
-        _DISABLE = True
-else:
-    numba = None
-
-USING_NUMBA = not _DISABLE
+def phase_rotate(values: np.ndarray, dt: float) -> np.ndarray:
+    """u <- u * exp(-i |u|^2 dt), same shape as ``values``."""
+    flat = values.ravel()
+    out = np.empty_like(flat)
+    intensity = flat.real * flat.real + flat.imag * flat.imag
+    np.multiply(flat, np.exp(-1j * float(dt) * intensity), out=out)
+    return out.reshape(values.shape)
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _phase_rotate_np(values: np.ndarray, dt: float) -> np.ndarray:
-    """u <- u * exp(-i |u|^2 dt), flattened complex array."""
-    out = np.empty_like(values)
-    intensity = values.real * values.real + values.imag * values.imag
-    np.multiply(values, np.exp(-1j * dt * intensity), out=out)
-    return out
-
-
-def _triple_gap_ratios_np(xi1, xi2, xi3, sigma):
+def triple_gap_ratios(xi1, xi2, xi3, sigma):
     """Audit 1 - exp(-sigma*gap) <= 12*sigma*xi_med over an ensemble.
 
     xi1, xi2, xi3 : (n, d) float arrays of interaction frequencies.
@@ -62,7 +41,7 @@ def _triple_gap_ratios_np(xi1, xi2, xi3, sigma):
     return violations, ratio
 
 
-def _shell_envelope_np(mag, shell, n_shells):
+def shell_envelope(mag, shell, n_shells):
     """Per-shell maximum of |coefficients|.
 
     mag : flat float array of coefficient magnitudes.
@@ -72,82 +51,3 @@ def _shell_envelope_np(mag, shell, n_shells):
     valid = shell >= 0
     np.maximum.at(env, shell[valid], mag[valid])
     return env
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-    @numba.njit(cache=True, fastmath=False)
-    def _phase_rotate_nb(values, dt):
-        out = np.empty_like(values)
-        for i in range(values.size):
-            v = values[i]
-            inten = v.real * v.real + v.imag * v.imag
-            phase = -dt * inten
-            out[i] = v * complex(np.cos(phase), np.sin(phase))
-        return out
-
-    @numba.njit(cache=True)
-    def _triple_gap_ratios_nb(xi1, xi2, xi3, sigma):
-        n, d = xi1.shape
-        violations = 0
-        ratios = np.zeros(n)
-        for i in range(n):
-            a1 = 0.0
-            a2 = 0.0
-            a3 = 0.0
-            ao = 0.0
-            for j in range(d):
-                a1 += xi1[i, j] * xi1[i, j]
-                a2 += xi2[i, j] * xi2[i, j]
-                a3 += xi3[i, j] * xi3[i, j]
-                o = xi1[i, j] - xi2[i, j] - xi3[i, j]
-                ao += o * o
-            a1 = np.sqrt(a1)
-            a2 = np.sqrt(a2)
-            a3 = np.sqrt(a3)
-            ao = np.sqrt(ao)
-            gap = a1 + a2 + a3 - ao
-            lhs = -np.expm1(-sigma * gap)
-            # median of three
-            lo = min(a1, a2)
-            hi = max(a1, a2)
-            med = min(max(lo, a3), hi)
-            rhs = 12.0 * sigma * med
-            if rhs > 0.0:
-                ratios[i] = lhs / rhs
-                if lhs > rhs:
-                    violations += 1
-            elif lhs > 0.0:
-                violations += 1
-        return violations, ratios
-
-    @numba.njit(cache=True)
-    def _shell_envelope_nb(mag, shell, n_shells):
-        env = np.zeros(n_shells)
-        for i in range(mag.size):
-            s = shell[i]
-            if s >= 0 and mag[i] > env[s]:
-                env[s] = mag[i]
-        return env
-
-    def phase_rotate(values, dt):
-        return _phase_rotate_nb(np.ascontiguousarray(values.ravel()),
-                                float(dt)).reshape(values.shape)
-
-    def triple_gap_ratios(xi1, xi2, xi3, sigma):
-        return _triple_gap_ratios_nb(np.ascontiguousarray(xi1),
-                                     np.ascontiguousarray(xi2),
-                                     np.ascontiguousarray(xi3), float(sigma))
-
-    def shell_envelope(mag, shell, n_shells):
-        return _shell_envelope_nb(np.ascontiguousarray(mag),
-                                  np.ascontiguousarray(shell), n_shells)
-else:
-    def phase_rotate(values, dt):
-        return _phase_rotate_np(values.ravel(), float(dt)).reshape(values.shape)
-
-    triple_gap_ratios = _triple_gap_ratios_np
-    shell_envelope = _shell_envelope_np

@@ -19,8 +19,8 @@ from .grid import Field, FourierGrid
 from .norms import gevrey_norm, GevreyParams, mass
 from .spacetime import (SpaceTimeSpectrum, random_decaying, single_mode,
                         st_triple_product, xsb_norm)
-from .spectral import (apply_multiplier, dealiased_triple_product, exp_gevrey,
-                       l4_norm, to_physical, to_spectral)
+from .spectral import (apply_exp_gevrey, dealiased_triple_product, l4_norm,
+                       to_physical, to_spectral)
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ def f_of_v(v: Field, sigma: float) -> Field:
     """
     vh = to_spectral(v)
     direct = dealiased_triple_product(v, v, v, conjugate=(False, True, False))
-    w = apply_multiplier(vh, exp_gevrey(-sigma))
+    w = apply_exp_gevrey(vh, -sigma)
     inner = dealiased_triple_product(w, w, w, conjugate=(False, True, False))
-    lifted = to_physical(apply_multiplier(to_spectral(inner), exp_gevrey(sigma)))
+    lifted = to_physical(apply_exp_gevrey(to_spectral(inner), sigma))
     return Field(v.grid, -(direct.values - lifted.values), rep="physical", t=v.t)
 
 
@@ -86,10 +86,8 @@ def audit_multiplier_inequality(sigma: float, n_triples: int, d: int, rng,
 def audit_f_estimate(v: Field, sigma: float, ensemble=None) -> AuditReport:
     """Fixed-time surrogate of the remainder bound.
 
-    ratio = ||f(v)||_{L2} / (sigma * ||<D> v||_{L2}^3); the space-time
-    version of the bound is audited separately through
-    :func:`audit_f_estimate_spacetime`.  With ``ensemble`` (an iterable of
-    fields), statistics are collected across members.
+    ratio = ||f(v)||_{L2} / (sigma * ||<D> v||_{L2}^3).  With ``ensemble``
+    (an iterable of fields), statistics are collected across members.
     """
     fields = [v] if ensemble is None else list(ensemble)
     ratios = []
@@ -114,26 +112,6 @@ def sigma_halving_ratio(v: Field, sigma: float) -> float:
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)
-
-
-def audit_f_estimate_spacetime(slices, T_win: float, sigma: float,
-                               b: float = 0.55) -> AuditReport:
-    """Windowed space-time version of the remainder bound (small grids only).
-
-    Builds tapered space-time spectra of v and of f(v) from equispaced
-    slices and compares ||f(v)||_{L2_{t,x}} against sigma * ||v||_{X^{1,b}}^3.
-    """
-    from .spacetime import from_snapshots
-
-    w_v = from_snapshots(slices, T_win)
-    f_slices = [f_of_v(u, sigma) for u in slices]
-    w_f = from_snapshots(f_slices, T_win)
-    lhs = w_f.l2()
-    rhs = sigma * xsb_norm(w_v, 0.0, 1.0, b) ** 3
-    ratio = 0.0 if rhs == 0.0 else lhs / rhs
-    return AuditReport(kind="f-estimate-spacetime", lhs=lhs, rhs=rhs,
-                       ratio=ratio, count=1, max_ratio=ratio,
-                       median_ratio=ratio, violations=0, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ resulting radius floor sigma_floor(t) = min(sigma0, c1/t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,20 +43,60 @@ class BookkeeperParams:
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
 
 
+#: largest number of per-step entries kept verbatim in a trace
+TRACE_CAP = 4096
+
+
 @dataclass(frozen=True)
 class InductionTrace:
+    """Verdict of the doubling induction; the per-step trace is built on
+    first access to ``ks``, ``bounds`` or ``ok``."""
+
     delta: float
     n: int
     sigma: float
     c1: float
-    ks: tuple            # recorded step indices, subset of 1..n+1
-    bounds: tuple        # bound_k at each recorded k
-    ok: tuple            # bound_k <= 2*A0 at each recorded k
     first_failure: int   # 0 if none, else the first failing k in 1..n+1
+    params: BookkeeperParams = field(repr=False)
 
     @property
     def all_ok(self) -> bool:
         return self.first_failure == 0
+
+    @cached_property
+    def _trace(self) -> tuple:
+        p, last = self.params, self.n + 1
+        if last <= TRACE_CAP:
+            ks = np.arange(1, last + 1, dtype=np.int64)
+        else:
+            stride = -(-last // TRACE_CAP)  # ceil division
+            extras = [1, last]
+            if self.first_failure:
+                extras += [k for k in (self.first_failure - 1, self.first_failure,
+                                       self.first_failure + 1) if 1 <= k <= last]
+            ks = np.unique(np.concatenate(
+                [np.arange(1, last + 1, stride, dtype=np.int64),
+                 np.array(extras, dtype=np.int64)]))
+        # same expression and evaluation order as _bound_at, vectorised
+        bounds = p.A0 + 8.0 * p.C * self.sigma * ks * p.A0 ** 2 * (1.0 + p.A0)
+        ok = (bounds <= 2.0 * p.A0) | (self.n == 0)
+        return (tuple(ks.tolist()), tuple(bounds.tolist()),
+                tuple(bool(x) for x in ok))
+
+    @property
+    def ks(self) -> tuple:
+        """Recorded step indices, a subset of 1..n+1."""
+        return self._trace[0]
+
+    @property
+    def bounds(self) -> tuple:
+        """bound_k at each recorded k."""
+        return self._trace[1]
+
+    @property
+    def ok(self) -> tuple:
+        """bound_k <= 2*A0 at each recorded k."""
+        return self._trace[2]
 
 
 def local_delta(A0: float, c0: float = 1.0, eps: float = 0.05) -> float:
@@ -83,10 +124,6 @@ def sigma_for_T(p: BookkeeperParams) -> tuple:
     return sigma, c1
 
 
-#: largest number of per-step entries kept verbatim in a trace
-TRACE_CAP = 4096
-
-
 def _bound_at(p: BookkeeperParams, sigma: float, k: int) -> float:
     return p.A0 + 8.0 * p.C * sigma * k * p.A0 ** 2 * (1.0 + p.A0)
 
@@ -105,7 +142,7 @@ def run_induction(p: BookkeeperParams, sigma: float = None) -> InductionTrace:
 
     The bound is affine and increasing in k, so the verdict is settled by
     scanning the crossing neighbourhood rather than all n+1 steps.  When
-    n + 1 exceeds ``TRACE_CAP`` the stored trace is decimated (evenly
+    n + 1 exceeds ``TRACE_CAP`` the trace is decimated (evenly
     spaced k, always including 1, n+1 and the crossing window); the
     ``first_failure`` verdict is exact regardless.
     """
@@ -127,24 +164,9 @@ def run_induction(p: BookkeeperParams, sigma: float = None) -> InductionTrace:
                 first_failure = k
                 break
 
-    if last <= TRACE_CAP:
-        ks = np.arange(1, last + 1, dtype=np.int64)
-    else:
-        stride = -(-last // TRACE_CAP)  # ceil division
-        extras = [1, last]
-        if first_failure:
-            extras += [k for k in (first_failure - 1, first_failure,
-                                   first_failure + 1) if 1 <= k <= last]
-        ks = np.unique(np.concatenate(
-            [np.arange(1, last + 1, stride, dtype=np.int64),
-             np.array(extras, dtype=np.int64)]))
-    # same expression and evaluation order as _bound_at, vectorised
-    bounds = p.A0 + 8.0 * p.C * sigma * ks * p.A0 ** 2 * (1.0 + p.A0)
-    ok = (bounds <= 2.0 * p.A0) | (n == 0)
     return InductionTrace(delta=delta, n=n, sigma=sigma, c1=c1,
-                          ks=tuple(ks.tolist()), bounds=tuple(bounds.tolist()),
-                          ok=tuple(bool(x) for x in ok),
-                          first_failure=0 if n == 0 else first_failure)
+                          first_failure=0 if n == 0 else first_failure,
+                          params=p)
 
 
 def radius_floor(t: float, p: BookkeeperParams) -> float:

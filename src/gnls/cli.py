@@ -3,7 +3,7 @@
 Subcommands: simulate, radius, sweep, audit-multiplier, audit-f,
 audit-trilinear, audit-gn, bookkeeper, norms.
 
-Exit codes: 0 success, 1 validation error, 2 runtime abort, 3 a hard
+Exit codes: 0 success, 1 validation or i/o error, 2 runtime abort, 3 a hard
 violation was detected (pointwise inequality or induction failure).
 """
 
@@ -116,6 +116,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ConfigError, ValueError) as e:
         print(f"validation error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationAbort as e:
         print(f"runtime abort: {e} (step {e.step})", file=sys.stderr)

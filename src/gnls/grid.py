@@ -90,16 +90,6 @@ class FourierGrid:
         """Same torus, ``factor`` times as many points per axis."""
         return FourierGrid(self.d, self.N * factor, self.L)
 
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean mask selecting the Nyquist mode planes (k = -N/2)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.d):
-            idx = [slice(None)] * self.d
-            idx[axis] = self.N // 2
-            mask[tuple(idx)] = True
-        return mask
-
 
 class Field:
     """One time slice of the complex solution on a :class:`FourierGrid`.
@@ -137,11 +127,6 @@ class Field:
     @property
     def is_spectral(self) -> bool:
         return self.rep == SPECTRAL
-
-    def with_values(self, values: np.ndarray, rep: str = None, t: float = None) -> "Field":
-        return Field(self.grid, values,
-                     rep=self.rep if rep is None else rep,
-                     t=self.t if t is None else t)
 
     @classmethod
     def zero(cls, grid: FourierGrid, rep: str = PHYSICAL) -> "Field":

@@ -20,12 +20,12 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
 from .data import KINDS, make_initial_data
-from .errors import MultiplierOverflowError
+from .errors import EmptySpectrumError, MultiplierOverflowError
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
 from .norms import (GevreyParams, a_sigma, energy, gevrey_norm, l4_gevrey,
                     mass, norm_report, radius_estimate)
-from .storage import write_csv, write_field, write_sidecar, write_summary
+from .storage import write_csv, write_field, write_sidecar
 
 NORM_COLUMNS = ("t", "sigma", "mass", "energy", "gevrey_s1_sq", "l4_gevrey",
                 "a_sigma", "sigma_hat", "entire_flag", "floor_flag")
@@ -48,7 +48,6 @@ class ExperimentConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     snapshot_stride: int = 100
-    dealias: bool = True
     linear_only: bool = False
     sigma_grid: tuple = ()
     sigma0: float = 0.1
@@ -74,7 +73,7 @@ class ExperimentConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(dt=self.dt, t_end=self.t_end,
                             snapshot_stride=self.snapshot_stride,
-                            dealias=self.dealias, linear_only=self.linear_only)
+                            linear_only=self.linear_only)
 
     def initial_data(self) -> Field:
         return make_initial_data(self.grid(), self.data_kind,
@@ -147,7 +146,6 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
         cfg.t_end = _get(s, "t_end", float, cfg.t_end, "solver")
         cfg.snapshot_stride = _get(s, "snapshot_stride", int,
                                    cfg.snapshot_stride, "solver")
-        cfg.dealias = _get(s, "dealias", bool, cfg.dealias, "solver")
         cfg.linear_only = _get(s, "linear_only", bool, cfg.linear_only, "solver")
     if parser.has_section("sweep"):
         s = parser["sweep"]
@@ -195,6 +193,22 @@ class RunRecord:
     violations: int = 0
 
 
+def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
+                   columns, summary: dict, summary_name: str = None):
+    """The one output path of every run: ``<stem>.csv`` with the config echo
+    as its header, plus a ``key = value`` file (``<stem>.summary`` unless
+    ``summary_name`` is given).  Returns the output directory, or None when
+    the config sets none and nothing is written.
+    """
+    if cfg.out_dir is None:
+        return None
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / f"{stem}.csv", columns, record.rows, header_meta=record.config)
+    write_sidecar(out / (summary_name or f"{stem}.summary"), summary)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -204,7 +218,7 @@ def _norm_row(t, u, sigma):
     try:
         rad = radius_estimate(u)
         sig_hat, ent, flo = rad.sigma_hat, rad.entire_flag, rad.floor_flag
-    except Exception:
+    except EmptySpectrumError:
         sig_hat, ent, flo = 0.0, False, True
     return [t, sigma, rep.mass, rep.energy, rep.gevrey_s1_sq,
             rep.l4_gevrey, rep.a_sigma, sig_hat, ent, flo]
@@ -228,15 +242,11 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={"mass_drift_rel": mass_drift,
                              "energy_drift_abs": energy_drift})
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "norms.csv", NORM_COLUMNS, rows, header_meta=cfg.echo())
-        sidecar = {"d": cfg.d, "N": cfg.N, "L": cfg.L, "dt": cfg.dt,
-                   "t_end": cfg.t_end, "seed": cfg.seed,
-                   "data_kind": cfg.data_kind,
-                   "data_params": record.config["data_params"]}
-        write_sidecar(out / "run.meta", sidecar)
+    sidecar = {"d": cfg.d, "N": cfg.N, "L": cfg.L, "dt": cfg.dt,
+               "t_end": cfg.t_end, "seed": cfg.seed,
+               "data_kind": cfg.data_kind,
+               "data_params": record.config["data_params"]}
+    _write_outputs(cfg, record, "norms", NORM_COLUMNS, sidecar, "run.meta")
     return record
 
 
@@ -260,8 +270,7 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
     n_steps = max(int(np.ceil(delta / cfg.dt)), 10)
     dt = delta / n_steps
     stride = max(n_steps // 32, 1)
-    solver = SolverConfig(dt=dt, t_end=delta, snapshot_stride=stride,
-                          dealias=cfg.dealias)
+    solver = SolverConfig(dt=dt, t_end=delta, snapshot_stride=stride)
 
     sigmas = [0.0] + sigma_grid
     base = {}
@@ -309,14 +318,9 @@ def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={k: fit[k] for k in
                              ("delta", "A0", "noise_floor", "slope", "C_fit")})
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "sweep.csv", ("sigma", "growth", "growth_above_floor"),
-                  rows, header_meta=cfg.echo())
-        write_summary(out / "sweep.summary",
-                      {**cfg.echo(), **record.fits,
-                       "dropped": ";".join(f"{s:g}" for s in fit["dropped"])})
+    _write_outputs(cfg, record, "sweep", ("sigma", "growth", "growth_above_floor"),
+                   {**record.config, **record.fits,
+                    "dropped": ";".join(f"{s:g}" for s in fit["dropped"])})
     return record
 
 
@@ -381,14 +385,11 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
               "c_hat": c_hat, "c1": sigma_for_T(params)[1],
               "failures": failures},
         violations=failures)
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "radius.csv", NORM_COLUMNS + ("sigma_floor", "verdict"),
-                  rows, header_meta=cfg.echo())
-        write_summary(out / "radius.summary", {**cfg.echo(), **record.fits})
-        if cfg.svg:
-            _write_radius_svg(out / "radius.svg", rows)
+    out = _write_outputs(cfg, record, "radius",
+                         NORM_COLUMNS + ("sigma_floor", "verdict"),
+                         {**record.config, **record.fits})
+    if out is not None and cfg.svg:
+        _write_radius_svg(out / "radius.svg", rows)
     return record
 
 
@@ -497,15 +498,9 @@ def run_audit_gn(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _write_audit(cfg: ExperimentConfig, record: RunRecord, stem: str) -> None:
-    if cfg.out_dir is None:
-        return
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / f"{stem}.csv", AUDIT_COLUMNS, record.rows,
-              header_meta=record.config)
-    write_summary(out / f"{stem}.summary",
-                  {**record.config, **record.fits,
-                   "violations": record.violations})
+    _write_outputs(cfg, record, stem, AUDIT_COLUMNS,
+                   {**record.config, **record.fits,
+                    "violations": record.violations})
 
 
 def run_bookkeeper(cfg: ExperimentConfig) -> RunRecord:
@@ -521,11 +516,6 @@ def run_bookkeeper(cfg: ExperimentConfig) -> RunRecord:
         fits={"delta": trace.delta, "n": trace.n, "sigma": trace.sigma,
               "c1": trace.c1},
         violations=0 if trace.all_ok else trace.first_failure)
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "bookkeeper.csv", ("k", "bound_k", "ok_k"), rows,
-                  header_meta=record.config)
-        write_summary(out / "bookkeeper.summary",
-                      {**record.config, **record.fits})
+    _write_outputs(cfg, record, "bookkeeper", ("k", "bound_k", "ok_k"),
+                   {**record.config, **record.fits})
     return record

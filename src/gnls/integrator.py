@@ -9,7 +9,7 @@ by exp(-i nu |u|^2 dt) since |u| is pointwise conserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class SolverConfig:
     dt: float
     t_end: float
     snapshot_stride: int = 1
-    dealias: bool = True
     linear_only: bool = False
     defocusing: bool = True
 
@@ -38,6 +37,11 @@ class SolverConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+            raise ValueError(
+                f"t_end = {self.t_end} is not a whole number of steps of "
+                f"dt = {self.dt}; the stepper would stop at "
+                f"t = {self.n_steps * self.dt:g}")
 
     @property
     def n_steps(self) -> int:
@@ -50,20 +54,14 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Ordered (t, Field) snapshots plus run provenance."""
+    """Ordered (t, Field) snapshots and the solver config that made them."""
 
     snapshots: list
     config: SolverConfig
-    data_descriptor: dict = dc_field(default_factory=dict)
-    seed: int = 0
 
     @property
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
-
-    @property
-    def fields(self) -> list:
-        return [u for _, u in self.snapshots]
 
 
 def linear_half_step(u: Field, dt: float) -> Field:

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import EmptySpectrumError, MultiplierOverflowError
 from .grid import Field, FourierGrid
-from .spectral import (OVERFLOW_EXPONENT, exp_gevrey, apply_multiplier, l4_norm,
+from .spectral import (OVERFLOW_EXPONENT, apply_exp_gevrey, l4_norm,
                        to_physical, to_spectral)
 
 
@@ -100,7 +100,7 @@ def l4_gevrey(u: Field, sigma: float) -> float:
         raise MultiplierOverflowError(
             f"multiplier overflow: sigma*|xi|_max(padded) too large "
             f"({sigma * uh.grid.refined(2).xi_max:g})")
-    return l4_norm(apply_multiplier(uh, exp_gevrey(sigma)))
+    return l4_norm(apply_exp_gevrey(uh, sigma))
 
 
 def a_sigma(u: Field, sigma: float) -> float:

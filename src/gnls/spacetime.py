@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MultiplierOverflowError
-from .grid import Field, FourierGrid, SPECTRAL
+from .grid import FourierGrid
 from .spectral import OVERFLOW_EXPONENT
 
 
@@ -142,37 +142,6 @@ def random_decaying(grid: FourierGrid, M: int, T_win: float, rng,
         np.exp(-m_decay * m_idx).reshape((M,) + (1,) * grid.d)
     return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
                              coeffs=np.where(mask, coeffs * damp, 0.0))
-
-
-def raised_cosine_taper(M: int) -> np.ndarray:
-    """Smooth window, flat inside, raised-cosine over the outer quarter."""
-    t = np.arange(M) / M
-    taper = np.ones(M)
-    edge = 0.125  # an eighth on each side makes the outer quarter in total
-    lo = t < edge
-    hi = t > 1.0 - edge
-    taper[lo] = 0.5 * (1.0 - np.cos(np.pi * t[lo] / edge))
-    taper[hi] = 0.5 * (1.0 - np.cos(np.pi * (1.0 - t[hi]) / edge))
-    return taper
-
-
-def from_snapshots(fields, T_win: float, taper: bool = True) -> SpaceTimeSpectrum:
-    """Build a windowed space-time spectrum from equispaced time slices.
-
-    The slices must share one grid and sample [0, T_win) uniformly.  With
-    ``taper`` the outer quarter of the window is rolled off smoothly so the
-    periodic extension does not manufacture a jump at the seam.
-    """
-    from .spectral import to_physical
-
-    M = len(fields)
-    if M < 8:
-        raise ValueError(f"need at least 8 slices, got {M}")
-    grid = fields[0].grid
-    samples = np.stack([to_physical(f).values for f in fields])
-    if taper:
-        samples = samples * raised_cosine_taper(M).reshape((M,) + (1,) * grid.d)
-    return st_forward(samples, grid, M, T_win)
 
 
 # ---------------------------------------------------------------------------

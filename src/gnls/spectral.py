@@ -1,4 +1,4 @@
-"""Unitary Fourier transforms, multipliers, and dealiased cubic products.
+"""Unitary Fourier transforms, the Gevrey weight, and dealiased cubic products.
 
 Normalization is unitary with respect to the torus quadrature: for a field
 ``f`` with physical samples ``f_j`` and spectral coefficients ``fh_k``,
@@ -13,12 +13,11 @@ index embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import MultiplierOverflowError, NonFiniteFieldError
+from .errors import MultiplierOverflowError
 from .grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 
 #: exp(x) stays finite in double precision with margin up to this exponent
@@ -54,81 +53,34 @@ def to_physical(f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Multipliers
+# Gevrey weight
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Multiplier:
-    """A scalar Fourier symbol evaluated on the wavenumber lattice.
+def apply_exp_gevrey(f: Field, sigma: float) -> Field:
+    """Coefficient-wise product of a spectral field with e^{sigma |xi|}.
 
-    ``symbol`` maps |xi| -> weight for the radial symbols used here; the
-    free propagator is also radial in |xi|^2 so a single-argument callable
-    of |xi| covers every named instance.  ``max_log_weight`` bounds
-    log(weight) on a lattice with largest frequency ``xi_max`` and drives
-    the overflow guard; ``zero_nyquist`` marks symbols that are odd (or
-    derived from odd symbols) whose Nyquist mode has no sign partner.
+    Identity at sigma = 0.  Raises :class:`MultiplierOverflowError` when
+    the weight could exceed exp(OVERFLOW_EXPONENT) on the lattice, or is
+    non-finite anywhere on it.
     """
-
-    name: str
-    symbol: Callable[[np.ndarray], np.ndarray]
-    max_log_weight: Callable[[float], float] = dc_field(default=lambda xi_max: 0.0)
-    zero_nyquist: bool = False
-
-    def weights(self, grid: FourierGrid) -> np.ndarray:
-        if self.max_log_weight(grid.xi_max) > OVERFLOW_EXPONENT:
-            raise MultiplierOverflowError(
-                f"multiplier overflow: {self.name} exceeds exp({OVERFLOW_EXPONENT:g}) "
-                f"at |xi|_max = {grid.xi_max:g}")
-        w = self.symbol(grid.xi_abs)
-        if not np.all(np.isfinite(w)):
-            raise MultiplierOverflowError(
-                f"multiplier overflow: {self.name} non-finite on lattice "
-                f"(|xi|_max = {grid.xi_max:g})")
-        return w
-
-
-def exp_gevrey(sigma: float) -> Multiplier:
-    """e^{sigma |xi|}; identity at sigma = 0."""
-    return Multiplier(
-        name=f"exp-gevrey(sigma={sigma:g})",
-        symbol=lambda xi: np.exp(sigma * xi),
-        max_log_weight=lambda xi_max: max(sigma, 0.0) * xi_max,
-    )
-
-
-def japanese_bracket(s: float) -> Multiplier:
-    """<xi>^s with <xi> = sqrt(1 + |xi|^2); identity at s = 0."""
-    return Multiplier(
-        name=f"japanese-bracket(s={s:g})",
-        symbol=lambda xi: (1.0 + xi * xi) ** (s / 2.0),
-    )
-
-
-def free_propagator(t: float) -> Multiplier:
-    """e^{-i t |xi|^2}, the Schroedinger group symbol."""
-    return Multiplier(
-        name=f"free-propagator(t={t:g})",
-        symbol=lambda xi: np.exp(-1j * t * xi * xi),
-    )
-
-
-def gradient_magnitude() -> Multiplier:
-    """|xi|; derived from the odd symbol xi, so the Nyquist mode is zeroed."""
-    return Multiplier(
-        name="gradient-magnitude",
-        symbol=lambda xi: xi,
-        zero_nyquist=True,
-    )
-
-
-def apply_multiplier(f: Field, m: Multiplier) -> Field:
-    """Coefficient-wise product of a spectral field with a symbol."""
     if not f.is_spectral:
-        raise ValueError("apply_multiplier expects a spectral-space field")
-    out = f.values * m.weights(f.grid)
-    if m.zero_nyquist:
-        out = np.where(f.grid.nyquist_mask, 0.0, out)
-    return Field(f.grid, out, rep=SPECTRAL, t=f.t)
+        raise ValueError("apply_exp_gevrey expects a spectral-space field")
+    grid = f.grid
+    name = f"exp-gevrey(sigma={sigma:g})"
+    if max(sigma, 0.0) * grid.xi_max > OVERFLOW_EXPONENT:
+        raise MultiplierOverflowError(
+            f"multiplier overflow: {name} exceeds exp({OVERFLOW_EXPONENT:g}) "
+            f"at |xi|_max = {grid.xi_max:g}")
+    w = np.exp(sigma * grid.xi_abs)
+    if not np.all(np.isfinite(w)):
+        raise MultiplierOverflowError(
+            f"multiplier overflow: {name} non-finite on lattice "
+            f"(|xi|_max = {grid.xi_max:g})")
+    # free the weights before Field copies the product: this call sets the
+    # peak RSS of the per-snapshot diagnostics
+    out = f.values * w
+    del w
+    return Field(grid, out, rep=SPECTRAL, t=f.t)
 
 
 # ---------------------------------------------------------------------------

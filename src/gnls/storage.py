@@ -11,9 +11,9 @@ Snapshot file layout (little-endian throughout):
     then N^d complex samples as interleaved (re, im) f64, row-major with
     the last axis fastest.
 
-The sidecar is plain ``key = value`` lines; CSV reports open with ``#``
-comment lines echoing the config and the artifact version so every output
-is self-describing.
+Sidecars and run summaries are plain ``key = value`` lines; CSV reports
+open with ``#`` comment lines echoing the config and the artifact version
+so every output is self-describing.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHBIdd")
 
 
-def write_field(path, f: Field, physical: bool = True) -> None:
-    """Write one snapshot in the GNLS binary format."""
+def write_field(path, f: Field) -> None:
+    """Write one snapshot, as physical samples, in the GNLS binary format."""
     from .spectral import to_physical
 
-    u = to_physical(f) if physical else f
+    u = to_physical(f)
     g = u.grid
     path = Path(path)
     with path.open("wb") as fh:
@@ -50,6 +50,9 @@ def read_field(path) -> Field:
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated header "
+                             f"({len(header)} of {_HEADER.size} bytes)")
         magic, version, d, N, L, t = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -57,10 +60,12 @@ def read_field(path) -> Field:
             raise ValueError(f"{path}: unsupported format version {version}")
         grid = FourierGrid(d=d, N=N, L=L)
         count = 2 * N ** d
+        # checked before reading, so a corrupt header cannot size an allocation
+        available = (path.stat().st_size - _HEADER.size) // 8
+        if available < count:
+            raise ValueError(f"{path}: truncated payload "
+                             f"({available} of {count} floats)")
         raw = np.fromfile(fh, dtype="<f8", count=count)
-    if raw.size != count:
-        raise ValueError(f"{path}: truncated payload "
-                         f"({raw.size} of {count} floats)")
     raw = raw.reshape(grid.shape + (2,))
     return Field(grid, raw[..., 0] + 1j * raw[..., 1], rep=PHYSICAL, t=t)
 
@@ -100,8 +105,3 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def write_summary(path, entries: dict) -> None:
-    """Structured-text summary: key = value, one per line."""
-    write_sidecar(path, entries)

@@ -14,19 +14,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from gnls import _kernels
 from gnls.grid import Field, FourierGrid, SPECTRAL
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger numba compilation once so timed tests measure steady state."""
-    vals = (np.ones(16) + 1j).astype(np.complex128)
-    _kernels.phase_rotate(vals, 0.1)
-    xi = np.random.default_rng(0).uniform(-1, 1, size=(3, 16, 3))
-    _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], 0.1)
-    _kernels.shell_envelope(np.abs(vals), np.arange(16), 16)
-    return True
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ def check(num, desc, ok, detail=""):
     assert ok, f"criterion {num} failed: {desc}{suffix}"
 
 
-def test_criterion_01_plane_wave_exactness(warm_kernels):
+def test_criterion_01_plane_wave_exactness():
     g = FourierGrid(d=1, N=64, L=2 * np.pi)
     A, k, dt, T = 0.5, 3, 1e-3, 1.0
     u0 = plane_wave(g, A=A, k=k)
@@ -113,7 +113,7 @@ def test_criterion_05_embedding_monotonicity():
           f"{violations} violations")
 
 
-def test_criterion_06_multiplier_inequality(warm_kernels):
+def test_criterion_06_multiplier_inequality():
     rng = np.random.default_rng(7)
     violations = 0
     t0 = time.perf_counter()

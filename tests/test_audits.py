@@ -121,7 +121,7 @@ def test_multiplier_inequality_symmetric_point():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("sigma", [1e-3, 1e-1, 1.0])
-def test_multiplier_inequality_random_ensemble(d, sigma, warm_kernels):
+def test_multiplier_inequality_random_ensemble(d, sigma):
     rng = np.random.default_rng(d * 17 + int(1000 * sigma))
     rep = audit_multiplier_inequality(sigma, 20_000, d, rng)
     assert rep.violations == 0

@@ -215,3 +215,24 @@ def test_run_bookkeeper_defaults(tmp_path):
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_idx] == "k,bound_k,ok_k"
     assert len(lines) - header_idx - 1 == 17  # k = 1..n+1 with n = 16
+
+
+def test_norm_row_empty_spectrum_sets_floor_flag():
+    from gnls.grid import Field, FourierGrid
+    from gnls.harness import _norm_row
+
+    row = _norm_row(0.0, Field.zero(FourierGrid(1, 64, 10.0)), 0.1)
+    assert row[7:] == [0.0, False, True]
+
+
+def test_norm_row_propagates_other_radius_errors(monkeypatch):
+    import gnls.harness as harness
+
+    def broken(u):
+        raise RuntimeError("radius fit broke")
+
+    monkeypatch.setattr(harness, "radius_estimate", broken)
+    cfg = ExperimentConfig(kind="simulate", N=64, L=10.0, dt=0.05, t_end=0.1,
+                           snapshot_stride=1)
+    with pytest.raises(RuntimeError, match="radius fit broke"):
+        run_simulate(cfg)

@@ -25,6 +25,17 @@ def test_solver_config_validation():
     assert SolverConfig(dt=0.1, t_end=1.0).n_steps == 10
 
 
+def test_solver_config_rejects_unreachable_t_end():
+    with pytest.raises(ValueError, match=r"t_end = 1\.0 .* dt = 0\.3"):
+        SolverConfig(dt=0.3, t_end=1.0)
+    with pytest.raises(ValueError, match="t_end"):
+        SolverConfig(dt=0.1, t_end=0.01)
+    # whole numbers of steps pass, also where t_end / dt is not exact
+    assert SolverConfig(dt=0.1, t_end=0.3).n_steps == 3
+    assert SolverConfig(dt=1e-4, t_end=1.0).n_steps == 10_000
+    assert SolverConfig(dt=0.3, t_end=0.0).n_steps == 0
+
+
 # ---------------------------------------------------------------------------
 # substeps
 # ---------------------------------------------------------------------------

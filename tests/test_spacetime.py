@@ -5,8 +5,7 @@ import pytest
 
 from gnls.errors import MultiplierOverflowError
 from gnls.grid import FourierGrid
-from gnls.spacetime import (SpaceTimeSpectrum, from_snapshots,
-                            raised_cosine_taper, random_decaying, single_mode,
+from gnls.spacetime import (SpaceTimeSpectrum, random_decaying, single_mode,
                             st_forward, st_inverse, st_triple_product,
                             xsb_norm)
 
@@ -75,31 +74,6 @@ def test_xsb_overflow_guard():
     w = single_mode(grid, 8, 1.0, 0, 0)
     with pytest.raises(MultiplierOverflowError):
         xsb_norm(w, 1.0, 0.0, 0.0)
-
-
-def test_taper_profile():
-    taper = raised_cosine_taper(64)
-    assert taper[0] == 0.0
-    assert np.all(taper[16:48] == 1.0)  # flat interior
-    assert np.all((taper >= 0.0) & (taper <= 1.0))
-
-
-def test_from_snapshots_requires_enough_slices(st_lattice):
-    grid, M, T_win = st_lattice
-    from gnls.grid import Field
-    with pytest.raises(ValueError):
-        from_snapshots([Field.zero(grid)] * 4, T_win)
-
-
-def test_from_snapshots_untapered_matches_forward(st_lattice):
-    grid, M, T_win = st_lattice
-    from gnls.grid import Field
-    rng = np.random.default_rng(3)
-    slices = [Field(grid, rng.standard_normal(grid.shape) + 0j)
-              for _ in range(M)]
-    w = from_snapshots(slices, T_win, taper=False)
-    direct = st_forward(np.stack([f.values for f in slices]), grid, M, T_win)
-    assert rel_err(w.coeffs, direct.coeffs) < 1e-13
 
 
 def test_st_triple_product_single_modes(st_lattice):

@@ -1,15 +1,16 @@
-"""Transforms, multipliers, padding, and dealiased products."""
+"""Transforms, the Gevrey weight, padding, and dealiased products."""
 
 import numpy as np
 import pytest
 
 from gnls.errors import MultiplierOverflowError, NonFiniteFieldError
 from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
-from gnls.spectral import (apply_multiplier, dealiased_triple_product,
-                           exp_gevrey, forward_transform, free_propagator,
-                           gradient_magnitude, inverse_transform,
-                           japanese_bracket, l4_norm, pad_spectrum,
-                           truncate_spectrum, to_physical, to_spectral)
+from gnls.integrator import linear_half_step
+from gnls.norms import GevreyParams, gevrey_norm
+from gnls.spectral import (apply_exp_gevrey, dealiased_triple_product,
+                           forward_transform, inverse_transform, l4_norm,
+                           pad_spectrum, truncate_spectrum, to_physical,
+                           to_spectral)
 
 from conftest import random_field, rel_err, single_mode_field
 
@@ -136,57 +137,76 @@ def test_transform_rejects_wrong_representation(grid1d):
 
 
 # ---------------------------------------------------------------------------
-# multipliers
+# Gevrey weight e^{sigma |xi|}
 # ---------------------------------------------------------------------------
 
 def test_identity_multipliers(grid1d):
     f = to_spectral(random_field(grid1d, seed=1))
-    for m in (exp_gevrey(0.0), japanese_bracket(0.0)):
-        out = apply_multiplier(f, m)
-        assert np.array_equal(out.values, f.values)
+    out = apply_exp_gevrey(f, 0.0)
+    assert np.array_equal(out.values, f.values)
 
 
 def test_exp_gevrey_inverse_pair(grid1d):
     f = to_spectral(random_field(grid1d, seed=2))
-    out = apply_multiplier(apply_multiplier(f, exp_gevrey(0.3)), exp_gevrey(-0.3))
+    out = apply_exp_gevrey(apply_exp_gevrey(f, 0.3), -0.3)
     assert rel_err(out.values, f.values) < 1e-12
 
 
 def test_multiplier_composition_law(grid1d):
     f = to_spectral(random_field(grid1d, seed=3))
-    two_step = apply_multiplier(apply_multiplier(f, exp_gevrey(0.2)),
-                                exp_gevrey(0.15))
-    one_step = apply_multiplier(f, exp_gevrey(0.35))
+    two_step = apply_exp_gevrey(apply_exp_gevrey(f, 0.2), 0.15)
+    one_step = apply_exp_gevrey(f, 0.35)
     assert rel_err(two_step.values, one_step.values) < 1e-13
 
 
-def test_bracket_on_plane_wave(grid1d):
-    k, s = 4, 1.7
+def test_exp_gevrey_on_plane_wave(grid1d):
+    k, sigma = 4, 0.7
     f = to_spectral(single_mode_field(grid1d, k))
-    out = apply_multiplier(f, japanese_bracket(s))
-    scale = (1.0 + float(grid1d.xi_axis[k]) ** 2) ** (s / 2.0)
+    out = apply_exp_gevrey(f, sigma)
+    scale = np.exp(sigma * abs(float(grid1d.xi_axis[k])))
     assert abs(out.values[k] / f.values[k] - scale) < 1e-13 * scale
+    assert np.count_nonzero(out.values) == 1
 
 
-def test_free_propagator_unimodular(grid1d):
-    f = to_spectral(random_field(grid1d, seed=4))
-    out = apply_multiplier(f, free_propagator(0.37))
-    assert rel_err(np.abs(out.values), np.abs(f.values)) < 1e-13
+def test_exp_gevrey_rejects_physical_field(grid1d):
+    with pytest.raises(ValueError, match="spectral"):
+        apply_exp_gevrey(to_physical(random_field(grid1d, seed=4)), 0.1)
 
 
 def test_overflow_guard():
     g = FourierGrid(d=1, N=1024, L=1.0)   # xi_max ~ 3217
     f = Field.zero(g, rep=SPECTRAL)
     with pytest.raises(MultiplierOverflowError, match="multiplier overflow"):
-        apply_multiplier(f, exp_gevrey(1.0))
+        apply_exp_gevrey(f, 1.0)
 
 
-def test_gradient_magnitude_zeroes_nyquist(grid1d):
-    coeffs = np.ones(grid1d.shape, dtype=complex)
-    f = Field(grid1d, coeffs, rep=SPECTRAL)
-    out = apply_multiplier(f, gradient_magnitude())
-    assert out.values[grid1d.N // 2] == 0.0
-    assert out.values[1] == pytest.approx(grid1d.xi_axis[1])
+def test_overflow_guard_non_finite_weight(monkeypatch):
+    # with the exponent bound raised out of the way, exp(sigma |xi|) itself
+    # overflows and the second check must catch it
+    import gnls.spectral as spectral
+
+    monkeypatch.setattr(spectral, "OVERFLOW_EXPONENT", 1e6)
+    g = FourierGrid(d=1, N=64, L=1.0)     # xi_max ~ 201
+    f = Field.zero(g, rep=SPECTRAL)
+    with np.errstate(over="ignore"), \
+            pytest.raises(MultiplierOverflowError, match="non-finite on lattice"):
+        apply_exp_gevrey(f, 5.0)
+
+
+def test_bracket_on_plane_wave(grid1d):
+    # the Japanese bracket <xi>^s of the Gevrey norm, at sigma = 0
+    k, s = 4, 1.7
+    f = to_spectral(single_mode_field(grid1d, k))
+    scale = (1.0 + float(grid1d.xi_axis[k]) ** 2) ** (s / 2.0)
+    norm = gevrey_norm(f, GevreyParams(0.0, s))
+    assert abs(norm / abs(f.values[k]) - scale) < 1e-13 * scale
+
+
+def test_free_propagator_unimodular(grid1d):
+    # the solver's linear substep is the free propagator e^{-i t |xi|^2}
+    f = to_spectral(random_field(grid1d, seed=4))
+    out = linear_half_step(f, 0.37)
+    assert rel_err(np.abs(out.values), np.abs(f.values)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

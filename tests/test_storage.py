@@ -5,7 +5,7 @@ import pytest
 
 from gnls.grid import Field, FourierGrid
 from gnls.storage import (FORMAT_VERSION, MAGIC, read_field, read_sidecar,
-                          write_csv, write_field, write_sidecar, write_summary)
+                          write_csv, write_field, write_sidecar)
 
 from conftest import random_field
 from gnls.spectral import to_physical
@@ -77,6 +77,13 @@ def test_truncated_payload_rejected(tmp_path):
         read_field(path)
 
 
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "short.gnls"
+    path.write_bytes(MAGIC + bytes(4))
+    with pytest.raises(ValueError, match="truncated header"):
+        read_field(path)
+
+
 def test_sidecar_round_trip(tmp_path):
     path = tmp_path / "run.meta"
     entries = {"d": 1, "N": 256, "L": 40.0, "data_kind": "gaussian"}
@@ -99,6 +106,7 @@ def test_csv_format(tmp_path):
 
 
 def test_write_summary(tmp_path):
+    # run summaries use the sidecar's key = value format
     path = tmp_path / "run.summary"
-    write_summary(path, {"slope": 1.01})
+    write_sidecar(path, {"slope": 1.01})
     assert read_sidecar(path)["slope"] == "1.01"
