@@ -10,11 +10,20 @@ import numpy as np
 
 
 def phase_rotate(values: np.ndarray, dt: float) -> np.ndarray:
-    """u <- u * exp(-i |u|^2 dt), same shape as ``values``."""
+    """u <- u * exp(-i |u|^2 dt), same shape as ``values``.
+
+    The phase -dt |u|^2 is one real array; its cosine and sine are written
+    straight into the real and imaginary parts of the output, which is
+    then multiplied by ``values`` in place, so no complex temporary is made.
+    """
     flat = values.ravel()
+    phase = flat.real * flat.real
+    phase += flat.imag * flat.imag
+    phase *= -float(dt)
     out = np.empty_like(flat)
-    intensity = flat.real * flat.real + flat.imag * flat.imag
-    np.multiply(flat, np.exp(-1j * float(dt) * intensity), out=out)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.multiply(flat, out, out=out)
     return out.reshape(values.shape)
 
 

@@ -25,11 +25,17 @@ def gaussian(grid: FourierGrid, A: float = 1.0, w: float = 1.0) -> Field:
 def periodized_sech(grid: FourierGrid, A: float = 1.0, a: float = 1.0) -> Field:
     """A * sum_j sech(|x - L/2 - jL| / a); radius of analyticity pi*a/2.
 
-    Image terms decay like exp(-L/a), so a handful suffice; the count is
-    chosen so discarded images are below double-precision underflow.
+    Image j adds at most 2 exp(-(|j| L - r_max) / a), with r_max =
+    sqrt(d) L / 2 the largest distance from the centre, while every sample
+    is at least exp(-r_max / a).  Each image beyond (2 r_max + 60 ln2 a) / L
+    is therefore at most 2^-59 of every sample, under half a unit in the
+    last place of the sum, and is left out; the count never exceeds the one
+    at which images underflow.
     """
-    n_images = int(np.ceil(745.0 * a / grid.L)) + 1
-    mesh = grid.meshgrid()
+    r_max = np.sqrt(grid.d) * grid.L / 2.0
+    n_images = min(int(np.ceil((2.0 * r_max + 60.0 * np.log(2.0) * a) / grid.L)),
+                   int(np.ceil(745.0 * a / grid.L)) + 1)
+    mesh = np.meshgrid(*([grid.x] * grid.d), indexing="ij", sparse=True)
     r = np.sqrt(sum((x - grid.L / 2.0) ** 2 for x in mesh))
     vals = np.zeros(grid.shape)
     for j in range(-n_images, n_images + 1):

@@ -25,6 +25,7 @@ from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
 from .norms import (GevreyParams, a_sigma, energy, gevrey_norm, l4_gevrey,
                     mass, norm_report, radius_estimate)
+from .spectral import to_spectral
 from .storage import write_csv, write_field, write_sidecar
 
 NORM_COLUMNS = ("t", "sigma", "mass", "energy", "gevrey_s1_sq", "l4_gevrey",
@@ -110,6 +111,31 @@ def _get(section, key, cast, default=None, name=""):
         raise ConfigError(f"bad value for [{name}] {key}: {raw!r}") from e
 
 
+#: the keys each config section accepts; [data] takes, besides kind and
+#: seed, numeric profile parameters of any name
+_CONFIG_KEYS = {
+    "grid": ("d", "N", "L"),
+    "data": None,
+    "solver": ("dt", "t_end", "snapshot_stride", "linear_only"),
+    "sweep": ("sigma_min", "sigma_max", "n_sigma", "spacing"),
+    "fit": ("sigma0", "c0", "eps", "C", "T", "A0"),
+    "audit": ("b", "sigma", "members", "triples", "M", "T_win"),
+}
+
+
+def _reject_unknown(parser) -> None:
+    """A misspelt section or key would otherwise run with the default."""
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        known = _CONFIG_KEYS[name]
+        for key in parser[name]:
+            if known is not None and key not in known:
+                raise ConfigError(f"unknown key [{name}] {key}")
+
+
 def load_config(path, kind: str = None) -> ExperimentConfig:
     """Parse the key = value / [section] config format."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -120,6 +146,7 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {e}") from e
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _reject_unknown(parser)
     cfg = ExperimentConfig()
     if kind:
         cfg.kind = kind
@@ -214,13 +241,17 @@ def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
 # ---------------------------------------------------------------------------
 
 def _norm_row(t, u, sigma):
-    rep = norm_report(u, sigma, t=t)
+    # one forward transform serves the report and the radius fit; the mass
+    # column stays the quadrature of the physical samples (the report of uh
+    # sums the coefficients, which differs in the last bits)
+    uh = to_spectral(u)
+    rep = norm_report(uh, sigma, t=t)
     try:
-        rad = radius_estimate(u)
+        rad = radius_estimate(uh)
         sig_hat, ent, flo = rad.sigma_hat, rad.entire_flag, rad.floor_flag
     except EmptySpectrumError:
         sig_hat, ent, flo = 0.0, False, True
-    return [t, sigma, rep.mass, rep.energy, rep.gevrey_s1_sq,
+    return [t, sigma, mass(u), rep.energy, rep.gevrey_s1_sq,
             rep.l4_gevrey, rep.a_sigma, sig_hat, ent, flo]
 
 
@@ -229,13 +260,16 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
     u0 = cfg.initial_data()
     rows = []
     sigma = cfg.sigma0
+    save = cfg.save_fields and cfg.out_dir is not None
+    if save:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
 
     def on_snap(t, u):
         rows.append(_norm_row(t, u, sigma))
-        if cfg.save_fields and cfg.out_dir is not None:
+        if save:
             write_field(Path(cfg.out_dir) / f"snapshot_{len(rows) - 1:05d}.gnls", u)
 
-    traj = evolve(u0, cfg.solver(), on_snapshot=on_snap)
+    evolve(u0, cfg.solver(), on_snapshot=on_snap)
     m0, e0 = rows[0][2], rows[0][3]
     mass_drift = max(abs(r[2] - m0) for r in rows) / m0 if m0 > 0 else 0.0
     energy_drift = max(abs(r[3] - e0) for r in rows)
@@ -278,11 +312,12 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
     dropped = []
 
     def on_snap(t, u):
+        uh = to_spectral(u)
         for s in list(sigmas):
             if s in dropped:
                 continue
             try:
-                val = a_sigma(u, s)
+                val = a_sigma(uh, s)
             except MultiplierOverflowError:
                 dropped.append(s)
                 continue
@@ -330,8 +365,6 @@ def _measured_a_sigma(u: Field, sigma: float) -> float:
     Coefficients below 1e-14 of the peak are numerical noise; under
     e^{sigma|xi|} they would otherwise dominate the measurement.
     """
-    from .spectral import to_spectral
-
     uh = to_spectral(u)
     mag = np.abs(uh.values)
     clean = np.where(mag > 1e-14 * mag.max(), uh.values, 0.0)

@@ -102,10 +102,11 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     steps (identical in exact arithmetic to repeated :func:`strang_step`,
     with half the transforms, which also halves the round-off drift).
 
-    ``on_snapshot(t, field)`` is invoked for each recorded slice, letting
-    the harness compute norms without holding every field in memory.
-    Non-finite or blown-up states abort with the step index and the last
-    recorded snapshot attached.
+    Without ``on_snapshot`` the returned trajectory holds every recorded
+    slice.  With it, ``on_snapshot(t, field)`` is invoked for each recorded
+    slice and the trajectory keeps only the latest one, so memory does not
+    grow with the number of snapshots.  Non-finite or blown-up states abort
+    with the step index and the last recorded snapshot attached.
     """
     u = to_physical(u0)
     u = Field(u.grid, u.values, rep=PHYSICAL, t=0.0)
@@ -118,15 +119,19 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
 
     xi2 = u.grid.xi_abs ** 2
     half_phase = np.exp(-0.5j * cfg.dt * xi2)
-    full_phase = np.exp(-1.0j * cfg.dt * xi2)
+    # a full linear step joins two steps when the first records no snapshot
+    fused = cfg.snapshot_stride > 1 and cfg.n_steps > 1
+    full_phase = np.exp(-1.0j * cfg.dt * xi2) if fused else None
+    del xi2
 
     # the loop keeps numpy-convention coefficients (no unitary rescaling):
     # fftn/ifftn round-trip physical values directly, and skipping the
-    # scalar multiply/divide each step removes its systematic round-off
+    # scalar multiply/divide each step removes its systematic round-off.
+    # The step transforms run in place, on the one array the step owns.
     coeff = np.fft.fftn(u.values)
     coeff *= half_phase
     for step in range(1, cfg.n_steps + 1):
-        vals = np.fft.ifftn(coeff)
+        vals = np.fft.ifftn(coeff, out=coeff)
         if not cfg.linear_only:
             vals = _kernels.phase_rotate(vals, cfg.sign * cfg.dt)
         peak = float(np.abs(vals).max())
@@ -139,13 +144,16 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 f"blow-up guard tripped at step {step}: max|u| grew "
                 f"{peak / peak0:.3g}x", step=step, last_good=snapshots[-1])
         record = step % cfg.snapshot_stride == 0 or step == cfg.n_steps
-        coeff = np.fft.fftn(vals)
+        coeff = np.fft.fftn(vals, out=vals)
         if record:
             coeff *= half_phase
-            u = Field(u.grid, np.fft.ifftn(coeff), rep=PHYSICAL,
-                      t=step * cfg.dt, _check=False)
-            snapshots.append((u.t, u))
-            if on_snapshot is not None:
+            snap = np.fft.ifftn(coeff)
+            snap.flags.writeable = False  # owned here: Field keeps it uncopied
+            u = Field(u.grid, snap, rep=PHYSICAL, t=step * cfg.dt, _check=False)
+            if on_snapshot is None:
+                snapshots.append((u.t, u))
+            else:
+                snapshots[-1] = (u.t, u)
                 on_snapshot(u.t, u)
             if step < cfg.n_steps:
                 coeff *= half_phase

@@ -18,6 +18,7 @@ so every output is self-describing.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -31,18 +32,29 @@ _HEADER = struct.Struct("<4sHBIdd")
 
 
 def write_field(path, f: Field) -> None:
-    """Write one snapshot, as physical samples, in the GNLS binary format."""
+    """Write one snapshot, as physical samples, in the GNLS binary format.
+
+    The file is written under a temporary name in the same directory and
+    renamed into place, so ``path`` never holds a partial snapshot; on
+    failure the temporary file is removed.
+    """
     from .spectral import to_physical
 
     u = to_physical(f)
     g = u.grid
     path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, g.d, g.N, g.L, u.t))
-        inter = np.empty(u.values.shape + (2,))
-        inter[..., 0] = u.values.real
-        inter[..., 1] = u.values.imag
-        inter.astype("<f8").tofile(fh)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, g.d, g.N, g.L, u.t))
+            inter = np.empty(u.values.shape + (2,))
+            inter[..., 0] = u.values.real
+            inter[..., 1] = u.values.imag
+            inter.astype("<f8").tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_field(path) -> Field:

@@ -36,6 +36,18 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
 
 
+def test_misspelt_config_key_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nd = 1\nN = 64\nL = 10.0\n"
+                   "[solver]\ndt = 0.05\nt_end = 0.1\nsnapshot_strid = 1\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "[solver] snapshot_strid" in err
+    assert not out.exists()
+
+
 def test_simulate_subcommand_writes_outputs(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nd = 1\nN = 64\nL = 10.0\n"

@@ -66,3 +66,22 @@ def test_make_initial_data_dispatch(grid):
 def test_make_initial_data_params(grid):
     u = make_initial_data(grid, "plane_wave", {"A": 0.3, "k": 2})
     assert np.allclose(np.abs(u.values), 0.3)
+
+
+def _sech_all_images(grid, A, a):
+    """The image sum over every image that does not underflow."""
+    n_images = int(np.ceil(745.0 * a / grid.L)) + 1
+    r = np.sqrt(sum((x - grid.L / 2.0) ** 2 for x in grid.meshgrid()))
+    vals = np.zeros(grid.shape)
+    for j in range(-n_images, n_images + 1):
+        e = np.exp(-np.abs(r - j * grid.L) / a)
+        vals = vals + 2.0 * e / (1.0 + e * e)
+    return A * vals
+
+
+@pytest.mark.parametrize("d,N,L,a", [(3, 64, 20.0, 1.0), (1, 4096, 40.0, 1.0),
+                                     (2, 64, 10.0, 2.0), (1, 64, 2.0, 1.0)])
+def test_periodized_sech_equals_the_sum_over_all_images(d, N, L, a):
+    g = FourierGrid(d=d, N=N, L=L)
+    u = periodized_sech(g, A=0.97, a=a)
+    assert np.array_equal(u.values, _sech_all_images(g, 0.97, a))

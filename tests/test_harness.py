@@ -84,6 +84,26 @@ def test_load_config_bad_sweep_spacing(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text,where", [
+    ("[solver]\nsnapshot_strid = 1\n", r"unknown key \[solver\] snapshot_strid"),
+    ("[solver]\ndealias = true\n", r"unknown key \[solver\] dealias"),
+    ("[grid]\nn = 64\n", r"unknown key \[grid\] n"),
+    ("[fit]\nsigma_0 = 0.1\n", r"unknown key \[fit\] sigma_0"),
+    ("[sweep]\nnsigma = 4\n", r"unknown key \[sweep\] nsigma"),
+    ("[audit]\nmember = 4\n", r"unknown key \[audit\] member"),
+    ("[solve]\ndt = 0.1\n", r"unknown section \[solve\]"),
+    ("[DEFAULT]\ndt = 0.1\n", r"unknown section \[DEFAULT\]"),
+])
+def test_load_config_rejects_unknown_names(tmp_path, text, where):
+    with pytest.raises(ConfigError, match=where):
+        load_config(write_config(tmp_path, text))
+
+
+def test_load_config_data_takes_any_numeric_parameter(tmp_path):
+    path = write_config(tmp_path, "[data]\nkind = gaussian\nwidth_2 = 3\n")
+    assert load_config(path).data_params == {"width_2": 3.0}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -116,6 +136,16 @@ def test_run_simulate_deterministic_output(tmp_path):
                                out_dir=out)
         run_simulate(cfg)
     assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
+
+
+def test_run_simulate_save_fields_into_new_out_dir(tmp_path):
+    out = tmp_path / "new" / "run"
+    cfg = ExperimentConfig(kind="simulate", N=64, L=10.0, dt=0.05, t_end=0.1,
+                           snapshot_stride=1, out_dir=out, save_fields=True)
+    run_simulate(cfg)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "norms.csv", "run.meta", "snapshot_00000.gnls", "snapshot_00001.gnls",
+        "snapshot_00002.gnls"]
 
 
 def test_run_simulate_save_fields(tmp_path):
@@ -223,6 +253,25 @@ def test_norm_row_empty_spectrum_sets_floor_flag():
 
     row = _norm_row(0.0, Field.zero(FourierGrid(1, 64, 10.0)), 0.1)
     assert row[7:] == [0.0, False, True]
+
+
+def test_norm_row_transforms_a_physical_slice_once(monkeypatch):
+    from gnls.data import periodized_sech
+    from gnls.grid import FourierGrid
+    from gnls.harness import _norm_row
+
+    u = periodized_sech(FourierGrid(3, 16, 8.0))
+    expected = _norm_row(0.5, u, 0.1)
+    calls = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    assert _norm_row(0.5, u, 0.1) == expected
+    assert len(calls) == 1
 
 
 def test_norm_row_propagates_other_radius_errors(monkeypatch):

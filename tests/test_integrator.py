@@ -197,6 +197,40 @@ def test_on_snapshot_callback(grid1d):
                     pytest.approx(0.5)]
 
 
+def test_callback_run_keeps_only_the_latest_snapshot(grid1d):
+    u0 = to_physical(random_field(grid1d, seed=13))
+    cfg = SolverConfig(dt=0.01, t_end=0.49, snapshot_stride=1)
+    seen = []
+    traj = evolve(u0, cfg, on_snapshot=lambda t, u: seen.append((t, u)))
+    assert len(seen) == 50
+    assert len(traj.snapshots) == 1
+    assert traj.snapshots[0][1] is seen[-1][1]
+    full = evolve(u0, cfg)
+    assert len(full.snapshots) == 50
+    assert np.array_equal(full.snapshots[-1][1].values, seen[-1][1].values)
+
+
+def test_abort_in_callback_run_carries_last_recorded_slice(grid1d, monkeypatch):
+    rotate = integrator._kernels.phase_rotate
+    calls = []
+
+    def poisoned(values, dt):
+        calls.append(1)
+        out = rotate(values, dt)
+        return out * np.nan if len(calls) == 5 else out
+
+    monkeypatch.setattr(integrator._kernels, "phase_rotate", poisoned)
+    seen = []
+    u0 = to_physical(random_field(grid1d, seed=14))
+    with pytest.raises(SimulationAbort) as exc:
+        evolve(u0, SolverConfig(dt=0.1, t_end=1.0),
+               on_snapshot=lambda t, u: seen.append((t, u)))
+    assert exc.value.step == 5
+    assert len(seen) == 5
+    t, last = exc.value.last_good
+    assert last is seen[-1][1] and t == pytest.approx(0.4)
+
+
 def test_blowup_guard_aborts(grid1d, monkeypatch):
     # lower the guard so any growth of max|u| trips it immediately
     monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 1e-3)

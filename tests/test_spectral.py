@@ -321,3 +321,31 @@ def test_l4_norm_padded_matches_fine_quadrature():
     q = (fine.grid.L / fine.grid.N) ** fine.grid.d
     oracle = float((np.sum(np.abs(fine.values) ** 4) * q) ** 0.25)
     assert l4_norm(u) == pytest.approx(oracle, rel=1e-12)
+
+
+def _padded_l4_reference(uh):
+    """The seed formula: pad_spectrum, one full ifftn, quadrature."""
+    fine = pad_spectrum(uh)
+    g = fine.grid
+    vals = np.fft.ifftn(fine.values) / (np.sqrt(g.L) / g.N) ** g.d
+    mag2 = vals.real ** 2 + vals.imag ** 2
+    return float((np.sum(mag2 * mag2) * (g.L / g.N) ** g.d) ** 0.25)
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 256, 40.0), (2, 64, 10.0), (3, 32, 8.0)])
+def test_padded_l4_is_exactly_the_full_transform(d, N, L):
+    from gnls.data import periodized_sech
+    from gnls.norms import l4_gevrey
+    from gnls.spectral import _padded_samples
+
+    g = FourierGrid(d=d, N=N, L=L)
+    # a full-band random field (Nyquist modes included) and sech data
+    for u in (random_field(g, seed=d, band=N // 2, decay=0.05),
+              periodized_sech(g, A=1.02)):
+        uh = to_spectral(u)
+        assert np.array_equal(_padded_samples(uh),
+                              inverse_transform(pad_spectrum(uh)).values)
+        assert l4_norm(u) == _padded_l4_reference(uh)
+        for sigma in (0.05, 0.3):
+            assert l4_gevrey(u, sigma) == _padded_l4_reference(
+                apply_exp_gevrey(uh, sigma))

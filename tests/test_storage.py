@@ -1,5 +1,7 @@
 """GNLS binary snapshots, sidecars, and CSV reports."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,19 @@ def test_write_summary(tmp_path):
     path = tmp_path / "run.summary"
     write_sidecar(path, {"slope": 1.01})
     assert read_sidecar(path)["slope"] == "1.01"
+
+
+class _FailingArray(np.ndarray):
+    def tofile(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    import gnls.storage as storage
+
+    # the payload write fails after the header is out
+    monkeypatch.setattr(storage, "np", SimpleNamespace(
+        empty=lambda *a, **k: np.empty(*a, **k).view(_FailingArray)))
+    with pytest.raises(OSError, match="disk full"):
+        write_field(tmp_path / "snap.gnls", Field.zero(FourierGrid(d=1, N=8, L=1.0)))
+    assert list(tmp_path.iterdir()) == []
