@@ -54,9 +54,8 @@ def shell_envelope(mag, shell, n_shells):
     """Per-shell maximum of |coefficients|.
 
     mag : flat float array of coefficient magnitudes.
-    shell : flat int array of shell indices, -1 to skip.
+    shell : flat int array of shell indices in [0, n_shells).
     """
     env = np.zeros(n_shells)
-    valid = shell >= 0
-    np.maximum.at(env, shell[valid], mag[valid])
+    np.maximum.at(env, shell, mag)
     return env

@@ -163,6 +163,8 @@ def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
     whose product leaks more than ``LEAK_TOLERANCE`` of its energy beyond
     the padded band are rejected and counted, not asserted on.
     """
+    if n_members < 1:
+        raise ValueError(f"n_members must be >= 1, got {n_members}")
     streams = np.random.SeedSequence(seed).spawn(n_members)
 
     def member(ss):

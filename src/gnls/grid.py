@@ -96,7 +96,7 @@ class Field:
 
     ``values`` are either physical samples or unitary spectral coefficients,
     selected by ``rep``.  The array is copied defensively unless it is
-    already complex and owned, then frozen.
+    read-only or a private conversion of the caller's array, then frozen.
     """
 
     __slots__ = ("grid", "values", "rep", "t")
@@ -105,18 +105,19 @@ class Field:
                  t: float = 0.0, _check: bool = True):
         if rep not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown representation {rep!r}")
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != grid.shape:
+        arr = np.asarray(values, dtype=np.complex128)
+        if arr.shape != grid.shape:
             raise ValueError(
-                f"values shape {values.shape} does not match grid shape {grid.shape}")
-        if _check and not np.all(np.isfinite(values)):
+                f"values shape {arr.shape} does not match grid shape {grid.shape}")
+        if _check and not np.all(np.isfinite(arr)):
             raise NonFiniteFieldError(
                 f"field contains non-finite values ({rep} representation, t={t})")
-        if values.flags.writeable:
-            values = values.copy()
-            values.flags.writeable = False
+        # a dtype conversion has already made a private array
+        if arr.flags.writeable and np.may_share_memory(arr, values):
+            arr = arr.copy()
+        arr.flags.writeable = False
         self.grid = grid
-        self.values = values
+        self.values = arr
         self.rep = rep
         self.t = t
 

@@ -205,6 +205,10 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
         cfg.n_triples = _get(s, "triples", int, cfg.n_triples, "audit")
         cfg.M = _get(s, "M", int, cfg.M, "audit")
         cfg.T_win = _get(s, "T_win", float, cfg.T_win, "audit")
+        for key, count in (("members", cfg.n_members), ("triples", cfg.n_triples)):
+            if count < 1:
+                raise ConfigError(f"bad value for [audit] {key}: {count} "
+                                  f"(an ensemble needs at least one)")
     if cfg.sigma_grid and any(s < 0 for s in cfg.sigma_grid):
         raise ConfigError("sigma grid entries must be >= 0")
     if cfg.sigma_grid and list(cfg.sigma_grid) != sorted(cfg.sigma_grid):

@@ -18,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MultiplierOverflowError
 from .grid import FourierGrid
-from .spectral import OVERFLOW_EXPONENT
+from .spectral import _centred_band, _cubic_product, exp_weight
 
 
 @dataclass(frozen=True)
@@ -66,32 +65,16 @@ def _st_forward_factor(grid: FourierGrid, M: int, T_win: float) -> float:
     return (np.sqrt(T_win) / M) * (np.sqrt(grid.L) / grid.N) ** grid.d
 
 
-def st_forward(samples: np.ndarray, grid: FourierGrid, M: int,
-               T_win: float) -> SpaceTimeSpectrum:
-    """Physical space-time samples (axis 0 = time) -> unitary coefficients."""
-    coeffs = np.fft.fftn(samples) * _st_forward_factor(grid, M, T_win)
-    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win, coeffs=coeffs)
-
-
-def st_inverse(w: SpaceTimeSpectrum) -> np.ndarray:
-    """Unitary coefficients -> physical samples on the (M,) + grid lattice."""
-    return np.fft.ifftn(w.coeffs) / _st_forward_factor(w.grid, w.M, w.T_win)
-
-
 def dispersive_weight(w: SpaceTimeSpectrum, sigma: float, s: float,
                       b: float) -> np.ndarray:
     """e^{sigma|xi|} <xi>^s <tau + |xi|^2>^b on the (tau, xi) lattice."""
     xi = w.grid.xi_abs
-    if sigma * w.grid.xi_max > OVERFLOW_EXPONENT:
-        raise MultiplierOverflowError(
-            f"multiplier overflow: sigma*|xi|_max = {sigma * w.grid.xi_max:g} "
-            f"exceeds {OVERFLOW_EXPONENT:g}")
     mod = w.tau_mesh() + xi[np.newaxis, ...] ** 2
     weight = (1.0 + mod * mod) ** (b / 2.0)
     if s != 0.0:
         weight = weight * (1.0 + xi * xi)[np.newaxis, ...] ** (s / 2.0)
     if sigma != 0.0:
-        weight = weight * np.exp(sigma * xi)[np.newaxis, ...]
+        weight = weight * exp_weight(sigma, w.grid)[np.newaxis, ...]
     return weight
 
 
@@ -148,31 +131,6 @@ def random_decaying(grid: FourierGrid, M: int, T_win: float, rng,
 # Dealiased space-time products
 # ---------------------------------------------------------------------------
 
-def _st_pad(w: SpaceTimeSpectrum, factor: int = 2) -> SpaceTimeSpectrum:
-    shifted = np.fft.fftshift(w.coeffs)
-    big_shape = tuple(factor * n for n in shifted.shape)
-    big = np.zeros(big_shape, dtype=np.complex128)
-    slices = tuple(slice((bn - n) // 2, (bn - n) // 2 + n)
-                   for n, bn in zip(shifted.shape, big_shape))
-    big[slices] = shifted
-    return SpaceTimeSpectrum(grid=w.grid.refined(factor), M=factor * w.M,
-                             T_win=w.T_win, coeffs=np.fft.ifftshift(big))
-
-
-def _st_truncate(w: SpaceTimeSpectrum, grid: FourierGrid, M: int):
-    """Restrict to the coarse band; returns (spectrum, leaked_fraction)."""
-    shifted = np.fft.fftshift(w.coeffs)
-    small_shape = (M,) + grid.shape
-    slices = tuple(slice((bn - n) // 2, (bn - n) // 2 + n)
-                   for n, bn in zip(small_shape, shifted.shape))
-    small = shifted[slices]
-    total = float(np.sum(np.abs(shifted) ** 2))
-    kept = float(np.sum(np.abs(small) ** 2))
-    leaked = 0.0 if total == 0.0 else max(total - kept, 0.0) / total
-    return SpaceTimeSpectrum(grid=grid, M=M, T_win=w.T_win,
-                             coeffs=np.fft.ifftshift(small)), leaked
-
-
 def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
                       w3: SpaceTimeSpectrum,
                       conjugate=(False, True, True)):
@@ -185,10 +143,16 @@ def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
     if not (w1.grid == w2.grid == w3.grid and w1.M == w2.M == w3.M
             and w1.T_win == w2.T_win == w3.T_win):
         raise ValueError("space-time product requires a common lattice")
-    phys = []
-    for w, c in zip((w1, w2, w3), conjugate):
-        p = st_inverse(_st_pad(w))
-        phys.append(np.conj(p) if c else p)
-    prod = phys[0] * phys[1] * phys[2]
-    fine = st_forward(prod, w1.grid.refined(2), 2 * w1.M, w1.T_win)
-    return _st_truncate(fine, w1.grid, w1.M)
+    grid, M, T_win = w1.grid, w1.M, w1.T_win
+    fine_grid = grid.refined(2)
+    coeffs = _cubic_product([w.coeffs for w in (w1, w2, w3)], conjugate,
+                            _st_forward_factor(fine_grid, 2 * M, T_win))
+    coeffs.flags.writeable = False  # checked below without a copy
+    fine = SpaceTimeSpectrum(grid=fine_grid, M=2 * M, T_win=T_win,
+                             coeffs=coeffs)
+    centred, band = _centred_band(fine.coeffs, (M,) + grid.shape)
+    total = float(np.sum(np.abs(centred) ** 2))
+    kept = float(np.sum(np.abs(band) ** 2))
+    leaked = 0.0 if total == 0.0 else max(total - kept, 0.0) / total
+    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
+                             coeffs=np.fft.ifftshift(band)), leaked

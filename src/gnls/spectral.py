@@ -56,17 +56,12 @@ def to_physical(f: Field) -> Field:
 # Gevrey weight
 # ---------------------------------------------------------------------------
 
-def apply_exp_gevrey(f: Field, sigma: float) -> Field:
-    """Coefficient-wise product of a spectral field with e^{sigma |xi|}.
-
-    Identity at sigma = 0.  Raises :class:`MultiplierOverflowError` when
-    the weight could exceed exp(OVERFLOW_EXPONENT) on the lattice, or is
-    non-finite anywhere on it.
+def exp_weight(sigma: float, grid: FourierGrid) -> np.ndarray:
+    """e^{sigma |xi|} on the lattice of ``grid``, the one overflow guard:
+    raises :class:`MultiplierOverflowError` when sigma |xi|_max exceeds
+    OVERFLOW_EXPONENT, or when the weight is non-finite on the lattice.
     """
-    if not f.is_spectral:
-        raise ValueError("apply_exp_gevrey expects a spectral-space field")
-    grid = f.grid
-    name = f"exp-gevrey(sigma={sigma:g})"
+    name = f"e^({sigma:g}|xi|)"
     if max(sigma, 0.0) * grid.xi_max > OVERFLOW_EXPONENT:
         raise MultiplierOverflowError(
             f"multiplier overflow: {name} exceeds exp({OVERFLOW_EXPONENT:g}) "
@@ -76,20 +71,31 @@ def apply_exp_gevrey(f: Field, sigma: float) -> Field:
         raise MultiplierOverflowError(
             f"multiplier overflow: {name} non-finite on lattice "
             f"(|xi|_max = {grid.xi_max:g})")
-    # free the weights before Field copies the product: this call sets the
-    # peak RSS of the per-snapshot diagnostics
-    out = f.values * w
-    del w
-    return Field(grid, out, rep=SPECTRAL, t=f.t)
+    return w
+
+
+def apply_exp_gevrey(f: Field, sigma: float) -> Field:
+    """Coefficient-wise product of a spectral field with e^{sigma |xi|}.
+
+    Identity at sigma = 0; guarded by :func:`exp_weight`.
+    """
+    if not f.is_spectral:
+        raise ValueError("apply_exp_gevrey expects a spectral-space field")
+    # the weights are freed before Field copies the product: this call sets
+    # the peak RSS of the per-snapshot diagnostics
+    return Field(f.grid, f.values * exp_weight(sigma, f.grid), rep=SPECTRAL,
+                 t=f.t)
 
 
 # ---------------------------------------------------------------------------
 # Zero-padding and dealiased products
 # ---------------------------------------------------------------------------
 
-def _centered_slices(n_small: int, n_big: int, d: int):
-    lo = (n_big - n_small) // 2
-    return (slice(lo, lo + n_small),) * d
+def _centred_block(shape, big_shape) -> tuple:
+    """Slices of the block of ``shape`` around the zero mode of an
+    ``np.fft.fftshift``-ed array of ``big_shape``."""
+    return tuple(slice((nb - n) // 2, (nb - n) // 2 + n)
+                 for n, nb in zip(shape, big_shape))
 
 
 def pad_spectrum(f: Field, factor: int = 2) -> Field:
@@ -98,10 +104,17 @@ def pad_spectrum(f: Field, factor: int = 2) -> Field:
         raise ValueError("pad_spectrum expects a spectral-space field")
     g = f.grid
     big = g.refined(factor)
-    small_c = np.fft.fftshift(f.values)
     big_c = np.zeros(big.shape, dtype=np.complex128)
-    big_c[_centered_slices(g.N, big.N, g.d)] = small_c
+    big_c[_centred_block(g.shape, big.shape)] = np.fft.fftshift(f.values)
     return Field(big, np.fft.ifftshift(big_c), rep=SPECTRAL, t=f.t)
+
+
+def _centred_band(coeffs: np.ndarray, shape) -> tuple:
+    """``(centred, band)``: ``np.fft.fftshift(coeffs)`` and its block of
+    ``shape`` around the zero mode, a view; ``np.fft.ifftshift(band)`` is
+    the band of the coarser lattice ``shape`` in FFT ordering."""
+    centred = np.fft.fftshift(coeffs)
+    return centred, centred[_centred_block(shape, centred.shape)]
 
 
 def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
@@ -111,9 +124,54 @@ def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
     big = f.grid
     if big.L != grid.L or big.d != grid.d or big.N < grid.N:
         raise ValueError("target grid must share the torus and be coarser")
-    big_c = np.fft.fftshift(f.values)
-    small_c = big_c[_centered_slices(grid.N, big.N, grid.d)]
-    return Field(grid, np.fft.ifftshift(small_c), rep=SPECTRAL, t=f.t)
+    _, band = _centred_band(f.values, grid.shape)
+    return Field(grid, np.fft.ifftshift(band), rep=SPECTRAL, t=f.t)
+
+
+def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
+    """Samples of ``coeffs`` (FFT ordering) zero-padded to twice the length
+    of every axis, divided by ``factor``, the doubled lattice's forward
+    factor: the one inverse transform of a zero-padded spectrum.
+
+    The axes are inverse-transformed last first, the order ``np.fft.ifftn``
+    uses, each embedded into its doubled length just before its own
+    transform, in place.  A line of zeros transforms to zeros, so every
+    sample equals the full ``np.fft.ifftn`` while only the lines that hold
+    coefficients are transformed: 7N^2 instead of 12N^2 on an N^3 cube.
+    """
+    a = coeffs
+    for axis in reversed(range(a.ndim)):
+        n = a.shape[axis]
+        half = n // 2
+        head = (slice(None),) * axis
+        emb = np.zeros(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:],
+                       dtype=np.complex128)
+        emb[head + (slice(0, half),)] = a[head + (slice(0, half),)]
+        emb[head + (slice(2 * n - half, 2 * n),)] = a[head + (slice(half, n),)]
+        # in place: same values, no second fine-grid array
+        a = np.fft.ifftn(emb, axes=(axis,), out=emb)
+    a /= factor
+    return a
+
+
+def _cubic_product(factors, conjugate: Sequence[bool],
+                   factor: float) -> np.ndarray:
+    """Coefficients on the doubled lattice (forward factor ``factor``) of
+    the product of the three functions with coefficients ``factors``, each
+    synthesised by :func:`_padded_samples` and conjugated where
+    ``conjugate`` says so.  Doubling every axis keeps the aliases of a cubic
+    product out of the coarse band (Orszag, J. Atmos. Sci. 28, 1971).
+    """
+    samples = [_padded_samples(c, factor) for c in factors]
+    for s, c in zip(samples, conjugate):
+        if c:
+            np.conjugate(s, out=s)
+    prod = samples[0] * samples[1]
+    prod *= samples[2]
+    del samples
+    np.fft.fftn(prod, out=prod)
+    prod *= factor
+    return prod
 
 
 def dealiased_triple_product(f: Field, g: Field, h: Field,
@@ -127,54 +185,23 @@ def dealiased_triple_product(f: Field, g: Field, h: Field,
     """
     if not (f.grid == g.grid == h.grid):
         raise ValueError("dealiased_triple_product requires a common grid")
-    fine = [to_physical(pad_spectrum(to_spectral(u))) for u in (f, g, h)]
-    vals = [np.conj(u.values) if c else u.values
-            for u, c in zip(fine, conjugate)]
-    prod = vals[0] * vals[1] * vals[2]
-    prod_spec = forward_transform(Field(fine[0].grid, prod, rep=PHYSICAL, t=f.t))
-    return inverse_transform(truncate_spectrum(prod_spec, f.grid))
+    fine = f.grid.refined(2)
+    coeffs = _cubic_product([to_spectral(u).values for u in (f, g, h)],
+                            conjugate, _forward_factor(fine))
+    coeffs.flags.writeable = False  # Field checks it without a copy
+    prod = Field(fine, coeffs, rep=SPECTRAL, t=f.t)
+    return inverse_transform(truncate_spectrum(prod, f.grid))
 
 
-def _padded_samples(f: Field) -> np.ndarray:
-    """Physical samples of ``pad_spectrum(f)`` on the 2x grid, transforming
-    only the lines that hold coefficients.
-
-    The axes are inverse-transformed last first, the order ``np.fft.ifftn``
-    uses, and each is embedded into the fine length just before its own
-    transform.  A line of zeros transforms to zeros, so every sample equals
-    ``inverse_transform(pad_spectrum(f))`` while the transformed lines
-    number N^2 + 2N^2 + 4N^2 instead of 12N^2 at d = 3.
-    """
-    g = f.grid
-    n_big = 2 * g.N
-    half = g.N // 2
-    a = f.values
-    for axis in reversed(range(g.d)):
-        head = (slice(None),) * axis
-        emb = np.zeros(a.shape[:axis] + (n_big,) + a.shape[axis + 1:],
-                       dtype=np.complex128)
-        emb[head + (slice(0, half),)] = a[head + (slice(0, half),)]
-        emb[head + (slice(n_big - half, n_big),)] = a[head + (slice(half, g.N),)]
-        # in place: same values, no second fine-grid array
-        a = np.fft.ifftn(emb, axes=(axis,), out=emb)
-    a /= _forward_factor(g.refined(2))
-    return a
-
-
-def l4_norm(u: Field, padded: bool = True) -> float:
+def l4_norm(u: Field) -> float:
     """||u||_{L^4} by quadrature on the 2x-padded grid.
 
     |u|^4 of a band-limited field is band-limited at four times the
     bandwidth; padding makes the quadrature exact up to truncation of the
-    outer half of that band.  ``padded=False`` falls back to the naive
-    collocation quadrature (aliased, but cheaper).
+    outer half of that band.
     """
-    if padded:
-        vals = _padded_samples(to_spectral(u))
-        grid = u.grid.refined(2)
-    else:
-        vals = to_physical(u).values
-        grid = u.grid
+    grid = u.grid.refined(2)
+    vals = _padded_samples(to_spectral(u).values, _forward_factor(grid))
     q = (grid.L / grid.N) ** grid.d
     mag2 = vals.real ** 2
     mag2 += vals.imag ** 2

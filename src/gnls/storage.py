@@ -115,5 +115,6 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        # repr of a numpy scalar reads np.float64(...) under numpy 2
+        return repr(float(v))
     return str(v)

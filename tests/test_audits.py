@@ -179,6 +179,12 @@ def test_trilinear_ensemble_stability(kind):
     assert rep.max_ratio / rep.median_ratio < 10
 
 
+def test_trilinear_rejects_an_empty_ensemble():
+    grid = FourierGrid(d=1, N=32, L=5.0)
+    with pytest.raises(ValueError, match="n_members"):
+        audit_trilinear(1, grid, 16, 1.0, n_members=0, seed=7)
+
+
 def test_trilinear_deterministic_and_thread_invariant():
     grid = FourierGrid(d=1, N=32, L=5.0)
     a = audit_trilinear(2, grid, 16, 1.0, n_members=6, seed=7)

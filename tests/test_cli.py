@@ -1,5 +1,7 @@
 """CLI subcommands and exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,39 @@ def test_run_subcommand_output_files(command, tmp_path, capsys):
             assert any(not line.startswith("#") for line in lines)
         else:
             assert [line.split(" = ")[0] for line in lines] == keys
+
+
+@pytest.mark.parametrize("command,stem", [("sweep", "sweep"),
+                                          ("audit-f", "audit_f"),
+                                          ("audit-trilinear", "audit_trilinear")])
+def test_csv_numbers_parse_as_floats(command, stem, tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    lines = [line for line in (out / f"{stem}.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    columns = lines[0].split(",")
+    assert len(lines) > 1
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(columns)
+        for column, cell in zip(columns, cells):
+            if column != "kind":
+                float(cell)
+
+
+@pytest.mark.parametrize("command,key", [("audit-f", "members"),
+                                         ("audit-trilinear", "members"),
+                                         ("audit-multiplier", "triples")])
+def test_empty_audit_ensemble_is_validation_error(command, key, tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = 0", TINY_CONFIG,
+                          flags=re.M))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"[audit] {key}: 0" in err
+    assert not out.exists()

@@ -99,6 +99,14 @@ def test_load_config_rejects_unknown_names(tmp_path, text, where):
         load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("text,key", [("members = 0", "members"),
+                                      ("members = -3", "members"),
+                                      ("triples = 0", "triples")])
+def test_load_config_rejects_empty_audit_ensembles(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=rf"\[audit\] {key}"):
+        load_config(write_config(tmp_path, f"[audit]\n{text}\n"))
+
+
 def test_load_config_data_takes_any_numeric_parameter(tmp_path):
     path = write_config(tmp_path, "[data]\nkind = gaussian\nwidth_2 = 3\n")
     assert load_config(path).data_params == {"width_2": 3.0}

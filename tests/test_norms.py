@@ -110,6 +110,18 @@ def test_gevrey_overflow_error_names_quantities():
         gevrey_norm(u, GevreyParams(5.0, 1.0))
 
 
+def test_a_sigma_overflow_bound_is_on_twice_sigma():
+    # A_sigma weighs |u^|^2 by e^{2 sigma |xi|}: it is refused exactly when
+    # 2 sigma |xi|_max exceeds the overflow exponent
+    g = FourierGrid(d=1, N=64, L=1.0)
+    u = random_field(g, seed=1)
+    edge = 300.0 / g.xi_max
+    assert np.isfinite(a_sigma(u, edge * (1 - 1e-9)))
+    for f in (a_sigma, lambda v, s: gevrey_norm(v, GevreyParams(s, 1.0))):
+        with pytest.raises(MultiplierOverflowError, match="multiplier overflow"):
+            f(u, edge * (1 + 1e-9))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 50),
        sigma=st.floats(0.0, 0.5), dsigma=st.floats(0.0, 0.5),

@@ -6,8 +6,7 @@ import pytest
 from gnls.errors import MultiplierOverflowError
 from gnls.grid import FourierGrid
 from gnls.spacetime import (SpaceTimeSpectrum, random_decaying, single_mode,
-                            st_forward, st_inverse, st_triple_product,
-                            xsb_norm)
+                            st_triple_product, xsb_norm)
 
 from conftest import rel_err
 
@@ -30,18 +29,6 @@ def test_validation(st_lattice):
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win, coeffs=bad)
-
-
-def test_st_round_trip_and_parseval(st_lattice):
-    grid, M, T_win = st_lattice
-    rng = np.random.default_rng(0)
-    samples = rng.standard_normal((M,) + grid.shape) \
-        + 1j * rng.standard_normal((M,) + grid.shape)
-    w = st_forward(samples, grid, M, T_win)
-    back = st_inverse(w)
-    assert rel_err(back, samples) < 1e-12
-    quad = np.sum(np.abs(samples) ** 2) * (T_win / M) * (grid.L / grid.N)
-    assert w.l2() ** 2 == pytest.approx(quad, rel=1e-12)
 
 
 def test_xsb_zero_weights_is_l2(st_lattice):
@@ -115,3 +102,50 @@ def test_random_decaying_band_restriction(st_lattice):
     m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
     outside = (k_idx[None, :] > grid.N // 6) | (m_idx[:, None] > M // 6)
     assert np.all(w.coeffs[outside] == 0.0)
+
+
+def _st_product_reference(ws, conjugate):
+    """The seed formula: fftshift-pad, full ifftn, product, forward
+    transform checked as a spectrum on the fine lattice, fftshift-truncate."""
+    grid, M, T_win = ws[0].grid, ws[0].M, ws[0].T_win
+    fine = grid.refined(2)
+    factor = (np.sqrt(T_win) / (2 * M)) * (np.sqrt(fine.L) / fine.N) ** fine.d
+    phys = []
+    for w, c in zip(ws, conjugate):
+        shifted = np.fft.fftshift(w.coeffs)
+        big = np.zeros(tuple(2 * n for n in shifted.shape), dtype=complex)
+        big[tuple(slice(n // 2, n // 2 + n) for n in shifted.shape)] = shifted
+        p = np.fft.ifftn(np.fft.ifftshift(big)) / factor
+        phys.append(np.conj(p) if c else p)
+    prod = phys[0] * phys[1] * phys[2]
+    spec = SpaceTimeSpectrum(grid=fine, M=2 * M, T_win=T_win,
+                             coeffs=np.fft.fftn(prod) * factor)
+    shifted = np.fft.fftshift(spec.coeffs)
+    small = shifted[tuple(slice(n // 2, n // 2 + n)
+                          for n in (M,) + grid.shape)]
+    total = float(np.sum(np.abs(shifted) ** 2))
+    kept = float(np.sum(np.abs(small) ** 2))
+    leaked = 0.0 if total == 0.0 else max(total - kept, 0.0) / total
+    return np.fft.ifftshift(small), leaked
+
+
+@pytest.mark.parametrize("conjugate", [(False, True, True), (False, True, False)])
+@pytest.mark.parametrize("d,N,M", [(1, 64, 64), (2, 16, 16), (3, 8, 8),
+                                   (1, 32, 16)])
+def test_st_triple_product_is_exactly_the_seed_formula(d, N, M, conjugate):
+    grid = FourierGrid(d=d, N=N, L=7.0)
+    T_win = 2.0
+    rng = np.random.default_rng(100 * d + N + M)
+    shape = (M,) + grid.shape
+    # band-limited ensemble factors, and a full-band factor (Nyquist modes
+    # included) that leaks beyond the padded band
+    full = SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
+                             coeffs=rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+    ws = [random_decaying(grid, M, T_win, rng) for _ in range(2)] + [full]
+    for factors in (ws, ws[::-1]):
+        prod, leaked = st_triple_product(*factors, conjugate=conjugate)
+        ref, ref_leaked = _st_product_reference(factors, conjugate)
+        assert np.array_equal(prod.coeffs, ref)
+        assert leaked == ref_leaked
+    assert leaked > 0.0

@@ -336,16 +336,70 @@ def _padded_l4_reference(uh):
 def test_padded_l4_is_exactly_the_full_transform(d, N, L):
     from gnls.data import periodized_sech
     from gnls.norms import l4_gevrey
-    from gnls.spectral import _padded_samples
+    from gnls.spectral import _forward_factor, _padded_samples
 
     g = FourierGrid(d=d, N=N, L=L)
     # a full-band random field (Nyquist modes included) and sech data
     for u in (random_field(g, seed=d, band=N // 2, decay=0.05),
               periodized_sech(g, A=1.02)):
         uh = to_spectral(u)
-        assert np.array_equal(_padded_samples(uh),
+        assert np.array_equal(_padded_samples(uh.values,
+                                              _forward_factor(g.refined(2))),
                               inverse_transform(pad_spectrum(uh)).values)
         assert l4_norm(u) == _padded_l4_reference(uh)
         for sigma in (0.05, 0.3):
             assert l4_gevrey(u, sigma) == _padded_l4_reference(
                 apply_exp_gevrey(uh, sigma))
+
+
+def _dealiased_product_reference(fields, conjugate):
+    """The seed formula: pad_spectrum, to_physical, product,
+    forward_transform, truncate_spectrum, inverse_transform."""
+    fine = [to_physical(pad_spectrum(to_spectral(u))) for u in fields]
+    vals = [np.conj(u.values) if c else u.values
+            for u, c in zip(fine, conjugate)]
+    prod = Field(fine[0].grid, vals[0] * vals[1] * vals[2])
+    return inverse_transform(truncate_spectrum(forward_transform(prod),
+                                               fields[0].grid))
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 64, 9.0), (2, 32, 5.0), (3, 16, 3.0)])
+def test_dealiased_product_is_exactly_the_seed_formula(d, N, L):
+    g = FourierGrid(d=d, N=N, L=L)
+    # a full-band field (Nyquist modes included), a band-limited one, and
+    # one given by its physical samples
+    fields = (random_field(g, seed=d, band=N // 2, decay=0.05),
+              random_field(g, seed=d + 10, band=N // 6),
+              to_physical(random_field(g, seed=d + 20)))
+    for conjugate in ((False, True, False), (True, False, True)):
+        prod = dealiased_triple_product(*fields, conjugate=conjugate)
+        ref = _dealiased_product_reference(fields, conjugate)
+        assert prod.is_physical
+        assert np.array_equal(prod.values, ref.values)
+
+
+def test_field_from_real_array_allocates_one_complex_array():
+    import tracemalloc
+
+    g = FourierGrid(d=3, N=64, L=1.0)
+    real = np.ones(g.shape)
+    complex_bytes = 16 * real.size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f = Field(g, real)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.values.dtype == np.complex128 and not f.values.flags.writeable
+    assert peak < 1.5 * complex_bytes
+
+
+def test_field_copies_the_callers_complex_array(grid1d):
+    own = np.ones(grid1d.shape, dtype=complex)
+    f = Field(grid1d, own)
+    own[0] = 5.0
+    assert f.values[0] == 1.0
+    g = Field(grid1d, own[:])    # a view of the caller's array
+    own[1] = 7.0
+    assert g.values[1] == 1.0
