@@ -8,8 +8,7 @@ from .spectral import (apply_exp_gevrey, dealiased_triple_product,
                        forward_transform, inverse_transform, l4_norm)
 from .norms import (a_sigma, energy, gevrey_norm, GevreyParams, mass,
                     norm_report, NormReport, radius_estimate, RadiusEstimate)
-from .integrator import (evolve, linear_half_step, nonlinear_step,
-                         SolverConfig, strang_step, Trajectory)
+from .integrator import evolve, SolverConfig, Trajectory
 from .bookkeeper import (BookkeeperParams, InductionTrace, local_delta,
                          radius_floor, run_induction, sigma_for_T)
 from .spacetime import SpaceTimeSpectrum, xsb_norm

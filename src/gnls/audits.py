@@ -17,8 +17,7 @@ from . import _kernels
 from .errors import EmptySpectrumError
 from .grid import Field, FourierGrid
 from .norms import gevrey_norm, GevreyParams, mass
-from .spacetime import (SpaceTimeSpectrum, random_decaying, single_mode,
-                        st_triple_product, xsb_norm)
+from .spacetime import random_decaying, st_triple_product, xsb_norm
 from .spectral import (apply_exp_gevrey, dealiased_triple_product, l4_norm,
                        to_physical, to_spectral)
 
@@ -122,9 +121,9 @@ def sigma_halving_ratio(v: Field, sigma: float) -> float:
 LEAK_TOLERANCE = 1e-8
 
 
-def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1,
-                    conjugate=(False, True, True)):
-    """LHS and RHS of one trilinear estimate for three space-time factors.
+def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1):
+    """LHS and RHS of one trilinear estimate for three space-time factors
+    u1, u2, u3, whose product is taken as u1 * conj(u2) * conj(u3).
 
     kind 1: ||prod||_{X^{0,-b}}   vs ||u1||_{X^{1,b}} ||u2||_{X^{0,b}} ||u3||_{X^{0,b}}
     kind 2: ||prod||_{L2_{t,x}}   vs ||u1||_{X^{1,b}} ||u2||_{X^{1,b}} ||u3||_{X^{0,b}}
@@ -133,7 +132,7 @@ def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1,
     Returns (lhs, rhs, leaked_fraction).
     """
     w1, w2, w3 = factors
-    prod, leaked = st_triple_product(w1, w2, w3, conjugate=conjugate)
+    prod, leaked = st_triple_product(w1, w2, w3)
     if kind == 1:
         lhs = xsb_norm(prod, 0.0, 0.0, -b)
         rhs = xsb_norm(w1, 0.0, 1.0, b) * xsb_norm(w2, 0.0, 0.0, b) \
@@ -153,15 +152,14 @@ def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1,
 
 def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
                     n_members: int, seed: int, b: float = 0.55,
-                    sigma: float = 0.1,
-                    conjugate=(False, True, True),
-                    threads: int = 1) -> AuditReport:
+                    sigma: float = 0.1, threads: int = 1) -> AuditReport:
     """Ratio statistics of one trilinear estimate over a random ensemble.
 
     Members are seeded independently and merged by index, so the report is
     identical whether they run sequentially or across threads.  Members
     whose product leaks more than ``LEAK_TOLERANCE`` of its energy beyond
-    the padded band are rejected and counted, not asserted on.
+    the padded band are rejected and counted, not asserted on; when all
+    are, there is nothing to report and a ValueError is raised.
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
@@ -170,7 +168,7 @@ def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
     def member(ss):
         rng = np.random.default_rng(ss)
         factors = [random_decaying(grid, M, T_win, rng) for _ in range(3)]
-        return trilinear_sides(kind, factors, b, sigma, conjugate)
+        return trilinear_sides(kind, factors, b, sigma)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -186,51 +184,17 @@ def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
             rejected += 1
             continue
         ratios.append(0.0 if rhs == 0.0 else lhs / rhs)
-    ratios = np.array(ratios) if ratios else np.zeros(1)
+    if not ratios:
+        raise ValueError(f"trilinear-{kind}: all {rejected} members rejected, "
+                         f"each leaked more than {LEAK_TOLERANCE:g} of its "
+                         f"energy beyond the padded band")
+    ratios = np.array(ratios)
     return AuditReport(kind=f"trilinear-{kind}",
                        lhs=float(ratios[0]), rhs=1.0, ratio=float(ratios[0]),
                        count=len(ratios), max_ratio=float(ratios.max()),
                        median_ratio=float(np.median(ratios)),
                        violations=0, seed=seed, members=tuple(ratios),
                        rejected=rejected)
-
-
-def trilinear_single_mode_oracle(kind: int, grid: FourierGrid, M: int,
-                                 T_win: float, m0: int, k0: int, b: float,
-                                 sigma: float = 0.1,
-                                 conjugate=(False, True, True)):
-    """Closed-form LHS/RHS for three identical unit single-mode factors.
-
-    With pattern (u, conj u, conj u) the product is a single mode at
-    (-tau0, -xi0) with coefficient 1/(T_win * L^d); the weighted norms are
-    then scalar evaluations of the weights.
-    """
-    tau0 = 2.0 * np.pi * m0 / T_win
-    xi0 = 2.0 * np.pi * k0 / grid.L
-    sgn = [-1.0 if c else 1.0 for c in conjugate]
-    tau_p = sum(s * tau0 for s in sgn)
-    xi_p = sum(s * xi0 for s in sgn)
-    amp = 1.0 / (T_win * grid.L ** grid.d)
-
-    def bracket(x):
-        return np.sqrt(1.0 + x * x)
-
-    def weight(tau, xi, sg, s, bb):
-        return np.exp(sg * abs(xi)) * bracket(abs(xi)) ** s \
-            * bracket(tau + xi * xi) ** bb
-
-    if kind == 1:
-        lhs = amp * weight(tau_p, xi_p, 0.0, 0.0, -b)
-        rhs = weight(tau0, xi0, 0.0, 1.0, b) * weight(tau0, xi0, 0.0, 0.0, b) ** 2
-    elif kind == 2:
-        lhs = amp
-        rhs = weight(tau0, xi0, 0.0, 1.0, b) ** 2 * weight(tau0, xi0, 0.0, 0.0, b)
-    elif kind == 3:
-        lhs = amp * weight(tau_p, xi_p, sigma, 1.0, 0.0)
-        rhs = weight(tau0, xi0, sigma, 1.0, b) ** 3
-    else:
-        raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
-    return float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Subcommands: simulate, radius, sweep, audit-multiplier, audit-f,
-audit-trilinear, audit-gn, bookkeeper, norms.
+audit-trilinear, audit-gn, bookkeeper, norms; each takes only the flags it
+reads (see :func:`_commands`).
 
-Exit codes: 0 success, 1 validation or i/o error, 2 runtime abort, 3 a hard
-violation was detected (pointwise inequality or induction failure).
+Exit codes: 0 success, 1 validation, i/o or usage error, 2 runtime abort,
+3 a hard violation was detected (pointwise inequality or induction failure).
 """
 
 from __future__ import annotations
@@ -25,57 +26,87 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_VIOLATION = 3
 
+#: how each flag parses; a run subcommand's flag sets the ExperimentConfig
+#: field its ``dest`` names
+FLAGS = {
+    "snapshot": dict(type=Path, help="GNLS snapshot file to evaluate"),
+    "--sigma": dict(type=float, default=0.0, help="Gevrey weight sigma"),
+    "--config": dict(type=Path, help="key = value config file"),
+    "--out": dict(type=Path, dest="out_dir", metavar="DIR",
+                  help="output directory"),
+    "--seed": dict(type=int, help="master RNG seed"),
+    "--svg": dict(action="store_true", help="also write radius.svg"),
+    **{f"--{name}": dict(type=float, help=f"overrides [fit] {name}")
+       for name in ("sigma0", "A0", "c0", "C", "eps", "T")},
+}
+
+
+def _commands() -> dict:
+    """subcommand -> (runner of the parsed arguments, the flags it reads).
+
+    Built on each call, so that a runner replaced on this module (a test's
+    fake, a profiler's wrapper) is the one that runs.
+    """
+    seeded = ("--config", "--out", "--seed")
+    return {
+        "simulate": (_experiment(run_simulate), seeded),
+        "radius": (_experiment(run_radius_tracking), seeded + ("--svg",)),
+        "sweep": (_experiment(run_almost_conservation_sweep), seeded),
+        "audit-multiplier": (_experiment(run_audit_multiplier), seeded),
+        "audit-f": (_experiment(run_audit_f), seeded),
+        "audit-trilinear": (_experiment(run_audit_trilinear), seeded),
+        "audit-gn": (_experiment(run_audit_gn), seeded),
+        "bookkeeper": (_experiment(run_bookkeeper),
+                       ("--config", "--out", "--sigma0", "--A0", "--c0",
+                        "--C", "--eps", "--T")),
+        "norms": (cmd_norms, ("snapshot", "--sigma")),
+    }
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, the runtime-abort code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnls",
         description="Cubic NLS spectral simulator and inequality audit bench")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("simulate", "radius", "sweep", "audit-multiplier", "audit-f",
-                "audit-trilinear", "audit-gn", "bookkeeper", "norms")
-    for name in commands:
+    for name, (_, flags) in _commands().items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, help="key = value config file")
-        p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--svg", action="store_true",
-                       help="emit a line-plot SVG where supported")
-        if name == "bookkeeper":
-            p.add_argument("--sigma0", type=float)
-            p.add_argument("--A0", type=float)
-            p.add_argument("--c0", type=float)
-            p.add_argument("--C", type=float)
-            p.add_argument("--eps", type=float)
-            p.add_argument("--T", type=float)
-        if name == "norms":
-            p.add_argument("snapshot", type=Path,
-                           help="GNLS snapshot file to evaluate")
-            p.add_argument("--sigma", type=float, default=0.0)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def _config_from_args(args, kind: str) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, kind=kind)
-    else:
-        cfg = ExperimentConfig(kind=kind)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    cfg.threads = args.threads
-    cfg.svg = bool(getattr(args, "svg", False))
-    for flag in ("sigma0", "A0", "c0", "C", "eps", "T"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(cfg, flag, val)
+    """The config file's values, overridden by every flag given."""
+    flags = vars(args).copy()
+    del flags["command"]
+    path = flags.pop("config")
+    cfg = load_config(path, kind=kind) if path else ExperimentConfig(kind=kind)
+    for field, value in flags.items():
+        if value is not None:
+            setattr(cfg, field, value)
     return cfg
 
 
-def _print_fits(record) -> None:
-    for key, value in record.fits.items():
-        print(f"{key} = {value}")
+def _experiment(runner):
+    """A harness runner as a subcommand: its fits on stdout, and
+    EXIT_VIOLATION when it reports hard violations."""
+    def run(args) -> int:
+        record = runner(_config_from_args(args, args.command))
+        for key, value in record.fits.items():
+            print(f"{key} = {value}")
+        if record.violations:
+            print(f"hard violations detected: {record.violations}",
+                  file=sys.stderr)
+            return EXIT_VIOLATION
+        return EXIT_OK
+    return run
 
 
 def cmd_norms(args) -> int:
@@ -92,28 +123,9 @@ def cmd_norms(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    dispatch = {
-        "simulate": (run_simulate, "simulate"),
-        "radius": (run_radius_tracking, "radius"),
-        "sweep": (run_almost_conservation_sweep, "sweep"),
-        "audit-multiplier": (run_audit_multiplier, "audit-multiplier"),
-        "audit-f": (run_audit_f, "audit-f"),
-        "audit-trilinear": (run_audit_trilinear, "audit-trilinear"),
-        "audit-gn": (run_audit_gn, "audit-gn"),
-        "bookkeeper": (run_bookkeeper, "bookkeeper"),
-    }
+    runner, _ = _commands()[args.command]
     try:
-        if args.command == "norms":
-            return cmd_norms(args)
-        runner, kind = dispatch[args.command]
-        cfg = _config_from_args(args, kind)
-        record = runner(cfg)
-        _print_fits(record)
-        if record.violations:
-            print(f"hard violations detected: {record.violations}",
-                  file=sys.stderr)
-            return EXIT_VIOLATION
-        return EXIT_OK
+        return runner(args)
     except (ConfigError, ValueError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

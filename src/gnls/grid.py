@@ -129,10 +129,6 @@ class Field:
     def is_spectral(self) -> bool:
         return self.rep == SPECTRAL
 
-    @classmethod
-    def zero(cls, grid: FourierGrid, rep: str = PHYSICAL) -> "Field":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), rep=rep)
-
     def __repr__(self):
         g = self.grid
         return f"Field(d={g.d}, N={g.N}, L={g.L}, rep={self.rep!r}, t={self.t})"

@@ -8,6 +8,7 @@ the recorded seed.
 from __future__ import annotations
 
 import configparser
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
-                     audit_multiplier_inequality, audit_trilinear, f_of_v,
+                     audit_multiplier_inequality, audit_trilinear,
                      sigma_halving_ratio)
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
@@ -23,14 +24,18 @@ from .data import KINDS, make_initial_data
 from .errors import EmptySpectrumError, MultiplierOverflowError
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
-from .norms import (GevreyParams, a_sigma, energy, gevrey_norm, l4_gevrey,
-                    mass, norm_report, radius_estimate)
+from .norms import a_sigma, mass, norm_report, radius_estimate
 from .spectral import to_spectral
 from .storage import write_csv, write_field, write_sidecar
 
-NORM_COLUMNS = ("t", "sigma", "mass", "energy", "gevrey_s1_sq", "l4_gevrey",
-                "a_sigma", "sigma_hat", "entire_flag", "floor_flag")
-AUDIT_COLUMNS = ("kind", "seed", "member", "lhs", "rhs", "ratio")
+
+#: one row type per CSV; its fields are the CSV's column line
+NormRow = namedtuple("NormRow", "t sigma mass energy gevrey_s1_sq l4_gevrey "
+                                "a_sigma sigma_hat entire_flag floor_flag")
+RadiusRow = namedtuple("RadiusRow", NormRow._fields + ("sigma_floor", "verdict"))
+SweepRow = namedtuple("SweepRow", "sigma growth growth_above_floor")
+AuditRow = namedtuple("AuditRow", "kind seed member lhs rhs ratio")
+BookkeeperRow = namedtuple("BookkeeperRow", "k bound_k ok_k")
 
 
 class ConfigError(ValueError):
@@ -64,7 +69,6 @@ class ExperimentConfig:
     M: int = 64
     T_win: float = 1.0
     out_dir: Path = None
-    threads: int = 1
     svg: bool = False
     save_fields: bool = False
 
@@ -97,43 +101,57 @@ class ExperimentConfig:
         return out
 
 
-def _get(section, key, cast, default=None, name=""):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required field [{name}] {key}")
-    raw = section[key]
+def _boolean(raw: str) -> bool:
+    """configparser's boolean states only; any other word is a bad value."""
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _data_kind(raw: str) -> str:
+    if raw not in KINDS:
+        raise ConfigError(f"unknown value for [data] kind: {raw!r}; "
+                          f"expected one of {KINDS}")
+    return raw
+
+
+def _spacing(raw: str):
+    try:
+        return {"log": np.geomspace, "linear": np.linspace}[raw]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+#: section -> {key: (field, cast)}: the keys each section accepts, the
+#: ExperimentConfig field each sets and how its value parses.  [data] takes,
+#: besides these, numeric profile parameters of any name; the [sweep] keys
+#: set no field but build ``sigma_grid``, from these defaults.
+CONFIG_KEYS = {
+    "grid": {"d": ("d", int), "N": ("N", int), "L": ("L", float)},
+    "data": {"kind": ("data_kind", _data_kind), "seed": ("seed", int)},
+    "solver": {"dt": ("dt", float), "t_end": ("t_end", float),
+               "snapshot_stride": ("snapshot_stride", int),
+               "linear_only": ("linear_only", _boolean)},
+    "sweep": {"sigma_min": ("sigma_min", float),
+              "sigma_max": ("sigma_max", float),
+              "n_sigma": ("n_sigma", int), "spacing": ("spacing", _spacing)},
+    "fit": {name: (name, float) for name in ("sigma0", "c0", "eps", "C", "T", "A0")},
+    "audit": {"b": ("b", float), "sigma": ("audit_sigma", float),
+              "members": ("n_members", int), "triples": ("n_triples", int),
+              "M": ("M", int), "T_win": ("T_win", float)},
+}
+SWEEP_DEFAULTS = {"sigma_min": 1e-3, "sigma_max": 1e-1, "n_sigma": 8,
+                  "spacing": np.geomspace}
+
+
+def _parse(name: str, key: str, raw: str, cast):
+    try:
         return cast(raw)
+    except ConfigError:
+        raise
     except ValueError as e:
         raise ConfigError(f"bad value for [{name}] {key}: {raw!r}") from e
-
-
-#: the keys each config section accepts; [data] takes, besides kind and
-#: seed, numeric profile parameters of any name
-_CONFIG_KEYS = {
-    "grid": ("d", "N", "L"),
-    "data": None,
-    "solver": ("dt", "t_end", "snapshot_stride", "linear_only"),
-    "sweep": ("sigma_min", "sigma_max", "n_sigma", "spacing"),
-    "fit": ("sigma0", "c0", "eps", "C", "T", "A0"),
-    "audit": ("b", "sigma", "members", "triples", "M", "T_win"),
-}
-
-
-def _reject_unknown(parser) -> None:
-    """A misspelt section or key would otherwise run with the default."""
-    if parser.defaults():
-        raise ConfigError(f"unknown section [{parser.default_section}]")
-    for name in parser.sections():
-        if name not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        known = _CONFIG_KEYS[name]
-        for key in parser[name]:
-            if known is not None and key not in known:
-                raise ConfigError(f"unknown key [{name}] {key}")
 
 
 def load_config(path, kind: str = None) -> ExperimentConfig:
@@ -146,69 +164,40 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {e}") from e
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    _reject_unknown(parser)
+    # a misspelt section or key would otherwise run with the default
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:
+            if name != "data" and key not in CONFIG_KEYS[name]:
+                raise ConfigError(f"unknown key [{name}] {key}")
+
     cfg = ExperimentConfig()
     if kind:
         cfg.kind = kind
-    if parser.has_section("grid"):
-        g = parser["grid"]
-        cfg.d = _get(g, "d", int, cfg.d, "grid")
-        cfg.N = _get(g, "N", int, cfg.N, "grid")
-        cfg.L = _get(g, "L", float, cfg.L, "grid")
-    if parser.has_section("data"):
-        dsec = parser["data"]
-        cfg.data_kind = _get(dsec, "kind", str, cfg.data_kind, "data")
-        if cfg.data_kind not in KINDS:
-            raise ConfigError(
-                f"unknown value for [data] kind: {cfg.data_kind!r}; "
-                f"expected one of {KINDS}")
-        cfg.seed = _get(dsec, "seed", int, cfg.seed, "data")
-        for key in dsec:
-            if key in ("kind", "seed"):
-                continue
-            cfg.data_params[key] = _get(dsec, key, float, name="data")
-    if parser.has_section("solver"):
-        s = parser["solver"]
-        cfg.dt = _get(s, "dt", float, cfg.dt, "solver")
-        cfg.t_end = _get(s, "t_end", float, cfg.t_end, "solver")
-        cfg.snapshot_stride = _get(s, "snapshot_stride", int,
-                                   cfg.snapshot_stride, "solver")
-        cfg.linear_only = _get(s, "linear_only", bool, cfg.linear_only, "solver")
-    if parser.has_section("sweep"):
-        s = parser["sweep"]
-        lo = _get(s, "sigma_min", float, 1e-3, "sweep")
-        hi = _get(s, "sigma_max", float, 1e-1, "sweep")
-        n = _get(s, "n_sigma", int, 8, "sweep")
-        spacing = _get(s, "spacing", str, "log", "sweep")
-        if spacing == "log":
-            cfg.sigma_grid = tuple(np.geomspace(lo, hi, n))
-        elif spacing == "linear":
-            cfg.sigma_grid = tuple(np.linspace(lo, hi, n))
-        else:
-            raise ConfigError(f"bad value for [sweep] spacing: {spacing!r}")
-    if parser.has_section("fit"):
-        s = parser["fit"]
-        cfg.sigma0 = _get(s, "sigma0", float, cfg.sigma0, "fit")
-        cfg.c0 = _get(s, "c0", float, cfg.c0, "fit")
-        cfg.eps = _get(s, "eps", float, cfg.eps, "fit")
-        if "C" in s:
-            cfg.C = _get(s, "C", float, name="fit")
-        if "T" in s:
-            cfg.T = _get(s, "T", float, name="fit")
-        if "A0" in s:
-            cfg.A0 = _get(s, "A0", float, name="fit")
-    if parser.has_section("audit"):
-        s = parser["audit"]
-        cfg.b = _get(s, "b", float, cfg.b, "audit")
-        cfg.audit_sigma = _get(s, "sigma", float, cfg.audit_sigma, "audit")
-        cfg.n_members = _get(s, "members", int, cfg.n_members, "audit")
-        cfg.n_triples = _get(s, "triples", int, cfg.n_triples, "audit")
-        cfg.M = _get(s, "M", int, cfg.M, "audit")
-        cfg.T_win = _get(s, "T_win", float, cfg.T_win, "audit")
-        for key, count in (("members", cfg.n_members), ("triples", cfg.n_triples)):
-            if count < 1:
-                raise ConfigError(f"bad value for [audit] {key}: {count} "
-                                  f"(an ensemble needs at least one)")
+    for name, keys in CONFIG_KEYS.items():
+        if not parser.has_section(name):
+            continue
+        section = parser[name]
+        values = {field: _parse(name, key, section[key], cast)
+                  for key, (field, cast) in keys.items() if key in section}
+        if name == "sweep":
+            s = {**SWEEP_DEFAULTS, **values}
+            cfg.sigma_grid = tuple(s["spacing"](s["sigma_min"], s["sigma_max"],
+                                                s["n_sigma"]))
+            continue
+        for field, value in values.items():
+            setattr(cfg, field, value)
+        if name == "data":
+            cfg.data_params.update(
+                (key, _parse(name, key, raw, float))
+                for key, raw in section.items() if key not in keys)
+    for key, count in (("members", cfg.n_members), ("triples", cfg.n_triples)):
+        if count < 1:
+            raise ConfigError(f"bad value for [audit] {key}: {count} "
+                              f"(an ensemble needs at least one)")
     if cfg.sigma_grid and any(s < 0 for s in cfg.sigma_grid):
         raise ConfigError("sigma grid entries must be >= 0")
     if cfg.sigma_grid and list(cfg.sigma_grid) != sorted(cfg.sigma_grid):
@@ -225,17 +214,19 @@ class RunRecord:
 
 
 def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
-                   columns, summary: dict, summary_name: str = None):
+                   row_type, summary: dict, summary_name: str = None):
     """The one output path of every run: ``<stem>.csv`` with the config echo
-    as its header, plus a ``key = value`` file (``<stem>.summary`` unless
-    ``summary_name`` is given).  Returns the output directory, or None when
-    the config sets none and nothing is written.
+    as its header and ``row_type``'s fields as its columns, plus a
+    ``key = value`` file (``<stem>.summary`` unless ``summary_name`` is
+    given).  Returns the output directory, or None when the config sets
+    none and nothing is written.
     """
     if cfg.out_dir is None:
         return None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / f"{stem}.csv", columns, record.rows, header_meta=record.config)
+    write_csv(out / f"{stem}.csv", row_type._fields, record.rows,
+              header_meta=record.config)
     write_sidecar(out / (summary_name or f"{stem}.summary"), summary)
     return out
 
@@ -244,7 +235,7 @@ def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
 # simulate
 # ---------------------------------------------------------------------------
 
-def _norm_row(t, u, sigma):
+def _norm_row(t, u, sigma) -> NormRow:
     # one forward transform serves the report and the radius fit; the mass
     # column stays the quadrature of the physical samples (the report of uh
     # sums the coefficients, which differs in the last bits)
@@ -255,8 +246,8 @@ def _norm_row(t, u, sigma):
         sig_hat, ent, flo = rad.sigma_hat, rad.entire_flag, rad.floor_flag
     except EmptySpectrumError:
         sig_hat, ent, flo = 0.0, False, True
-    return [t, sigma, mass(u), rep.energy, rep.gevrey_s1_sq,
-            rep.l4_gevrey, rep.a_sigma, sig_hat, ent, flo]
+    return NormRow(t, sigma, mass(u), rep.energy, rep.gevrey_s1_sq,
+                   rep.l4_gevrey, rep.a_sigma, sig_hat, ent, flo)
 
 
 def run_simulate(cfg: ExperimentConfig) -> RunRecord:
@@ -274,9 +265,9 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
             write_field(Path(cfg.out_dir) / f"snapshot_{len(rows) - 1:05d}.gnls", u)
 
     evolve(u0, cfg.solver(), on_snapshot=on_snap)
-    m0, e0 = rows[0][2], rows[0][3]
-    mass_drift = max(abs(r[2] - m0) for r in rows) / m0 if m0 > 0 else 0.0
-    energy_drift = max(abs(r[3] - e0) for r in rows)
+    m0, e0 = rows[0].mass, rows[0].energy
+    mass_drift = max(abs(r.mass - m0) for r in rows) / m0 if m0 > 0 else 0.0
+    energy_drift = max(abs(r.energy - e0) for r in rows)
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={"mass_drift_rel": mass_drift,
                              "energy_drift_abs": energy_drift})
@@ -284,7 +275,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
                "t_end": cfg.t_end, "seed": cfg.seed,
                "data_kind": cfg.data_kind,
                "data_params": record.config["data_params"]}
-    _write_outputs(cfg, record, "norms", NORM_COLUMNS, sidecar, "run.meta")
+    _write_outputs(cfg, record, "norms", NormRow, sidecar, "run.meta")
     return record
 
 
@@ -352,12 +343,12 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
 
 def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
     fit = fit_conservation_constant(cfg)
-    rows = [[s, g, max(g - fit["noise_floor"], 0.0)]
+    rows = [SweepRow(s, g, max(g - fit["noise_floor"], 0.0))
             for s, g in sorted(fit["growth"].items())]
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={k: fit[k] for k in
                              ("delta", "A0", "noise_floor", "slope", "C_fit")})
-    _write_outputs(cfg, record, "sweep", ("sigma", "growth", "growth_above_floor"),
+    _write_outputs(cfg, record, "sweep", SweepRow,
                    {**record.config, **record.fits,
                     "dropped": ";".join(f"{s:g}" for s in fit["dropped"])})
     return record
@@ -407,23 +398,22 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     def on_snap(t, u):
         row = _norm_row(t, u, sigma0)
         floor = radius_floor(t, params)
-        sig_hat, ent = row[7], row[8]
-        verdict = "entire" if ent else ("ok" if sig_hat >= floor else "fail")
-        rows.append(row + [floor, verdict])
+        verdict = ("entire" if row.entire_flag
+                   else "ok" if row.sigma_hat >= floor else "fail")
+        rows.append(RadiusRow(*row, floor, verdict))
 
     evolve(u0, cfg.solver(), on_snapshot=on_snap)
     tail = [r for r in rows[len(rows) - max(len(rows) // 3, 1):]
-            if r[9] is False and not r[8]]
-    c_hat = float(np.median([r[0] * r[7] for r in tail])) if tail else 0.0
-    failures = sum(1 for r in rows if r[-1] == "fail")
+            if not r.floor_flag and not r.entire_flag]
+    c_hat = float(np.median([r.t * r.sigma_hat for r in tail])) if tail else 0.0
+    failures = sum(1 for r in rows if r.verdict == "fail")
     record = RunRecord(
         config=cfg.echo(), rows=rows,
         fits={"sigma0_hat": sigma0, "C_fit": C_fit, "A0": A0,
               "c_hat": c_hat, "c1": sigma_for_T(params)[1],
               "failures": failures},
         violations=failures)
-    out = _write_outputs(cfg, record, "radius",
-                         NORM_COLUMNS + ("sigma_floor", "verdict"),
+    out = _write_outputs(cfg, record, "radius", RadiusRow,
                          {**record.config, **record.fits})
     if out is not None and cfg.svg:
         _write_radius_svg(out / "radius.svg", rows)
@@ -432,9 +422,9 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
 
 def _write_radius_svg(path, rows, width=640, height=400) -> None:
     """Line plot of sigma_hat(t) and sigma_floor(t), no plotting deps."""
-    ts = [r[0] for r in rows]
-    hats = [r[7] for r in rows]
-    floors = [r[10] for r in rows]
+    ts = [r.t for r in rows]
+    hats = [r.sigma_hat for r in rows]
+    floors = [r.sigma_floor for r in rows]
     t_lo, t_hi = min(ts), max(ts) or 1.0
     y_hi = max(max(hats), max(floors)) or 1.0
     pad = 40
@@ -475,8 +465,8 @@ def run_audit_multiplier(cfg: ExperimentConfig) -> RunRecord:
     for d in (1, 2, 3):
         for sigma in (1e-3, 1e-1, 1.0):
             rep = audit_multiplier_inequality(sigma, cfg.n_triples, d, rng)
-            rows.append([f"multiplier(d={d},sigma={sigma:g})", rep.seed, 0,
-                         rep.lhs, rep.rhs, rep.ratio])
+            rows.append(AuditRow(f"multiplier(d={d},sigma={sigma:g})", rep.seed,
+                                 0, rep.lhs, rep.rhs, rep.ratio))
             violations += rep.violations
             max_ratio = max(max_ratio, rep.max_ratio)
     record = RunRecord(config=cfg.echo(), rows=rows,
@@ -496,7 +486,7 @@ def run_audit_f(cfg: ExperimentConfig) -> RunRecord:
                 for i in range(min(cfg.n_members, 100))]
     rep = audit_f_estimate(ensemble[0], sigma, ensemble=ensemble)
     for i, r in enumerate(rep.members):
-        rows.append(["f-estimate", cfg.seed, i, r, 1.0, r])
+        rows.append(AuditRow("f-estimate", cfg.seed, i, r, 1.0, r))
     halving = sigma_halving_ratio(ensemble[0], sigma)
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={"max_ratio": rep.max_ratio,
@@ -506,16 +496,16 @@ def run_audit_f(cfg: ExperimentConfig) -> RunRecord:
     return record
 
 
-def run_audit_trilinear(cfg: ExperimentConfig, kinds=(1, 2, 3)) -> RunRecord:
+def run_audit_trilinear(cfg: ExperimentConfig) -> RunRecord:
     grid = cfg.grid()
     rows = []
     fits = {}
-    for kind in kinds:
+    for kind in (1, 2, 3):
         rep = audit_trilinear(kind, grid, cfg.M, cfg.T_win, cfg.n_members,
                               seed=cfg.seed + kind, b=cfg.b,
-                              sigma=cfg.audit_sigma, threads=cfg.threads)
+                              sigma=cfg.audit_sigma)
         for i, r in enumerate(rep.members):
-            rows.append([rep.kind, rep.seed, i, r, 1.0, r])
+            rows.append(AuditRow(rep.kind, rep.seed, i, r, 1.0, r))
         fits[f"kind{kind}_max"] = rep.max_ratio
         fits[f"kind{kind}_median"] = rep.median_ratio
         fits[f"kind{kind}_rejected"] = rep.rejected
@@ -527,7 +517,7 @@ def run_audit_trilinear(cfg: ExperimentConfig, kinds=(1, 2, 3)) -> RunRecord:
 def run_audit_gn(cfg: ExperimentConfig) -> RunRecord:
     u0 = cfg.initial_data()
     rep = audit_gagliardo_nirenberg(u0)
-    rows = [[rep.kind, cfg.seed, 0, rep.lhs, rep.rhs, rep.ratio]]
+    rows = [AuditRow(rep.kind, cfg.seed, 0, rep.lhs, rep.rhs, rep.ratio)]
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={"ratio": rep.ratio})
     _write_audit(cfg, record, "audit_gn")
@@ -535,7 +525,7 @@ def run_audit_gn(cfg: ExperimentConfig) -> RunRecord:
 
 
 def _write_audit(cfg: ExperimentConfig, record: RunRecord, stem: str) -> None:
-    _write_outputs(cfg, record, stem, AUDIT_COLUMNS,
+    _write_outputs(cfg, record, stem, AuditRow,
                    {**record.config, **record.fits,
                     "violations": record.violations})
 
@@ -546,13 +536,12 @@ def run_bookkeeper(cfg: ExperimentConfig) -> RunRecord:
                               C=cfg.C if cfg.C is not None else 1.0,
                               eps=cfg.eps, T=cfg.T)
     trace = run_induction(params)
-    rows = [[k, b, ok] for k, b, ok in
-            zip(trace.ks, trace.bounds, trace.ok)]
+    rows = [BookkeeperRow(*kbo) for kbo in zip(trace.ks, trace.bounds, trace.ok)]
     record = RunRecord(
         config=cfg.echo(), rows=rows,
         fits={"delta": trace.delta, "n": trace.n, "sigma": trace.sigma,
               "c1": trace.c1},
         violations=0 if trace.all_ok else trace.first_failure)
-    _write_outputs(cfg, record, "bookkeeper", ("k", "bound_k", "ok_k"),
+    _write_outputs(cfg, record, "bookkeeper", BookkeeperRow,
                    {**record.config, **record.fits})
     return record

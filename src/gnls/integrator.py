@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import SimulationAbort
-from .grid import Field, PHYSICAL, SPECTRAL
-from .spectral import forward_transform, inverse_transform, to_physical, to_spectral
+from .grid import Field, PHYSICAL
+from .spectral import to_physical
 
 #: focusing-mode abort threshold on growth of max|u|
 BLOWUP_FACTOR = 1e6
@@ -54,53 +54,19 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Ordered (t, Field) snapshots and the solver config that made them."""
+    """Ordered (t, Field) snapshots."""
 
     snapshots: list
-    config: SolverConfig
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
-
-def linear_half_step(u: Field, dt: float) -> Field:
-    """Apply exp(i dt/2 Lap): multiply coefficients by exp(-i |xi|^2 dt/2)."""
-    if not u.is_spectral:
-        raise ValueError("linear_half_step expects a spectral-space field")
-    xi2 = u.grid.xi_abs ** 2
-    return Field(u.grid, u.values * np.exp(-0.5j * dt * xi2),
-                 rep=SPECTRAL, t=u.t)
-
-
-def nonlinear_step(u: Field, dt: float, sign: float = 1.0) -> Field:
-    """Exact cubic-ODE flow: u <- u * exp(-i sign |u|^2 dt), pointwise."""
-    if not u.is_physical:
-        raise ValueError("nonlinear_step expects a physical-space field")
-    return Field(u.grid, _kernels.phase_rotate(u.values, sign * dt),
-                 rep=PHYSICAL, t=u.t)
-
-
-def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
-    """One second-order step: half linear, full nonlinear, half linear."""
-    sign = 1.0 if cfg is None else cfg.sign
-    linear_only = False if cfg is None else cfg.linear_only
-    uh = linear_half_step(to_spectral(u), dt)
-    if not linear_only:
-        up = nonlinear_step(inverse_transform(uh), dt, sign=sign)
-        uh = linear_half_step(forward_transform(up), dt)
-    else:
-        uh = linear_half_step(uh, dt)
-    out = inverse_transform(uh)
-    return Field(out.grid, out.values, rep=PHYSICAL, t=u.t + dt, _check=False)
 
 
 def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     """March u0 to t_end, recording every ``snapshot_stride``-th slice.
 
-    Consecutive linear half-steps between snapshots are fused into full
-    steps (identical in exact arithmetic to repeated :func:`strang_step`,
-    with half the transforms, which also halves the round-off drift).
+    Each step is second-order Strang splitting: half a linear step, the
+    exact nonlinear rotation, half a linear step.  Consecutive linear
+    half-steps between snapshots are fused into full steps (identical in
+    exact arithmetic, with half the transforms, which also halves the
+    round-off drift).
 
     Without ``on_snapshot`` the returned trajectory holds every recorded
     slice.  With it, ``on_snapshot(t, field)`` is invoked for each recorded
@@ -115,7 +81,7 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     if on_snapshot is not None:
         on_snapshot(0.0, u)
     if cfg.n_steps == 0:
-        return Trajectory(snapshots=snapshots, config=cfg)
+        return Trajectory(snapshots=snapshots)
 
     xi2 = u.grid.xi_abs ** 2
     half_phase = np.exp(-0.5j * cfg.dt * xi2)
@@ -159,4 +125,4 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 coeff *= half_phase
         elif step < cfg.n_steps:
             coeff *= full_phase
-    return Trajectory(snapshots=snapshots, config=cfg)
+    return Trajectory(snapshots=snapshots)

@@ -88,28 +88,13 @@ def xsb_norm(w: SpaceTimeSpectrum, sigma: float, s: float, b: float) -> float:
 # Synthesis
 # ---------------------------------------------------------------------------
 
-def single_mode(grid: FourierGrid, M: int, T_win: float, m0: int, k0,
-                amplitude: complex = 1.0) -> SpaceTimeSpectrum:
-    """One coefficient at integer time mode m0 and spatial mode k0."""
-    coeffs = np.zeros((M,) + grid.shape, dtype=np.complex128)
-    k0 = (k0,) if np.isscalar(k0) else tuple(k0)
-    idx = (m0 % M,) + tuple(k % grid.N for k in k0)
-    coeffs[idx] = amplitude
-    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win, coeffs=coeffs)
-
-
-def random_decaying(grid: FourierGrid, M: int, T_win: float, rng,
-                    k_band: int = None, m_band: int = None,
-                    k_decay: float = 0.5, m_decay: float = 0.5) -> SpaceTimeSpectrum:
-    """Random coefficients, exponentially damped, restricted to a safe band.
-
-    Defaults keep |k| <= N/6 and |m| <= M/6 per axis so that cubic products
-    stay inside the 2x-padded band.
+def random_decaying(grid: FourierGrid, M: int, T_win: float,
+                    rng) -> SpaceTimeSpectrum:
+    """Random coefficients damped by e^{-(|k| + |m|)/2}, with |k| the
+    largest spatial mode index over the axes, restricted to |k| <= N/6 and
+    |m| <= M/6 so that cubic products stay inside the 2x-padded band.
     """
-    if k_band is None:
-        k_band = grid.N // 6
-    if m_band is None:
-        m_band = M // 6
+    k_band, m_band = grid.N // 6, M // 6
     shape = (M,) + grid.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     k_idx = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N))
@@ -121,8 +106,8 @@ def random_decaying(grid: FourierGrid, M: int, T_win: float, rng,
     m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
     mask = (kmag <= k_band)[np.newaxis, ...] & \
         (m_idx <= m_band).reshape((M,) + (1,) * grid.d)
-    damp = np.exp(-k_decay * kmag)[np.newaxis, ...] * \
-        np.exp(-m_decay * m_idx).reshape((M,) + (1,) * grid.d)
+    damp = np.exp(-0.5 * kmag)[np.newaxis, ...] * \
+        np.exp(-0.5 * m_idx).reshape((M,) + (1,) * grid.d)
     return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
                              coeffs=np.where(mask, coeffs * damp, 0.0))
 

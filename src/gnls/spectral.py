@@ -98,17 +98,6 @@ def _centred_block(shape, big_shape) -> tuple:
                  for n, nb in zip(shape, big_shape))
 
 
-def pad_spectrum(f: Field, factor: int = 2) -> Field:
-    """Embed spectral coefficients into a grid ``factor`` times as fine."""
-    if not f.is_spectral:
-        raise ValueError("pad_spectrum expects a spectral-space field")
-    g = f.grid
-    big = g.refined(factor)
-    big_c = np.zeros(big.shape, dtype=np.complex128)
-    big_c[_centred_block(g.shape, big.shape)] = np.fft.fftshift(f.values)
-    return Field(big, np.fft.ifftshift(big_c), rep=SPECTRAL, t=f.t)
-
-
 def _centred_band(coeffs: np.ndarray, shape) -> tuple:
     """``(centred, band)``: ``np.fft.fftshift(coeffs)`` and its block of
     ``shape`` around the zero mode, a view; ``np.fft.ifftshift(band)`` is

@@ -88,17 +88,6 @@ def write_sidecar(path, entries: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_sidecar(path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def write_csv(path, columns, rows, header_meta: dict = None) -> None:
     """CSV with a ``#``-commented config echo ahead of the column line."""
     path = Path(path)

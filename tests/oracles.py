@@ -1,0 +1,140 @@
+"""Independent references the tests compare the package against.
+
+Nothing in ``src/gnls`` calls these: the solver runs its own fused loop,
+the products synthesise padded samples without building a padded field,
+and the runners only write sidecars.  They stay here, written out in the
+plainest form, as the oracles of the tests that use them.
+"""
+
+import numpy as np
+
+from gnls import _kernels
+from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
+from gnls.integrator import SolverConfig
+from gnls.spacetime import SpaceTimeSpectrum
+from gnls.spectral import forward_transform, inverse_transform, to_spectral
+
+
+def zero_field(grid: FourierGrid, rep: str = PHYSICAL) -> Field:
+    return Field(grid, np.zeros(grid.shape, dtype=np.complex128), rep=rep)
+
+
+# ---------------------------------------------------------------------------
+# a Field-level Strang step, the oracle of the fused evolve loop
+# ---------------------------------------------------------------------------
+
+def linear_half_step(u: Field, dt: float) -> Field:
+    """Apply exp(i dt/2 Lap): multiply coefficients by exp(-i |xi|^2 dt/2)."""
+    if not u.is_spectral:
+        raise ValueError("linear_half_step expects a spectral-space field")
+    xi2 = u.grid.xi_abs ** 2
+    return Field(u.grid, u.values * np.exp(-0.5j * dt * xi2),
+                 rep=SPECTRAL, t=u.t)
+
+
+def nonlinear_step(u: Field, dt: float, sign: float = 1.0) -> Field:
+    """Exact cubic-ODE flow: u <- u * exp(-i sign |u|^2 dt), pointwise."""
+    if not u.is_physical:
+        raise ValueError("nonlinear_step expects a physical-space field")
+    return Field(u.grid, _kernels.phase_rotate(u.values, sign * dt),
+                 rep=PHYSICAL, t=u.t)
+
+
+def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
+    """One second-order step: half linear, full nonlinear, half linear."""
+    sign = 1.0 if cfg is None else cfg.sign
+    linear_only = False if cfg is None else cfg.linear_only
+    uh = linear_half_step(to_spectral(u), dt)
+    if not linear_only:
+        up = nonlinear_step(inverse_transform(uh), dt, sign=sign)
+        uh = linear_half_step(forward_transform(up), dt)
+    else:
+        uh = linear_half_step(uh, dt)
+    out = inverse_transform(uh)
+    return Field(out.grid, out.values, rep=PHYSICAL, t=u.t + dt, _check=False)
+
+
+# ---------------------------------------------------------------------------
+# zero-padding
+# ---------------------------------------------------------------------------
+
+def pad_spectrum(f: Field, factor: int = 2) -> Field:
+    """Embed spectral coefficients into a grid ``factor`` times as fine."""
+    if not f.is_spectral:
+        raise ValueError("pad_spectrum expects a spectral-space field")
+    g = f.grid
+    big = g.refined(factor)
+    block = tuple(slice((nb - n) // 2, (nb - n) // 2 + n)
+                  for n, nb in zip(g.shape, big.shape))
+    big_c = np.zeros(big.shape, dtype=np.complex128)
+    big_c[block] = np.fft.fftshift(f.values)
+    return Field(big, np.fft.ifftshift(big_c), rep=SPECTRAL, t=f.t)
+
+
+# ---------------------------------------------------------------------------
+# space-time single modes and the closed form of their trilinear sides
+# ---------------------------------------------------------------------------
+
+def single_mode(grid: FourierGrid, M: int, T_win: float, m0: int, k0,
+                amplitude: complex = 1.0) -> SpaceTimeSpectrum:
+    """One coefficient at integer time mode m0 and spatial mode k0."""
+    coeffs = np.zeros((M,) + grid.shape, dtype=np.complex128)
+    k0 = (k0,) if np.isscalar(k0) else tuple(k0)
+    idx = (m0 % M,) + tuple(k % grid.N for k in k0)
+    coeffs[idx] = amplitude
+    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win, coeffs=coeffs)
+
+
+def trilinear_single_mode_oracle(kind: int, grid: FourierGrid, M: int,
+                                 T_win: float, m0: int, k0: int, b: float,
+                                 sigma: float = 0.1):
+    """Closed-form LHS/RHS of ``audits.trilinear_sides`` for three identical
+    unit single-mode factors.
+
+    With pattern (u, conj u, conj u) the product is a single mode at
+    (-tau0, -xi0) with coefficient 1/(T_win * L^d); the weighted norms are
+    then scalar evaluations of the weights.
+    """
+    tau0 = 2.0 * np.pi * m0 / T_win
+    xi0 = 2.0 * np.pi * k0 / grid.L
+    sgn = (1.0, -1.0, -1.0)
+    tau_p = sum(s * tau0 for s in sgn)
+    xi_p = sum(s * xi0 for s in sgn)
+    amp = 1.0 / (T_win * grid.L ** grid.d)
+
+    def bracket(x):
+        return np.sqrt(1.0 + x * x)
+
+    def weight(tau, xi, sg, s, bb):
+        return np.exp(sg * abs(xi)) * bracket(abs(xi)) ** s \
+            * bracket(tau + xi * xi) ** bb
+
+    if kind == 1:
+        lhs = amp * weight(tau_p, xi_p, 0.0, 0.0, -b)
+        rhs = weight(tau0, xi0, 0.0, 1.0, b) * weight(tau0, xi0, 0.0, 0.0, b) ** 2
+    elif kind == 2:
+        lhs = amp
+        rhs = weight(tau0, xi0, 0.0, 1.0, b) ** 2 * weight(tau0, xi0, 0.0, 0.0, b)
+    elif kind == 3:
+        lhs = amp * weight(tau_p, xi_p, sigma, 1.0, 0.0)
+        rhs = weight(tau0, xi0, sigma, 1.0, b) ** 3
+    else:
+        raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
+    return float(lhs), float(rhs)
+
+
+# ---------------------------------------------------------------------------
+# key = value files
+# ---------------------------------------------------------------------------
+
+def read_sidecar(path) -> dict:
+    """The ``key = value`` lines ``storage.write_sidecar`` writes."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            out[key.strip()] = value.strip()
+    return out

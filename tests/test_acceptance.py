@@ -14,7 +14,7 @@ from conftest import random_field, rel_err, single_mode_field
 
 from gnls.audits import (audit_f_estimate, audit_multiplier_inequality,
                          audit_trilinear, f_of_v, sigma_halving_ratio,
-                         trilinear_sides, trilinear_single_mode_oracle)
+                         trilinear_sides)
 from gnls.bookkeeper import BookkeeperParams, run_induction, sigma_for_T
 from gnls.data import gaussian, periodized_sech, plane_wave
 from gnls.grid import Field, FourierGrid, SPECTRAL
@@ -23,8 +23,9 @@ from gnls.harness import ExperimentConfig, fit_conservation_constant, \
 from gnls.integrator import SolverConfig, evolve
 from gnls.norms import (GevreyParams, a_sigma, energy, gevrey_norm, mass,
                         radius_estimate)
-from gnls.spacetime import single_mode
 from gnls.spectral import to_physical
+
+from oracles import single_mode, trilinear_single_mode_oracle
 
 
 def check(num, desc, ok, detail=""):

@@ -5,15 +5,14 @@ import pytest
 
 from gnls.audits import (audit_f_estimate, audit_gagliardo_nirenberg,
                          audit_multiplier_inequality, audit_trilinear, f_of_v,
-                         sigma_halving_ratio, trilinear_sides,
-                         trilinear_single_mode_oracle)
+                         sigma_halving_ratio, trilinear_sides)
 from gnls.errors import EmptySpectrumError
 from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.norms import mass
-from gnls.spacetime import single_mode
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, rel_err, single_mode_field
+from oracles import single_mode, trilinear_single_mode_oracle, zero_field
 from test_spectral import _direct_convolution_triple
 
 
@@ -185,6 +184,16 @@ def test_trilinear_rejects_an_empty_ensemble():
         audit_trilinear(1, grid, 16, 1.0, n_members=0, seed=7)
 
 
+def test_trilinear_with_every_member_rejected_raises(monkeypatch):
+    # no member survives, so there is no ratio to report, not a made-up 0.0
+    import gnls.audits as audits
+
+    monkeypatch.setattr(audits, "LEAK_TOLERANCE", -1.0)
+    grid = FourierGrid(d=1, N=32, L=5.0)
+    with pytest.raises(ValueError, match="trilinear-2: all 3 members rejected"):
+        audit_trilinear(2, grid, 16, 1.0, n_members=3, seed=7)
+
+
 def test_trilinear_deterministic_and_thread_invariant():
     grid = FourierGrid(d=1, N=32, L=5.0)
     a = audit_trilinear(2, grid, 16, 1.0, n_members=6, seed=7)
@@ -218,4 +227,4 @@ def test_gn_dilation_family_bounded():
 
 def test_gn_zero_field_rejected(grid1d):
     with pytest.raises(EmptySpectrumError):
-        audit_gagliardo_nirenberg(Field.zero(grid1d))
+        audit_gagliardo_nirenberg(zero_field(grid1d))

@@ -106,6 +106,35 @@ def test_runtime_abort_exit_code(monkeypatch, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--bogus"],
+    ["bookkeeper", "--threads", "7"],
+    ["bookkeeper", "--seed", "3"],
+    ["audit-gn", "--svg"],
+    ["norms", "snap.gnls", "--out", "d"],
+    ["norms", "snap.gnls", "--config", "run.cfg"],
+], ids=" ".join)
+def test_usage_error_exits_1(argv, capsys):
+    # 2 is the runtime-abort code; a flag a subcommand does not read is a
+    # usage error, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "usage: gnls" in capsys.readouterr().err
+
+
+def test_bad_boolean_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nd = 1\nN = 64\nL = 10.0\n"
+                   "[solver]\ndt = 0.05\nt_end = 0.1\nlinear_only = banana\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "bad value for [solver] linear_only: 'banana'" in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[data]\nkind = random_bandlimited\nseed = 1\n")
@@ -264,4 +293,20 @@ def test_empty_audit_ensemble_is_validation_error(command, key, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert f"[audit] {key}: 0" in err
+    assert not out.exists()
+
+
+def test_audit_trilinear_with_every_member_rejected_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    import gnls.audits as audits
+
+    monkeypatch.setattr(audits, "LEAK_TOLERANCE", -1.0)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    code = main(["audit-trilinear", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "trilinear-1: all 2 members rejected" in captured.err
+    assert captured.out == ""
     assert not out.exists()

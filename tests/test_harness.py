@@ -84,6 +84,22 @@ def test_load_config_bad_sweep_spacing(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("raw,value", [
+    ("1", True), ("yes", True), ("true", True), ("On", True),
+    ("0", False), ("no", False), ("False", False), ("off", False)])
+def test_load_config_boolean_states(tmp_path, raw, value):
+    path = write_config(tmp_path, f"[solver]\nlinear_only = {raw}\n")
+    assert load_config(path).linear_only is value
+
+
+@pytest.mark.parametrize("raw", ["banana", "2", "y"])
+def test_load_config_rejects_a_bad_boolean(tmp_path, raw):
+    path = write_config(tmp_path, f"[solver]\nlinear_only = {raw}\n")
+    with pytest.raises(ConfigError,
+                       match=rf"bad value for \[solver\] linear_only: '{raw}'"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("text,where", [
     ("[solver]\nsnapshot_strid = 1\n", r"unknown key \[solver\] snapshot_strid"),
     ("[solver]\ndealias = true\n", r"unknown key \[solver\] dealias"),
@@ -256,11 +272,12 @@ def test_run_bookkeeper_defaults(tmp_path):
 
 
 def test_norm_row_empty_spectrum_sets_floor_flag():
-    from gnls.grid import Field, FourierGrid
+    from gnls.grid import FourierGrid
     from gnls.harness import _norm_row
+    from oracles import zero_field
 
-    row = _norm_row(0.0, Field.zero(FourierGrid(1, 64, 10.0)), 0.1)
-    assert row[7:] == [0.0, False, True]
+    row = _norm_row(0.0, zero_field(FourierGrid(1, 64, 10.0)), 0.1)
+    assert (row.sigma_hat, row.entire_flag, row.floor_flag) == (0.0, False, True)
 
 
 def test_norm_row_transforms_a_physical_slice_once(monkeypatch):

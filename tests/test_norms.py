@@ -12,6 +12,7 @@ from gnls.norms import (GevreyParams, a_sigma, energy, gevrey_norm, l4_gevrey,
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, single_mode_field
+from oracles import zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +20,7 @@ from conftest import random_field, single_mode_field
 # ---------------------------------------------------------------------------
 
 def test_mass_zero_field(grid1d):
-    assert mass(Field.zero(grid1d)) == 0.0
+    assert mass(zero_field(grid1d)) == 0.0
 
 
 @pytest.mark.parametrize("d,N,L", [(1, 64, 2 * np.pi), (2, 32, 5.0)])
@@ -43,7 +44,7 @@ def test_mass_gaussian_fine_grid_oracle():
 
 
 def test_energy_zero_field(grid1d):
-    assert energy(Field.zero(grid1d)) == 0.0
+    assert energy(zero_field(grid1d)) == 0.0
 
 
 def test_energy_plane_wave():
@@ -146,7 +147,7 @@ def test_a_sigma_collapse(grid1d):
 
 
 def test_a_sigma_zero_field(grid1d):
-    assert a_sigma(Field.zero(grid1d), 0.2) == 0.0
+    assert a_sigma(zero_field(grid1d), 0.2) == 0.0
 
 
 def test_a_sigma_plane_wave_closed_form(grid1d):
@@ -225,7 +226,7 @@ def test_radius_gaussian_entire():
 
 def test_radius_zero_field_rejected(grid1d):
     with pytest.raises(EmptySpectrumError, match="empty spectrum"):
-        radius_estimate(Field.zero(grid1d))
+        radius_estimate(zero_field(grid1d))
 
 
 def test_radius_floor_flag_on_single_mode(grid1d):

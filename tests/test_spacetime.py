@@ -5,10 +5,11 @@ import pytest
 
 from gnls.errors import MultiplierOverflowError
 from gnls.grid import FourierGrid
-from gnls.spacetime import (SpaceTimeSpectrum, random_decaying, single_mode,
+from gnls.spacetime import (SpaceTimeSpectrum, random_decaying,
                             st_triple_product, xsb_norm)
 
 from conftest import rel_err
+from oracles import single_mode
 
 
 @pytest.fixture

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gnls.grid import Field, FourierGrid
-from gnls.storage import (FORMAT_VERSION, MAGIC, read_field, read_sidecar,
-                          write_csv, write_field, write_sidecar)
+from gnls.storage import (FORMAT_VERSION, MAGIC, read_field, write_csv,
+                          write_field, write_sidecar)
 
 from conftest import random_field
+from oracles import read_sidecar, zero_field
 from gnls.spectral import to_physical
 
 
@@ -37,7 +38,7 @@ def test_field_round_trip_2d(tmp_path):
 def test_header_layout(tmp_path):
     g = FourierGrid(d=1, N=8, L=1.0)
     path = tmp_path / "h.gnls"
-    write_field(path, Field.zero(g))
+    write_field(path, zero_field(g))
     raw = path.read_bytes()
     assert raw[:4] == MAGIC
     assert int.from_bytes(raw[4:6], "little") == FORMAT_VERSION
@@ -50,7 +51,7 @@ def test_header_layout(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.gnls"
     g = FourierGrid(d=1, N=8, L=1.0)
-    write_field(path, Field.zero(g))
+    write_field(path, zero_field(g))
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
@@ -61,7 +62,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_bad_version_rejected(tmp_path):
     path = tmp_path / "ver.gnls"
     g = FourierGrid(d=1, N=8, L=1.0)
-    write_field(path, Field.zero(g))
+    write_field(path, zero_field(g))
     raw = bytearray(path.read_bytes())
     raw[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(raw))
@@ -72,7 +73,7 @@ def test_bad_version_rejected(tmp_path):
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "trunc.gnls"
     g = FourierGrid(d=1, N=8, L=1.0)
-    write_field(path, Field.zero(g))
+    write_field(path, zero_field(g))
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="truncated"):
@@ -126,5 +127,5 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(storage, "np", SimpleNamespace(
         empty=lambda *a, **k: np.empty(*a, **k).view(_FailingArray)))
     with pytest.raises(OSError, match="disk full"):
-        write_field(tmp_path / "snap.gnls", Field.zero(FourierGrid(d=1, N=8, L=1.0)))
+        write_field(tmp_path / "snap.gnls", zero_field(FourierGrid(d=1, N=8, L=1.0)))
     assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,67 @@
+"""The package surface: no public name without a caller, and each
+subcommand takes exactly the flags it reads."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from gnls import cli
+
+PACKAGE = Path(cli.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _public_definitions(tree):
+    """Public top-level functions and classes, and the public methods of
+    those classes, as (qualified name, name, node)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree, skip):
+    """Names and attributes read anywhere in ``tree`` outside ``skip``."""
+    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    unused = []
+    for path, tree in trees.items():
+        for qualname, name, node in _public_definitions(tree):
+            if not any(name in _references(other, node if other is tree else None)
+                       for other in trees.values()):
+                unused.append(f"{path.stem}.{qualname}")
+    assert unused == []
+
+
+@pytest.mark.parametrize("command", sorted(cli._commands()))
+def test_help_lists_exactly_the_flags_of_the_table(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    # usage: gnls <command> [-h] [--flag VALUE] ... positional
+    options = re.findall(r"\[(-[^\s\]]+)", usage)
+    positionals = re.sub(r"\[[^\]]*\]", "", usage).split()[3:]
+    _, flags = cli._commands()[command]
+    assert sorted(options) == sorted(("-h",) + tuple(
+        f for f in flags if f.startswith("-")))
+    assert positionals == [f for f in flags if not f.startswith("-")]
