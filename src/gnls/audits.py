@@ -16,9 +16,9 @@ import numpy as np
 from . import _kernels
 from .errors import EmptySpectrumError
 from .grid import Field, FourierGrid
-from .norms import gevrey_norm, GevreyParams, mass
+from .norms import gevrey_norm, GevreyParams, gradient_sq, mass
 from .spacetime import random_decaying, st_triple_product, xsb_norm
-from .spectral import (apply_exp_gevrey, dealiased_triple_product, l4_norm,
+from .spectral import (apply_exp_gevrey, dealiased_cubic, l4_norm,
                        to_physical, to_spectral)
 
 
@@ -48,22 +48,25 @@ def f_of_v(v: Field, sigma: float) -> Field:
 
         f(v) = -( |v|^2 v - e^{sigma|D|} ( |e^{-sigma|D|} v|^2 e^{-sigma|D|} v ) )
 
-    computed with dealiased triple products; identically zero at sigma = 0.
-    Physical-space output on v's grid.
+    computed with dealiased cubic products of the one transform of v;
+    identically zero at sigma = 0.  Physical-space output on v's grid.
     """
     vh = to_spectral(v)
-    direct = dealiased_triple_product(v, v, v, conjugate=(False, True, False))
-    w = apply_exp_gevrey(vh, -sigma)
-    inner = dealiased_triple_product(w, w, w, conjugate=(False, True, False))
+    direct = dealiased_cubic(vh)
+    inner = dealiased_cubic(apply_exp_gevrey(vh, -sigma))
     lifted = to_physical(apply_exp_gevrey(to_spectral(inner), sigma))
     return Field(v.grid, -(direct.values - lifted.values), rep="physical", t=v.t)
 
 
-def audit_multiplier_inequality(sigma: float, n_triples: int, d: int, rng,
-                                xi_max: float = 1e3) -> AuditReport:
+#: the multiplier audit draws each frequency component in [-XI_MAX, XI_MAX]
+XI_MAX = 1e3
+
+
+def audit_multiplier_inequality(sigma: float, n_triples: int, d: int,
+                                rng) -> AuditReport:
     """Check 1 - exp(-sigma*(sum|xi_j| - |xi|)) <= 12 sigma xi_med pointwise.
 
-    Frequencies are drawn uniformly per component in [-xi_max, xi_max] with
+    Frequencies are drawn uniformly per component in [-XI_MAX, XI_MAX] with
     the output frequency xi = xi1 - xi2 - xi3.  The triangle inequality
     makes the exponent gap nonnegative, so the bound must hold with zero
     violations.
@@ -72,7 +75,7 @@ def audit_multiplier_inequality(sigma: float, n_triples: int, d: int, rng,
         raise ValueError(f"sigma must be positive, got {sigma}")
     seed = int(rng.integers(0, 2 ** 63 - 1))
     local = np.random.default_rng(seed)
-    xi = local.uniform(-xi_max, xi_max, size=(3, n_triples, d))
+    xi = local.uniform(-XI_MAX, XI_MAX, size=(3, n_triples, d))
     violations, ratios = _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], sigma)
     max_ratio = float(ratios.max())
     return AuditReport(kind="multiplier-inequality",
@@ -82,13 +85,13 @@ def audit_multiplier_inequality(sigma: float, n_triples: int, d: int, rng,
                        violations=violations, seed=seed)
 
 
-def audit_f_estimate(v: Field, sigma: float, ensemble=None) -> AuditReport:
+def audit_f_estimate(fields, sigma: float) -> AuditReport:
     """Fixed-time surrogate of the remainder bound.
 
-    ratio = ||f(v)||_{L2} / (sigma * ||<D> v||_{L2}^3).  With ``ensemble``
-    (an iterable of fields), statistics are collected across members.
+    ratio = ||f(v)||_{L2} / (sigma * ||<D> v||_{L2}^3) for each field v of
+    ``fields``, with statistics across them; ``lhs`` and ``ratio`` are the
+    first field's.
     """
-    fields = [v] if ensemble is None else list(ensemble)
     ratios = []
     for u in fields:
         fv = f_of_v(u, sigma)
@@ -207,7 +210,6 @@ def audit_gagliardo_nirenberg(u: Field) -> AuditReport:
     if m == 0.0:
         raise EmptySpectrumError("empty spectrum: Gagliardo-Nirenberg audit "
                                  "needs a nonzero field")
-    from .norms import gradient_sq
     d = u.grid.d
     lhs = l4_norm(u) ** 4
     rhs = gradient_sq(u) ** (d / 2.0) * m ** ((4 - d) / 2.0)

@@ -77,8 +77,7 @@ class InductionTrace:
             ks = np.unique(np.concatenate(
                 [np.arange(1, last + 1, stride, dtype=np.int64),
                  np.array(extras, dtype=np.int64)]))
-        # same expression and evaluation order as _bound_at, vectorised
-        bounds = p.A0 + 8.0 * p.C * self.sigma * ks * p.A0 ** 2 * (1.0 + p.A0)
+        bounds = _bound_at(p, self.sigma, ks)
         ok = (bounds <= 2.0 * p.A0) | (self.n == 0)
         return (tuple(ks.tolist()), tuple(bounds.tolist()),
                 tuple(bool(x) for x in ok))
@@ -124,7 +123,7 @@ def sigma_for_T(p: BookkeeperParams) -> tuple:
     return sigma, c1
 
 
-def _bound_at(p: BookkeeperParams, sigma: float, k: int) -> float:
+def _bound_at(p: BookkeeperParams, sigma: float, k):
     return p.A0 + 8.0 * p.C * sigma * k * p.A0 ** 2 * (1.0 + p.A0)
 
 

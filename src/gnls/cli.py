@@ -20,6 +20,8 @@ from .harness import (ConfigError, ExperimentConfig, load_config,
                       run_audit_gn, run_audit_multiplier,
                       run_audit_trilinear, run_bookkeeper,
                       run_radius_tracking, run_simulate)
+from .norms import norm_report
+from .storage import read_field
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,9 +112,6 @@ def _experiment(runner):
 
 
 def cmd_norms(args) -> int:
-    from .norms import norm_report
-    from .storage import read_field
-
     u = read_field(args.snapshot)
     rep = norm_report(u, args.sigma)
     for key in ("t", "sigma", "mass", "energy", "gevrey_s1_sq", "l4_gevrey",

@@ -64,19 +64,12 @@ def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
         band = grid.N // 6
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    k_idx = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N))
-    kmax = np.zeros(grid.shape)
-    ksum2 = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        sh = [1] * grid.d
-        sh[axis] = grid.N
-        kax = k_idx.reshape(sh) * np.ones(grid.shape)
-        kmax = np.maximum(kmax, kax)
-        ksum2 = ksum2 + kax ** 2
-    coeffs = np.where(kmax <= band,
-                      coeffs * np.exp(-decay * np.sqrt(ksum2)), 0.0)
-    f = Field(grid, amplitude * coeffs, rep=SPECTRAL)
-    return f
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    # |k|^2 sums integer squares, exact in any order
+    k2 = sum(np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True))
+    coeffs = np.where(grid.k_max <= band,
+                      coeffs * np.exp(-decay * np.sqrt(k2)), 0.0)
+    return Field(grid, amplitude * coeffs, rep=SPECTRAL)
 
 
 def make_initial_data(grid: FourierGrid, kind: str, params: dict,

@@ -13,7 +13,7 @@ immutable snapshots: the backing array is marked read-only on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -77,6 +77,14 @@ class FourierGrid:
             sq = sq + (self.xi_axis.reshape(shape)) ** 2
         return np.sqrt(sq)
 
+    @cached_property
+    def k_max(self) -> np.ndarray:
+        """max_j |k_j| on the full lattice: the largest integer mode index
+        over the axes, FFT ordering."""
+        k = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
+        return reduce(np.maximum, np.meshgrid(*[k] * self.d, indexing="ij",
+                                              sparse=True))
+
     @property
     def xi_max(self) -> float:
         """Largest |xi| representable on the lattice."""
@@ -91,12 +99,24 @@ class FourierGrid:
         return FourierGrid(self.d, self.N * factor, self.L)
 
 
+def frozen_complex(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a read-only complex128 array of ``shape`` (``what``
+    names it in the error), copied only while it is the caller's writeable
+    array, not a read-only one or a private dtype conversion."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape} does not match {shape}")
+    if arr.flags.writeable and np.may_share_memory(arr, values):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 class Field:
     """One time slice of the complex solution on a :class:`FourierGrid`.
 
     ``values`` are either physical samples or unitary spectral coefficients,
-    selected by ``rep``.  The array is copied defensively unless it is
-    read-only or a private conversion of the caller's array, then frozen.
+    selected by ``rep``, taken in by :func:`frozen_complex`.
     """
 
     __slots__ = ("grid", "values", "rep", "t")
@@ -105,17 +125,10 @@ class Field:
                  t: float = 0.0, _check: bool = True):
         if rep not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown representation {rep!r}")
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.shape != grid.shape:
-            raise ValueError(
-                f"values shape {arr.shape} does not match grid shape {grid.shape}")
+        arr = frozen_complex(values, grid.shape, "values")
         if _check and not np.all(np.isfinite(arr)):
             raise NonFiniteFieldError(
                 f"field contains non-finite values ({rep} representation, t={t})")
-        # a dtype conversion has already made a private array
-        if arr.flags.writeable and np.may_share_memory(arr, values):
-            arr = arr.copy()
-        arr.flags.writeable = False
         self.grid = grid
         self.values = arr
         self.rep = rep

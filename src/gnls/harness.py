@@ -20,7 +20,7 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
                      sigma_halving_ratio)
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
-from .data import KINDS, make_initial_data
+from .data import KINDS, make_initial_data, random_bandlimited
 from .errors import EmptySpectrumError, MultiplierOverflowError
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
@@ -145,6 +145,22 @@ SWEEP_DEFAULTS = {"sigma_min": 1e-3, "sigma_max": 1e-1, "n_sigma": 8,
                   "spacing": np.geomspace}
 
 
+def _sigma_grid(sweep: dict) -> tuple:
+    """The sigma grid of the [sweep] keys ``sweep`` over SWEEP_DEFAULTS."""
+    s = {**SWEEP_DEFAULTS, **sweep}
+    if s["n_sigma"] < 1:
+        raise ConfigError(f"bad value for [sweep] n_sigma: {s['n_sigma']} "
+                          f"(a sweep needs at least one sigma)")
+    grid = tuple(s["spacing"](s["sigma_min"], s["sigma_max"], s["n_sigma"]))
+    if any(x < 0 for x in grid):
+        raise ConfigError("sigma grid entries must be >= 0")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("sigma grid must be strictly increasing: [sweep] "
+                          "sigma_min = {sigma_min:g}, sigma_max = "
+                          "{sigma_max:g}, n_sigma = {n_sigma}".format(**s))
+    return grid
+
+
 def _parse(name: str, key: str, raw: str, cast):
     try:
         return cast(raw)
@@ -184,9 +200,7 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
         values = {field: _parse(name, key, section[key], cast)
                   for key, (field, cast) in keys.items() if key in section}
         if name == "sweep":
-            s = {**SWEEP_DEFAULTS, **values}
-            cfg.sigma_grid = tuple(s["spacing"](s["sigma_min"], s["sigma_max"],
-                                                s["n_sigma"]))
+            cfg.sigma_grid = _sigma_grid(values)
             continue
         for field, value in values.items():
             setattr(cfg, field, value)
@@ -198,10 +212,6 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
         if count < 1:
             raise ConfigError(f"bad value for [audit] {key}: {count} "
                               f"(an ensemble needs at least one)")
-    if cfg.sigma_grid and any(s < 0 for s in cfg.sigma_grid):
-        raise ConfigError("sigma grid entries must be >= 0")
-    if cfg.sigma_grid and list(cfg.sigma_grid) != sorted(cfg.sigma_grid):
-        raise ConfigError("sigma grid must be strictly increasing")
     return cfg
 
 
@@ -291,7 +301,7 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
     The sigma = 0 growth is the scheme's own drift in mass + energy and is
     reported as the noise floor.
     """
-    sigma_grid = list(cfg.sigma_grid) or list(np.geomspace(1e-3, 1e-1, 8))
+    sigma_grid = list(cfg.sigma_grid or _sigma_grid({}))
     u0 = cfg.initial_data()
     sigma_top = max(sigma_grid)
     A_top = a_sigma(u0, sigma_top)
@@ -477,14 +487,12 @@ def run_audit_multiplier(cfg: ExperimentConfig) -> RunRecord:
 
 
 def run_audit_f(cfg: ExperimentConfig) -> RunRecord:
-    from .data import random_bandlimited
-
     grid = cfg.grid()
     sigma = cfg.audit_sigma
     rows = []
     ensemble = [random_bandlimited(grid, seed=cfg.seed + i)
                 for i in range(min(cfg.n_members, 100))]
-    rep = audit_f_estimate(ensemble[0], sigma, ensemble=ensemble)
+    rep = audit_f_estimate(ensemble, sigma)
     for i, r in enumerate(rep.members):
         rows.append(AuditRow("f-estimate", cfg.seed, i, r, 1.0, r))
     halving = sigma_halving_ratio(ensemble[0], sigma)

@@ -18,8 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import FourierGrid
-from .spectral import _centred_band, _cubic_product, exp_weight
+from .grid import FourierGrid, frozen_complex
+from .spectral import (_centred_band, _cubic_product, _padded_samples,
+                       exp_weight)
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,10 @@ class SpaceTimeSpectrum:
             raise ValueError(f"M must be even and >= 8, got {self.M}")
         if not self.T_win > 0:
             raise ValueError(f"T_win must be positive, got {self.T_win}")
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.M,) + self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match "
-                f"(M,) + grid shape {(self.M,) + self.grid.shape}")
+        c = frozen_complex(self.coeffs, (self.M,) + self.grid.shape,
+                           "coefficient")
         if not np.all(np.isfinite(c)):
             raise ValueError("space-time coefficients contain non-finite values")
-        if c.flags.writeable:
-            c = c.copy()
-            c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @cached_property
@@ -97,16 +92,10 @@ def random_decaying(grid: FourierGrid, M: int, T_win: float,
     k_band, m_band = grid.N // 6, M // 6
     shape = (M,) + grid.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k_idx = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N))
-    kmag = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        sh = [1] * grid.d
-        sh[axis] = grid.N
-        kmag = np.maximum(kmag, k_idx.reshape(sh) * np.ones(grid.shape))
     m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
-    mask = (kmag <= k_band)[np.newaxis, ...] & \
+    mask = (grid.k_max <= k_band)[np.newaxis, ...] & \
         (m_idx <= m_band).reshape((M,) + (1,) * grid.d)
-    damp = np.exp(-0.5 * kmag)[np.newaxis, ...] * \
+    damp = np.exp(-0.5 * grid.k_max)[np.newaxis, ...] * \
         np.exp(-0.5 * m_idx).reshape((M,) + (1,) * grid.d)
     return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
                              coeffs=np.where(mask, coeffs * damp, 0.0))
@@ -117,21 +106,23 @@ def random_decaying(grid: FourierGrid, M: int, T_win: float,
 # ---------------------------------------------------------------------------
 
 def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
-                      w3: SpaceTimeSpectrum,
-                      conjugate=(False, True, True)):
-    """Pointwise product of three space-time fields, dealiased by 2x padding.
+                      w3: SpaceTimeSpectrum):
+    """Pointwise product u1 * conj(u2) * conj(u3) of three space-time
+    fields, dealiased by 2x padding.
 
     Returns (product spectrum on the common lattice, leaked energy fraction
-    beyond the padded band).  The default conjugation pattern is
-    (u, conj u, conj u).
+    beyond the padded band).
     """
     if not (w1.grid == w2.grid == w3.grid and w1.M == w2.M == w3.M
             and w1.T_win == w2.T_win == w3.T_win):
         raise ValueError("space-time product requires a common lattice")
     grid, M, T_win = w1.grid, w1.M, w1.T_win
     fine_grid = grid.refined(2)
-    coeffs = _cubic_product([w.coeffs for w in (w1, w2, w3)], conjugate,
-                            _st_forward_factor(fine_grid, 2 * M, T_win))
+    factor = _st_forward_factor(fine_grid, 2 * M, T_win)
+    s1, s2, s3 = (_padded_samples(w.coeffs, factor) for w in (w1, w2, w3))
+    coeffs = _cubic_product(s1, np.conjugate(s2, out=s2),
+                            np.conjugate(s3, out=s3), factor)
+    del s1, s2, s3
     coeffs.flags.writeable = False  # checked below without a copy
     fine = SpaceTimeSpectrum(grid=fine_grid, M=2 * M, T_win=T_win,
                              coeffs=coeffs)

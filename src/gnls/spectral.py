@@ -13,8 +13,6 @@ index embedding.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import MultiplierOverflowError
@@ -143,43 +141,39 @@ def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
     return a
 
 
-def _cubic_product(factors, conjugate: Sequence[bool],
+def _cubic_product(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                    factor: float) -> np.ndarray:
     """Coefficients on the doubled lattice (forward factor ``factor``) of
-    the product of the three functions with coefficients ``factors``, each
-    synthesised by :func:`_padded_samples` and conjugated where
-    ``conjugate`` says so.  Doubling every axis keeps the aliases of a cubic
-    product out of the coarse band (Orszag, J. Atmos. Sci. 28, 1971).
+    the pointwise product ``a * b * c`` of padded samples, each synthesised
+    by :func:`_padded_samples` and conjugated by the caller.  Doubling
+    every axis keeps the aliases of a cubic product out of the coarse band
+    (Orszag, J. Atmos. Sci. 28, 1971).
     """
-    samples = [_padded_samples(c, factor) for c in factors]
-    for s, c in zip(samples, conjugate):
-        if c:
-            np.conjugate(s, out=s)
-    prod = samples[0] * samples[1]
-    prod *= samples[2]
-    del samples
+    prod = a * b
+    prod *= c
     np.fft.fftn(prod, out=prod)
     prod *= factor
     return prod
 
 
-def dealiased_triple_product(f: Field, g: Field, h: Field,
-                             conjugate: Sequence[bool] = (False, True, False)) -> Field:
-    """Pointwise triple product with 2x zero-padding per axis.
+def dealiased_cubic(u: Field) -> Field:
+    """|u|^2 u with 2x zero-padding per axis, in physical space.
 
-    Each factor is optionally conjugated (default pattern u * conj(u) * u,
-    i.e. |u|^2 u).  The product is formed on the doubled grid and truncated
-    back, which reproduces the exact spectral convolution whenever the
-    product's bandwidth fits the doubled band.
+    ``u`` is synthesised once on the doubled grid; the product is formed
+    there and truncated back, which reproduces the exact spectral
+    convolution whenever its bandwidth fits the doubled band.
     """
-    if not (f.grid == g.grid == h.grid):
-        raise ValueError("dealiased_triple_product requires a common grid")
-    fine = f.grid.refined(2)
-    coeffs = _cubic_product([to_spectral(u).values for u in (f, g, h)],
-                            conjugate, _forward_factor(fine))
+    fine = u.grid.refined(2)
+    factor = _forward_factor(fine)
+    s = _padded_samples(to_spectral(u).values, factor)
+    # a named conjugate: ``s * np.conjugate(s)`` would let numpy write the
+    # product into the temporary, whose loop rounds differently
+    c = np.conjugate(s)
+    coeffs = _cubic_product(s, c, s, factor)
+    del s, c
     coeffs.flags.writeable = False  # Field checks it without a copy
-    prod = Field(fine, coeffs, rep=SPECTRAL, t=f.t)
-    return inverse_transform(truncate_spectrum(prod, f.grid))
+    prod = Field(fine, coeffs, rep=SPECTRAL, t=u.t)
+    return inverse_transform(truncate_spectrum(prod, u.grid))
 
 
 def l4_norm(u: Field) -> float:

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Field, FourierGrid, PHYSICAL
+from .spectral import to_physical
 
 MAGIC = b"GNLS"
 FORMAT_VERSION = 1
@@ -38,8 +39,6 @@ def write_field(path, f: Field) -> None:
     renamed into place, so ``path`` never holds a partial snapshot; on
     failure the temporary file is removed.
     """
-    from .spectral import to_physical
-
     u = to_physical(f)
     g = u.grid
     path = Path(path)

@@ -55,7 +55,7 @@ def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# zero-padding
+# zero-padding and the cubic convolution
 # ---------------------------------------------------------------------------
 
 def pad_spectrum(f: Field, factor: int = 2) -> Field:
@@ -69,6 +69,34 @@ def pad_spectrum(f: Field, factor: int = 2) -> Field:
     big_c = np.zeros(big.shape, dtype=np.complex128)
     big_c[block] = np.fft.fftshift(f.values)
     return Field(big, np.fft.ifftshift(big_c), rep=SPECTRAL, t=f.t)
+
+
+def direct_convolution_cubic(u: Field) -> np.ndarray:
+    """O(N^3) spectral convolution oracle of |u|^2 u for a d=1 field."""
+    grid = u.grid
+    N, L = grid.N, grid.L
+    uh = to_spectral(u).values
+    # conj in physical space flips and conjugates the spectrum
+    spectra = (uh, np.conj(uh[(-np.arange(N)) % N]), uh)
+    # unitary coefficients multiply with a 1/sqrt(L) factor per product
+    out = np.zeros(N, dtype=complex)
+    ks = np.arange(N)
+    half = N // 2
+    kk = ((ks + half) % N) - half
+    for i in range(N):
+        if spectra[0][i] == 0:
+            continue
+        for j in range(N):
+            if spectra[1][j] == 0:
+                continue
+            for m in range(N):
+                if spectra[2][m] == 0:
+                    continue
+                tot = kk[i] + kk[j] + kk[m]
+                if tot > half - 1 or tot < -half:
+                    continue  # outside the truncated band
+                out[tot % N] += spectra[0][i] * spectra[1][j] * spectra[2][m]
+    return out / L
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@ single pass/fail line (echoed in the terminal summary), and asserts.
 import time
 
 import numpy as np
-import pytest
 
 import conftest
-from conftest import random_field, rel_err, single_mode_field
+from conftest import random_field, rel_err
 
-from gnls.audits import (audit_f_estimate, audit_multiplier_inequality,
-                         audit_trilinear, f_of_v, sigma_halving_ratio,
-                         trilinear_sides)
+from gnls.audits import (audit_multiplier_inequality, audit_trilinear, f_of_v,
+                         sigma_halving_ratio, trilinear_sides)
 from gnls.bookkeeper import BookkeeperParams, run_induction, sigma_for_T
 from gnls.data import gaussian, periodized_sech, plane_wave
 from gnls.grid import Field, FourierGrid, SPECTRAL

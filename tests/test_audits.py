@@ -12,8 +12,8 @@ from gnls.norms import mass
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, rel_err, single_mode_field
-from oracles import single_mode, trilinear_single_mode_oracle, zero_field
-from test_spectral import _direct_convolution_triple
+from oracles import (direct_convolution_cubic, single_mode,
+                     trilinear_single_mode_oracle, zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +55,35 @@ def test_f_two_mode_direct_convolution_oracle():
     coeffs[2] = 1.0 - 0.4j
     coeffs[-3 % g.N] = 0.6 + 0.2j
     v = Field(g, coeffs, rep=SPECTRAL)
-    conj = (False, True, False)
 
     def weighted(c, sign):
         return c * np.exp(sign * sigma * g.xi_abs)
 
-    direct = _direct_convolution_triple(v, v, v, conj)
+    direct = direct_convolution_cubic(v)
     vm = Field(g, weighted(coeffs, -1.0), rep=SPECTRAL)
-    inner = _direct_convolution_triple(vm, vm, vm, conj)
+    inner = direct_convolution_cubic(vm)
     oracle_spec = -(direct - weighted(inner, +1.0))
     fv = to_spectral(f_of_v(to_physical(v), sigma))
     assert rel_err(fv.values, oracle_spec) < 1e-10
+
+
+def test_f_of_v_transforms_and_synthesises_each_factor_once(monkeypatch):
+    g = FourierGrid(d=2, N=32, L=5.0)
+    v = to_physical(random_field(g, seed=1))
+    calls = {"fftn": [], "ifftn": []}
+    for name, log in calls.items():
+        def counted(a, *args, _transform=getattr(np.fft, name), _log=log,
+                    **kwargs):
+            _log.append((a, kwargs.get("axes")))
+            return _transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    f_of_v(v, 0.05)
+    # two padded syntheses, one per cubic product, of one call per axis
+    assert sum(axes is not None for _, axes in calls["ifftn"]) == 4
+    assert len(calls["ifftn"]) == 7
+    # v is transformed once; each product and the lift transform once more
+    assert sum(a is v.values for a, _ in calls["fftn"]) == 1
+    assert len(calls["fftn"]) == 4
 
 
 def test_f_norm_nondecreasing_in_sigma(grid1d):
@@ -86,13 +104,13 @@ def test_sigma_halving_ratio_linear_regime(grid1d):
 
 def test_audit_f_estimate_constant_field_ratio_zero(grid1d):
     v = Field(grid1d, np.full(grid1d.shape, 0.5 + 0.0j))
-    rep = audit_f_estimate(v, 0.05)
+    rep = audit_f_estimate([v], 0.05)
     assert rep.ratio < 1e-12
 
 
 def test_audit_f_estimate_ensemble_stability(grid1d):
     ensemble = [to_physical(random_field(grid1d, seed=s)) for s in range(30)]
-    rep = audit_f_estimate(ensemble[0], 0.05, ensemble=ensemble)
+    rep = audit_f_estimate(ensemble, 0.05)
     assert rep.count == 30
     assert np.isfinite(rep.max_ratio)
     assert rep.max_ratio >= rep.median_ratio > 0

@@ -1,7 +1,5 @@
 """Arithmetic of the radius lower-bound iteration."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

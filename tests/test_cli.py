@@ -123,6 +123,22 @@ def test_usage_error_exits_1(argv, capsys):
     assert "usage: gnls" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep,key", [
+    ("n_sigma = 0", "[sweep] n_sigma"),
+    ("sigma_min = 0.01\nsigma_max = 0.01\nn_sigma = 3", "[sweep] sigma_min"),
+], ids=["none", "tied"])
+def test_empty_or_tied_sigma_grid_is_validation_error(tmp_path, capsys, sweep,
+                                                     key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[grid]\nd = 1\nN = 32\nL = 10.0\n[sweep]\n{sweep}\n")
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert key in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_bad_boolean_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nd = 1\nN = 64\nL = 10.0\n"

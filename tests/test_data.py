@@ -55,6 +55,26 @@ def test_random_bandlimited_band_and_determinism(grid):
     assert not np.array_equal(u1.values, u3.values)
 
 
+@pytest.mark.parametrize("d,N", [(1, 48), (2, 24), (3, 12)])
+def test_random_bandlimited_is_exactly_the_per_axis_formula(d, N):
+    g = FourierGrid(d=d, N=N, L=5.0)
+    band, decay = N // 6, 0.3
+    rng = np.random.default_rng(4)
+    coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    k_idx = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+    kmax, ksum2 = np.zeros(g.shape), np.zeros(g.shape)
+    for axis in range(d):
+        sh = [1] * d
+        sh[axis] = N
+        kax = k_idx.reshape(sh) * np.ones(g.shape)
+        kmax = np.maximum(kmax, kax)
+        ksum2 = ksum2 + kax ** 2
+    expect = np.where(kmax <= band, coeffs * np.exp(-decay * np.sqrt(ksum2)),
+                      0.0)
+    u = random_bandlimited(g, seed=4, band=band, decay=decay)
+    assert np.array_equal(u.values, expect)
+
+
 def test_make_initial_data_dispatch(grid):
     for kind in KINDS:
         u = make_initial_data(grid, kind, {}, seed=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gnls.harness import (ConfigError, ExperimentConfig,
+from gnls.harness import (ConfigError, ExperimentConfig, SWEEP_DEFAULTS,
                           fit_conservation_constant, load_config,
                           run_almost_conservation_sweep, run_bookkeeper,
                           run_radius_tracking, run_simulate)
@@ -123,6 +123,24 @@ def test_load_config_rejects_empty_audit_ensembles(tmp_path, text, key):
         load_config(write_config(tmp_path, f"[audit]\n{text}\n"))
 
 
+@pytest.mark.parametrize("text,key", [
+    ("n_sigma = 0", "n_sigma"),
+    ("n_sigma = -2", "n_sigma"),
+    ("sigma_min = 0.01\nsigma_max = 0.01\nn_sigma = 3", "sigma_min"),
+    ("sigma_min = 0.01\nsigma_max = 0.01\nn_sigma = 2\nspacing = linear",
+     "sigma_min"),
+    ("sigma_min = 0.1\nsigma_max = 0.01", "sigma_min"),
+], ids=["none", "negative", "tied-log", "tied-linear", "decreasing"])
+def test_load_config_rejects_an_empty_or_tied_sigma_grid(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=rf"\[sweep\] {key}"):
+        load_config(write_config(tmp_path, f"[sweep]\n{text}\n"))
+
+
+def test_load_config_takes_a_one_sigma_grid(tmp_path):
+    text = "[sweep]\nsigma_min = 0.01\nsigma_max = 0.01\nn_sigma = 1\n"
+    assert load_config(write_config(tmp_path, text)).sigma_grid == (0.01,)
+
+
 def test_load_config_data_takes_any_numeric_parameter(tmp_path):
     path = write_config(tmp_path, "[data]\nkind = gaussian\nwidth_2 = 3\n")
     assert load_config(path).data_params == {"width_2": 3.0}
@@ -196,6 +214,18 @@ def test_sweep_gaussian_slope(tmp_path):
     assert (tmp_path / "sweep.summary").exists()
     sigmas = [r[0] for r in record.rows]
     assert sigmas == sorted(sigmas) and sigmas[0] == 0.0
+
+
+def test_sweep_default_grid_is_the_config_default(tmp_path):
+    # an empty [sweep] section and no sweep at all run the same grid
+    cfg = ExperimentConfig(kind="sweep", N=32, L=2 * np.pi,
+                           data_kind="plane_wave",
+                           data_params={"A": 0.5, "k": 3.0}, dt=1e-2)
+    default = load_config(write_config(tmp_path, "[sweep]\n")).sigma_grid
+    assert fit_conservation_constant(cfg)["sigma_grid"] == list(default)
+    assert default == tuple(np.geomspace(SWEEP_DEFAULTS["sigma_min"],
+                                         SWEEP_DEFAULTS["sigma_max"],
+                                         SWEEP_DEFAULTS["n_sigma"]))
 
 
 def test_sweep_plane_wave_growth_at_round_off():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from gnls.errors import MultiplierOverflowError, NonFiniteFieldError
-from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
+from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.integrator import SolverConfig, evolve
 from gnls.norms import GevreyParams, gevrey_norm
-from gnls.spectral import (apply_exp_gevrey, dealiased_triple_product,
+from gnls.spectral import (apply_exp_gevrey, dealiased_cubic,
                            forward_transform, inverse_transform, l4_norm,
                            truncate_spectrum, to_physical, to_spectral)
 
 from conftest import random_field, rel_err, single_mode_field
-from oracles import pad_spectrum, zero_field
+from oracles import direct_convolution_cubic, pad_spectrum, zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,15 @@ def test_grid_lattice_symmetric_except_nyquist():
     # every positive frequency has a negative partner except the Nyquist mode
     assert np.allclose(positive, negative[:-1])
     assert len(negative) == len(positive) + 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_k_max_is_the_largest_mode_index_over_the_axes(d):
+    g = FourierGrid(d=d, N=8, L=3.0)
+    k = np.abs(np.fft.fftfreq(8, d=1.0 / 8))
+    assert g.k_max.shape == g.shape
+    for idx in np.ndindex(g.shape):
+        assert g.k_max[idx] == max(k[i] for i in idx)
 
 
 def test_field_rejects_nonfinite_and_shape_mismatch(grid1d):
@@ -231,59 +240,14 @@ def test_pad_preserves_coefficients(grid1d):
 
 def test_triple_product_plane_wave(grid1d):
     u = single_mode_field(grid1d, 3)
-    prod = dealiased_triple_product(u, u, u, conjugate=(False, True, False))
+    prod = dealiased_cubic(u)
     # |u|^2 u with |u| = 1 pointwise
     assert rel_err(prod.values, to_physical(u).values) < 1e-12
 
 
 def test_triple_product_zero_factor(grid1d):
-    u = random_field(grid1d, seed=6)
-    z = zero_field(grid1d)
-    prod = dealiased_triple_product(u, z, u)
+    prod = dealiased_cubic(zero_field(grid1d))
     assert np.max(np.abs(prod.values)) < 1e-15
-
-
-def test_triple_product_grid_mismatch(grid1d):
-    other = FourierGrid(d=1, N=128, L=grid1d.L)
-    u = random_field(grid1d, seed=7)
-    v = random_field(other, seed=7)
-    with pytest.raises(ValueError):
-        dealiased_triple_product(u, v, u)
-
-
-def _direct_convolution_triple(f, g, h, conjugate):
-    """O(N^3) spectral convolution oracle for d=1 fields."""
-    grid = f.grid
-    N, L = grid.N, grid.L
-    spectra = []
-    for u, c in zip((f, g, h), conjugate):
-        uh = to_spectral(u).values.copy()
-        if c:
-            # conj in physical space flips and conjugates the spectrum
-            idx = (-np.arange(N)) % N
-            uh = np.conj(uh[idx])
-        spectra.append(uh)
-    # unitary coefficients multiply with a 1/sqrt(L) factor per product
-    out = np.zeros(N, dtype=complex)
-    ks = np.arange(N)
-    half = N // 2
-    def wrap(k):
-        return ((k + half) % N) - half
-    kk = wrap(ks)
-    for i in range(N):
-        if spectra[0][i] == 0:
-            continue
-        for j in range(N):
-            if spectra[1][j] == 0:
-                continue
-            for m in range(N):
-                if spectra[2][m] == 0:
-                    continue
-                tot = kk[i] + kk[j] + kk[m]
-                if tot > half - 1 or tot < -half:
-                    continue  # outside the truncated band
-                out[tot % N] += spectra[0][i] * spectra[1][j] * spectra[2][m]
-    return out / L
 
 
 def test_triple_product_matches_direct_convolution():
@@ -293,18 +257,16 @@ def test_triple_product_matches_direct_convolution():
     coeffs[2] = 1.3 - 0.2j
     coeffs[-3 % g.N] = 0.4 + 0.9j
     u = Field(g, coeffs, rep=SPECTRAL)
-    conj = (False, True, False)
-    prod = to_spectral(dealiased_triple_product(u, u, u, conjugate=conj))
-    oracle = _direct_convolution_triple(u, u, u, conj)
+    prod = to_spectral(dealiased_cubic(u))
+    oracle = direct_convolution_cubic(u)
     assert rel_err(prod.values, oracle) < 1e-12
 
 
 def test_dealiased_product_exact_for_bandlimited():
     g = FourierGrid(d=1, N=48, L=11.0)
     u = random_field(g, seed=8, band=g.N // 6)
-    conj = (False, True, False)
-    prod = to_spectral(dealiased_triple_product(u, u, u, conjugate=conj))
-    oracle = _direct_convolution_triple(u, u, u, conj)
+    prod = to_spectral(dealiased_cubic(u))
+    oracle = direct_convolution_cubic(u)
     assert rel_err(prod.values, oracle) < 1e-12
 
 
@@ -353,15 +315,14 @@ def test_padded_l4_is_exactly_the_full_transform(d, N, L):
                 apply_exp_gevrey(uh, sigma))
 
 
-def _dealiased_product_reference(fields, conjugate):
-    """The seed formula: pad_spectrum, to_physical, product,
+def _dealiased_cubic_reference(u):
+    """The seed formula: pad_spectrum, to_physical, u * conj(u) * u,
     forward_transform, truncate_spectrum, inverse_transform."""
-    fine = [to_physical(pad_spectrum(to_spectral(u))) for u in fields]
-    vals = [np.conj(u.values) if c else u.values
-            for u, c in zip(fine, conjugate)]
-    prod = Field(fine[0].grid, vals[0] * vals[1] * vals[2])
+    fine = to_physical(pad_spectrum(to_spectral(u)))
+    vals, conj = fine.values, np.conj(fine.values)
+    prod = Field(fine.grid, vals * conj * vals)
     return inverse_transform(truncate_spectrum(forward_transform(prod),
-                                               fields[0].grid))
+                                               u.grid))
 
 
 @pytest.mark.parametrize("d,N,L", [(1, 64, 9.0), (2, 32, 5.0), (3, 16, 3.0)])
@@ -369,14 +330,12 @@ def test_dealiased_product_is_exactly_the_seed_formula(d, N, L):
     g = FourierGrid(d=d, N=N, L=L)
     # a full-band field (Nyquist modes included), a band-limited one, and
     # one given by its physical samples
-    fields = (random_field(g, seed=d, band=N // 2, decay=0.05),
+    for u in (random_field(g, seed=d, band=N // 2, decay=0.05),
               random_field(g, seed=d + 10, band=N // 6),
-              to_physical(random_field(g, seed=d + 20)))
-    for conjugate in ((False, True, False), (True, False, True)):
-        prod = dealiased_triple_product(*fields, conjugate=conjugate)
-        ref = _dealiased_product_reference(fields, conjugate)
+              to_physical(random_field(g, seed=d + 20))):
+        prod = dealiased_cubic(u)
         assert prod.is_physical
-        assert np.array_equal(prod.values, ref.values)
+        assert np.array_equal(prod.values, _dealiased_cubic_reference(u).values)
 
 
 def test_field_from_real_array_allocates_one_complex_array():

@@ -65,3 +65,26 @@ def test_help_lists_exactly_the_flags_of_the_table(command, capsys):
     assert sorted(options) == sorted(("-h",) + tuple(
         f for f in flags if f.startswith("-")))
     assert positionals == [f for f in flags if not f.startswith("-")]
+
+
+def _unread_imports(tree):
+    """Names a module imports and never reads; ``__future__`` features are
+    not names."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports only to re-export
+    tests = Path(__file__).resolve().parent
+    unread = [f"{path.parent.name}/{path.name}: {name}"
+              for path in MODULES + sorted(tests.glob("*.py"))
+              for name in _unread_imports(ast.parse(path.read_text()))]
+    assert unread == []
