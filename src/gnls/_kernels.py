@@ -27,6 +27,22 @@ def phase_rotate(values: np.ndarray, dt: float) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+#: members per block of ``triple_gap_ratios``: each temporary is 128 KB
+_BLOCK = 1 << 14
+
+
+def _row_norms(x):
+    """Euclidean norm of each row, summing squared columns left to right.
+
+    For d <= 3 this is the addition order of ``(x * x).sum(axis=1)``, so
+    the norms are bit-identical to it; einsum and linalg.norm are not.
+    """
+    s = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        s += x[:, j] * x[:, j]
+    return np.sqrt(s, out=s)
+
+
 def triple_gap_ratios(xi1, xi2, xi3, sigma):
     """Audit 1 - exp(-sigma*gap) <= 12*sigma*xi_med over an ensemble.
 
@@ -34,20 +50,33 @@ def triple_gap_ratios(xi1, xi2, xi3, sigma):
     Returns (violations, ratios) where ratio = lhs/rhs with
     rhs = 12*sigma*xi_med; degenerate members with rhs == 0 count as a
     violation only if lhs > 0 (they cannot, by the triangle inequality).
+
+    Members are taken in blocks of ``_BLOCK`` so every temporary stays in
+    cache; each block's ratios go straight into the one output array.
     """
-    a1 = np.sqrt((xi1 * xi1).sum(axis=1))
-    a2 = np.sqrt((xi2 * xi2).sum(axis=1))
-    a3 = np.sqrt((xi3 * xi3).sum(axis=1))
-    out = xi1 - xi2 - xi3
-    aout = np.sqrt((out * out).sum(axis=1))
-    gap = a1 + a2 + a3 - aout
-    lhs = -np.expm1(-sigma * gap)
-    med = np.sort(np.stack([a1, a2, a3], axis=1), axis=1)[:, 1]
-    rhs = 12.0 * sigma * med
-    ok_zero = (rhs == 0.0) & (lhs <= 0.0)
-    ratio = np.where(rhs > 0.0, lhs / np.where(rhs > 0.0, rhs, 1.0), 0.0)
-    violations = int(np.count_nonzero((lhs > rhs) & ~ok_zero))
-    return violations, ratio
+    n = xi1.shape[0]
+    ratios = np.zeros(n)
+    violations = 0
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        x1, x2, x3 = xi1[blk], xi2[blk], xi3[blk]
+        a1, a2, a3 = _row_norms(x1), _row_norms(x2), _row_norms(x3)
+        gap = a1 + a2
+        gap += a3
+        gap -= _row_norms(x1 - x2 - x3)
+        gap *= -sigma
+        lhs = np.expm1(gap, out=gap)
+        np.negative(lhs, out=lhs)
+        # exact median of three: max(min(a1, a2), min(max(a1, a2), a3))
+        hi = np.maximum(a1, a2)
+        np.minimum(hi, a3, out=hi)
+        med = np.minimum(a1, a2, out=a1)
+        np.maximum(med, hi, out=med)
+        rhs = np.multiply(12.0 * sigma, med, out=med)
+        np.divide(lhs, rhs, out=ratios[blk], where=rhs > 0.0)
+        ok_zero = (rhs == 0.0) & (lhs <= 0.0)
+        violations += int(np.count_nonzero((lhs > rhs) & ~ok_zero))
+    return violations, ratios
 
 
 def shell_envelope(mag, shell, n_shells):

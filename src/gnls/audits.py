@@ -73,6 +73,8 @@ def audit_multiplier_inequality(sigma: float, n_triples: int, d: int,
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if n_triples < 1:
+        raise ValueError(f"n_triples must be >= 1, got {n_triples}")
     seed = int(rng.integers(0, 2 ** 63 - 1))
     local = np.random.default_rng(seed)
     xi = local.uniform(-XI_MAX, XI_MAX, size=(3, n_triples, d))
@@ -89,27 +91,35 @@ def audit_f_estimate(fields, sigma: float) -> AuditReport:
     """Fixed-time surrogate of the remainder bound.
 
     ratio = ||f(v)||_{L2} / (sigma * ||<D> v||_{L2}^3) for each field v of
-    ``fields``, with statistics across them; ``lhs`` and ``ratio`` are the
-    first field's.
+    ``fields``, with statistics across them; ``lhs``, ``rhs`` and ``ratio``
+    are the first field's, so ``lhs`` is its ||f(v; sigma)||_{L2}.
     """
     ratios = []
+    sides = []
     for u in fields:
         fv = f_of_v(u, sigma)
         lhs = float(np.sqrt(mass(fv)))
         h1 = gevrey_norm(u, GevreyParams(0.0, 1.0))
         rhs = sigma * h1 ** 3
+        sides.append((lhs, rhs))
         ratios.append(0.0 if rhs == 0.0 else lhs / rhs)
     ratios = np.array(ratios)
-    return AuditReport(kind="f-estimate", lhs=ratios[0], rhs=1.0,
+    return AuditReport(kind="f-estimate", lhs=sides[0][0], rhs=sides[0][1],
                        ratio=float(ratios[0]), count=len(ratios),
                        max_ratio=float(ratios.max()),
                        median_ratio=float(np.median(ratios)),
                        violations=0, seed=0, members=tuple(ratios))
 
 
-def sigma_halving_ratio(v: Field, sigma: float) -> float:
-    """||f(v; sigma)|| / ||f(v; sigma/2)||; tends to 2 as sigma -> 0."""
-    num = np.sqrt(mass(f_of_v(v, sigma)))
+def sigma_halving_ratio(v: Field, sigma: float, *, num=None) -> float:
+    """||f(v; sigma)|| / ||f(v; sigma/2)||; tends to 2 as sigma -> 0.
+
+    ``num``, when given, is ||f(v; sigma)||_{L2} already computed (the
+    ``lhs`` of ``audit_f_estimate`` with v first), so only f(v; sigma/2)
+    is evaluated.
+    """
+    if num is None:
+        num = np.sqrt(mass(f_of_v(v, sigma)))
     den = np.sqrt(mass(f_of_v(v, sigma / 2.0)))
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf

@@ -495,7 +495,7 @@ def run_audit_f(cfg: ExperimentConfig) -> RunRecord:
     rep = audit_f_estimate(ensemble, sigma)
     for i, r in enumerate(rep.members):
         rows.append(AuditRow("f-estimate", cfg.seed, i, r, 1.0, r))
-    halving = sigma_halving_ratio(ensemble[0], sigma)
+    halving = sigma_halving_ratio(ensemble[0], sigma, num=rep.lhs)
     record = RunRecord(config=cfg.echo(), rows=rows,
                        fits={"max_ratio": rep.max_ratio,
                              "median_ratio": rep.median_ratio,

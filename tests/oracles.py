@@ -100,6 +100,28 @@ def direct_convolution_cubic(u: Field) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the multiplier check over the whole ensemble at once
+# ---------------------------------------------------------------------------
+
+def triple_gap_ratios_oneshot(xi1, xi2, xi3, sigma):
+    """``_kernels.triple_gap_ratios`` as whole-array numpy: row-sum norms
+    and a sorted median of three, with no blocking."""
+    a1 = np.sqrt((xi1 * xi1).sum(axis=1))
+    a2 = np.sqrt((xi2 * xi2).sum(axis=1))
+    a3 = np.sqrt((xi3 * xi3).sum(axis=1))
+    out = xi1 - xi2 - xi3
+    aout = np.sqrt((out * out).sum(axis=1))
+    gap = a1 + a2 + a3 - aout
+    lhs = -np.expm1(-sigma * gap)
+    med = np.sort(np.stack([a1, a2, a3], axis=1), axis=1)[:, 1]
+    rhs = 12.0 * sigma * med
+    ok_zero = (rhs == 0.0) & (lhs <= 0.0)
+    ratio = np.where(rhs > 0.0, lhs / np.where(rhs > 0.0, rhs, 1.0), 0.0)
+    violations = int(np.count_nonzero((lhs > rhs) & ~ok_zero))
+    return violations, ratio
+
+
+# ---------------------------------------------------------------------------
 # space-time single modes and the closed form of their trilinear sides
 # ---------------------------------------------------------------------------
 

@@ -151,6 +151,11 @@ def test_multiplier_inequality_rejects_bad_sigma():
         audit_multiplier_inequality(0.0, 10, 1, np.random.default_rng(0))
 
 
+def test_multiplier_inequality_rejects_an_empty_ensemble():
+    with pytest.raises(ValueError, match="n_triples must be >= 1, got 0"):
+        audit_multiplier_inequality(0.1, 0, 1, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # trilinear audits
 # ---------------------------------------------------------------------------

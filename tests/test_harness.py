@@ -5,8 +5,8 @@ import pytest
 
 from gnls.harness import (ConfigError, ExperimentConfig, SWEEP_DEFAULTS,
                           fit_conservation_constant, load_config,
-                          run_almost_conservation_sweep, run_bookkeeper,
-                          run_radius_tracking, run_simulate)
+                          run_almost_conservation_sweep, run_audit_f,
+                          run_bookkeeper, run_radius_tracking, run_simulate)
 
 
 CONFIG_TEXT = """
@@ -327,6 +327,34 @@ def test_norm_row_transforms_a_physical_slice_once(monkeypatch):
     monkeypatch.setattr(np.fft, "fftn", counting_fftn)
     assert _norm_row(0.5, u, 0.1) == expected
     assert len(calls) == 1
+
+
+def test_run_audit_f_evaluates_f_of_v_once_per_field_and_sigma(monkeypatch, tmp_path):
+    import gnls.audits as audits
+    from gnls.data import random_bandlimited
+
+    cfg = ExperimentConfig(kind="audit-f", d=2, N=16, L=2 * np.pi,
+                           n_members=4, out_dir=tmp_path)
+    f_of_v = audits.f_of_v
+    fftn = np.fft.fftn
+    calls = {"f_of_v": 0, "fftn": 0}
+
+    def counting_f_of_v(*args, **kwargs):
+        calls["f_of_v"] += 1
+        return f_of_v(*args, **kwargs)
+
+    def counting_fftn(*args, **kwargs):
+        calls["fftn"] += 1
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(audits, "f_of_v", counting_f_of_v)
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    record = run_audit_f(cfg)
+    assert calls == {"f_of_v": 5, "fftn": 15}
+    monkeypatch.undo()
+    v0 = random_bandlimited(cfg.grid(), seed=cfg.seed)
+    assert record.fits["halving_ratio"] == audits.sigma_halving_ratio(
+        v0, cfg.audit_sigma)
 
 
 def test_norm_row_propagates_other_radius_errors(monkeypatch):

@@ -1,11 +1,13 @@
 """Pointwise kernels against closed forms and plain-Python loop oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gnls import _kernels
+from oracles import triple_gap_ratios_oneshot
 
 
 def test_phase_rotate_matches_closed_form():
@@ -56,6 +58,41 @@ def test_triple_gap_ratios_matches_loop_oracle(d):
     assert va == vb == 0
     assert ra[0] == 0.0
     assert np.max(np.abs(ra - rb)) < 1e-14
+
+
+B = _kernels._BLOCK
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_triple_gap_ratios_equals_oneshot_at_block_edges(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    xi = rng.uniform(-1e3, 1e3, size=(3, n, d))
+    # degenerate members and median ties on both sides of each block edge
+    for edge in range(B, n, B):
+        xi[:, edge - 1] = 0.0
+        xi[:, edge] = 0.0
+        xi[1, edge - 2] = xi[0, edge - 2]
+        if edge + 1 < n:
+            xi[2, edge + 1] = -xi[0, edge + 1]
+    xi[:, 0] = 0.0
+    for sigma in (1e-3, 1.0):
+        va, ra = _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], sigma)
+        vb, rb = triple_gap_ratios_oneshot(xi[0], xi[1], xi[2], sigma)
+        assert va == vb == 0
+        assert np.array_equal(ra, rb)
+
+
+def test_triple_gap_ratios_keeps_its_temporaries_blocked():
+    xi = np.random.default_rng(0).uniform(-1e3, 1e3, size=(3, 1_000_000, 3))
+    tracemalloc.start()
+    try:
+        _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB output plus a few block-sized temporaries
+    assert peak < 16e6
 
 
 def test_shell_envelope_matches_loop_oracle():
