@@ -9,22 +9,24 @@ reduction used by the radius estimator.
 import numpy as np
 
 
-def phase_rotate(values: np.ndarray, dt: float) -> np.ndarray:
-    """u <- u * exp(-i |u|^2 dt), same shape as ``values``.
+def phase_rotate(values: np.ndarray, dt: float, phase: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """u <- u * exp(-i |u|^2 dt), written into ``out`` and returned.
 
-    The phase -dt |u|^2 is one real array; its cosine and sine are written
-    straight into the real and imaginary parts of the output, which is
-    then multiplied by ``values`` in place, so no complex temporary is made.
+    ``phase`` (real) and ``out`` (complex) are the caller's buffers of the
+    shape of ``values``; ``out`` must not share memory with ``values``.
+    The phase -dt |u|^2 goes into ``phase``, with ``out.imag`` holding
+    Im(u)^2 on the way; its cosine and sine are written straight into the
+    real and imaginary parts of ``out``, which is then multiplied by
+    ``values`` in place, so no temporary is made.
     """
-    flat = values.ravel()
-    phase = flat.real * flat.real
-    phase += flat.imag * flat.imag
+    np.multiply(values.real, values.real, out=phase)
+    phase += np.multiply(values.imag, values.imag, out=out.imag)
     phase *= -float(dt)
-    out = np.empty_like(flat)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
-    np.multiply(flat, out, out=out)
-    return out.reshape(values.shape)
+    np.multiply(values, out, out=out)
+    return out
 
 
 #: members per block of ``triple_gap_ratios``: each temporary is 128 KB

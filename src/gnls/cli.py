@@ -4,8 +4,9 @@ Subcommands: simulate, radius, sweep, audit-multiplier, audit-f,
 audit-trilinear, audit-gn, bookkeeper, norms; each takes only the flags it
 reads (see :func:`_commands`).
 
-Exit codes: 0 success, 1 validation, i/o or usage error, 2 runtime abort,
-3 a hard violation was detected (pointwise inequality or induction failure).
+Exit codes: 0 success, 1 validation, i/o or usage error, 2 runtime abort
+(blow-up guard, non-finite state, or a sweep that fits no C), 3 a hard
+violation was detected (pointwise inequality or induction failure).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import SimulationAbort
+from .errors import FitError, SimulationAbort
 from .harness import (ConfigError, ExperimentConfig, load_config,
                       run_almost_conservation_sweep, run_audit_f,
                       run_audit_gn, run_audit_multiplier,
@@ -133,6 +134,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except SimulationAbort as e:
         print(f"runtime abort: {e} (step {e.step})", file=sys.stderr)
+        return EXIT_RUNTIME
+    except FitError as e:
+        print(f"runtime abort: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

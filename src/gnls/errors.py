@@ -13,6 +13,11 @@ class EmptySpectrumError(ValueError):
     """A spectral diagnostic was asked for on an identically-zero field."""
 
 
+class FitError(RuntimeError):
+    """The almost-conservation sweep left no sigma to fit its constant C
+    from: every growth sat at or below the sigma = 0 noise floor."""
+
+
 class SimulationAbort(RuntimeError):
     """Time stepping hit a non-finite or blown-up state.
 

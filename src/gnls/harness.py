@@ -21,7 +21,7 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
 from .data import KINDS, make_initial_data, random_bandlimited
-from .errors import EmptySpectrumError, MultiplierOverflowError
+from .errors import EmptySpectrumError, FitError, MultiplierOverflowError
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
 from .norms import a_sigma, mass, norm_report, radius_estimate
@@ -351,7 +351,21 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
             "dropped": dropped, "sigma_grid": sigma_grid}
 
 
+def _fitted_constant(fit: dict) -> float:
+    """The sweep's ``C_fit``; raises :class:`FitError` when no sigma grew
+    above the noise floor, so that no run goes on with an invented C."""
+    C_fit = fit["C_fit"]
+    if not (np.isfinite(C_fit) and C_fit > 0):
+        raise FitError(
+            f"no sigma of the sweep grew above the sigma = 0 noise floor "
+            f"({fit['noise_floor']:.3g}), so C cannot be fitted: set "
+            f"[fit] C for gnls radius")
+    return C_fit
+
+
 def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
+    """The sweep's rows and fits, written out before :func:`_fitted_constant`
+    rejects a sweep with no usable sigma."""
     fit = fit_conservation_constant(cfg)
     rows = [SweepRow(s, g, max(g - fit["noise_floor"], 0.0))
             for s, g in sorted(fit["growth"].items())]
@@ -361,6 +375,7 @@ def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
     _write_outputs(cfg, record, "sweep", SweepRow,
                    {**record.config, **record.fits,
                     "dropped": ";".join(f"{s:g}" for s in fit["dropped"])})
+    _fitted_constant(fit)
     return record
 
 
@@ -381,8 +396,9 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
 
     The floor uses the measured A_{sigma0}(0) and an empirically fitted
     almost-conservation constant (config [fit] C overrides the internal
-    sweep).  The tail constant c_hat is the median of t * sigma_hat(t) over
-    the last third of snapshots.
+    sweep, which raises :class:`FitError` when it fits none).  The tail
+    constant c_hat is the median of t * sigma_hat(t) over the last third
+    of snapshots.
     """
     u0 = cfg.initial_data()
     rad0 = radius_estimate(u0)
@@ -396,9 +412,7 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     if cfg.C is not None:
         C_fit = cfg.C
     else:
-        C_fit = fit_conservation_constant(cfg)["C_fit"]
-        if not np.isfinite(C_fit) or C_fit <= 0:
-            C_fit = 1.0
+        C_fit = _fitted_constant(fit_conservation_constant(cfg))
     A0 = cfg.A0 if cfg.A0 is not None else _measured_a_sigma(u0, sigma0)
     params = BookkeeperParams(sigma0=sigma0, A0=A0, c0=cfg.c0, C=C_fit,
                               eps=cfg.eps, T=max(cfg.t_end, cfg.dt))

@@ -93,14 +93,21 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     # the loop keeps numpy-convention coefficients (no unitary rescaling):
     # fftn/ifftn round-trip physical values directly, and skipping the
     # scalar multiply/divide each step removes its systematic round-off.
-    # The step transforms run in place, on the one array the step owns.
-    coeff = np.fft.fftn(u.values)
+    # Every transform writes into an array the loop owns.  The step array
+    # and the spare swap roles at each rotation; the real buffer holds the
+    # phase and then |u|.  A snapshot takes the spare, and a new spare is
+    # made only if another step follows, so no array handed out is written
+    # again.
+    coeff = np.fft.fftn(u.values, out=np.empty(u.grid.shape, np.complex128))
     coeff *= half_phase
+    spare = np.empty_like(coeff)
+    real = np.empty(u.grid.shape)
     for step in range(1, cfg.n_steps + 1):
         vals = np.fft.ifftn(coeff, out=coeff)
         if not cfg.linear_only:
-            vals = _kernels.phase_rotate(vals, cfg.sign * cfg.dt)
-        peak = float(np.abs(vals).max())
+            vals, spare = _kernels.phase_rotate(vals, cfg.sign * cfg.dt,
+                                                real, spare), vals
+        peak = float(np.abs(vals, out=real).max())
         if not np.isfinite(peak):
             raise SimulationAbort(
                 f"non-finite state at step {step} (t={step * cfg.dt:g})",
@@ -113,7 +120,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
         coeff = np.fft.fftn(vals, out=vals)
         if record:
             coeff *= half_phase
-            snap = np.fft.ifftn(coeff)
+            snap = np.fft.ifftn(coeff, out=spare)
+            spare = None
             snap.flags.writeable = False  # owned here: Field keeps it uncopied
             u = Field(u.grid, snap, rep=PHYSICAL, t=step * cfg.dt, _check=False)
             if on_snapshot is None:
@@ -123,6 +131,7 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 on_snapshot(u.t, u)
             if step < cfg.n_steps:
                 coeff *= half_phase
+                spare = np.empty_like(coeff)
         elif step < cfg.n_steps:
             coeff *= full_phase
     return Trajectory(snapshots=snapshots)

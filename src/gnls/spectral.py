@@ -30,7 +30,9 @@ def forward_transform(f: Field) -> Field:
     """Physical samples -> unitary spectral coefficients."""
     if not f.is_physical:
         raise ValueError("forward_transform expects a physical-space field")
-    coeffs = np.fft.fftn(f.values) * _forward_factor(f.grid)
+    # one array: the transform writes into it and is scaled in place
+    coeffs = np.fft.fftn(f.values, out=np.empty(f.grid.shape, np.complex128))
+    coeffs *= _forward_factor(f.grid)
     return Field(f.grid, coeffs, rep=SPECTRAL, t=f.t)
 
 
@@ -38,7 +40,8 @@ def inverse_transform(f: Field) -> Field:
     """Unitary spectral coefficients -> physical samples."""
     if not f.is_spectral:
         raise ValueError("inverse_transform expects a spectral-space field")
-    values = np.fft.ifftn(f.values) / _forward_factor(f.grid)
+    values = np.fft.ifftn(f.values, out=np.empty(f.grid.shape, np.complex128))
+    values /= _forward_factor(f.grid)
     return Field(f.grid, values, rep=PHYSICAL, t=f.t)
 
 
@@ -115,28 +118,43 @@ def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
     return Field(grid, np.fft.ifftshift(band), rep=SPECTRAL, t=f.t)
 
 
+def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Write ``band`` (FFT ordering along ``axis``) into ``out``, twice as
+    long on that axis: the non-negative modes at the front, the negative
+    ones at the back and zeros between them.  Returns ``out``."""
+    n = band.shape[axis]
+    half = n // 2
+    head = (slice(None),) * axis
+    out[head + (slice(0, half),)] = band[head + (slice(0, half),)]
+    out[head + (slice(half, 2 * n - half),)] = 0.0
+    out[head + (slice(2 * n - half, 2 * n),)] = band[head + (slice(half, n),)]
+    return out
+
+
+def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
+    """Inverse-transform ``coeffs`` along each of ``axes`` in turn, each
+    axis embedded into its doubled length by :func:`_embed_band` just before
+    its own transform, which runs in place on that one new array.
+
+    A line of zeros transforms to zeros, so only the lines that hold
+    coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
+    cube, with every sample equal to the full ``np.fft.ifftn``.
+    """
+    a = coeffs
+    for axis in axes:
+        shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
+        emb = _embed_band(a, axis, np.empty(shape, dtype=np.complex128))
+        a = np.fft.ifftn(emb, axes=(axis,), out=emb)
+    return a
+
+
 def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
     """Samples of ``coeffs`` (FFT ordering) zero-padded to twice the length
     of every axis, divided by ``factor``, the doubled lattice's forward
-    factor: the one inverse transform of a zero-padded spectrum.
-
-    The axes are inverse-transformed last first, the order ``np.fft.ifftn``
-    uses, each embedded into its doubled length just before its own
-    transform, in place.  A line of zeros transforms to zeros, so every
-    sample equals the full ``np.fft.ifftn`` while only the lines that hold
-    coefficients are transformed: 7N^2 instead of 12N^2 on an N^3 cube.
+    factor: the one inverse transform of a zero-padded spectrum.  The axes
+    are synthesised last first, the order ``np.fft.ifftn`` uses.
     """
-    a = coeffs
-    for axis in reversed(range(a.ndim)):
-        n = a.shape[axis]
-        half = n // 2
-        head = (slice(None),) * axis
-        emb = np.zeros(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:],
-                       dtype=np.complex128)
-        emb[head + (slice(0, half),)] = a[head + (slice(0, half),)]
-        emb[head + (slice(2 * n - half, 2 * n),)] = a[head + (slice(half, n),)]
-        # in place: same values, no second fine-grid array
-        a = np.fft.ifftn(emb, axes=(axis,), out=emb)
+    a = _synthesise(coeffs, reversed(range(coeffs.ndim)))
     a /= factor
     return a
 
@@ -176,17 +194,44 @@ def dealiased_cubic(u: Field) -> Field:
     return inverse_transform(truncate_spectrum(prod, u.grid))
 
 
+#: lines along axis 0 per slab of the last synthesis in :func:`l4_norm`;
+#: at 128^3 a slab's buffer is 1 MB
+_SLAB = 512
+
+
 def l4_norm(u: Field) -> float:
     """||u||_{L^4} by quadrature on the 2x-padded grid.
 
     |u|^4 of a band-limited field is band-limited at four times the
     bandwidth; padding makes the quadrature exact up to truncation of the
     outer half of that band.
+
+    Axes d-1 ... 1 are synthesised as in :func:`_padded_samples`.  Axis 0,
+    the last, is synthesised ``_SLAB`` lines at a time in one reused
+    buffer, and each slab's |u|^4 goes straight into one real array, so no
+    padded complex grid is made.  Every line sees the transform it sees on
+    the whole grid, and the one sum sees the same array, so the value
+    equals the whole-array quadrature bit for bit.
     """
     grid = u.grid.refined(2)
-    vals = _padded_samples(to_spectral(u).values, _forward_factor(grid))
+    a = _synthesise(to_spectral(u).values, range(grid.d - 1, 0, -1))
+    lines = a.reshape(a.shape[0], -1)  # one column per line along axis 0
+    n_lines = lines.shape[1]
+    mag2 = np.empty(grid.shape)
+    mag2_lines = mag2.reshape(grid.N, -1)
+    buf = np.empty((grid.N, min(_SLAB, n_lines)), dtype=np.complex128)
+    # numpy divides a complex by a real f as ((re + im*0) * (1/f),
+    # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
+    # gives the same values up to the sign of zeros, which |u|^4 drops
+    scale = 1.0 / _forward_factor(grid)
+    for lo in range(0, n_lines, _SLAB):
+        hi = min(lo + _SLAB, n_lines)
+        s = _embed_band(lines[:, lo:hi], 0, buf[:, :hi - lo])
+        np.fft.ifftn(s, axes=(0,), out=s)
+        parts = s.view(np.float64)  # re, im, re, im, ... along each row
+        parts *= scale
+        parts *= parts
+        m = np.add(parts[:, 0::2], parts[:, 1::2], out=mag2_lines[:, lo:hi])
+        m *= m
     q = (grid.L / grid.N) ** grid.d
-    mag2 = vals.real ** 2
-    mag2 += vals.imag ** 2
-    mag2 *= mag2
     return float((np.sum(mag2) * q) ** 0.25)

@@ -2,8 +2,9 @@
 
 Nothing in ``src/gnls`` calls these: the solver runs its own fused loop,
 the products synthesise padded samples without building a padded field,
-and the runners only write sidecars.  They stay here, written out in the
-plainest form, as the oracles of the tests that use them.
+the L4 quadrature synthesises its last axis slab by slab, and the runners
+only write sidecars.  They stay here, written out in the plainest form,
+as the oracles of the tests that use them.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ from gnls import _kernels
 from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 from gnls.integrator import SolverConfig
 from gnls.spacetime import SpaceTimeSpectrum
-from gnls.spectral import forward_transform, inverse_transform, to_spectral
+from gnls.spectral import (_forward_factor, _padded_samples,
+                           forward_transform, inverse_transform, to_spectral)
 
 
 def zero_field(grid: FourierGrid, rep: str = PHYSICAL) -> Field:
@@ -36,8 +38,9 @@ def nonlinear_step(u: Field, dt: float, sign: float = 1.0) -> Field:
     """Exact cubic-ODE flow: u <- u * exp(-i sign |u|^2 dt), pointwise."""
     if not u.is_physical:
         raise ValueError("nonlinear_step expects a physical-space field")
-    return Field(u.grid, _kernels.phase_rotate(u.values, sign * dt),
-                 rep=PHYSICAL, t=u.t)
+    out = _kernels.phase_rotate(u.values, sign * dt, np.empty(u.grid.shape),
+                                np.empty(u.grid.shape, np.complex128))
+    return Field(u.grid, out, rep=PHYSICAL, t=u.t)
 
 
 def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
@@ -69,6 +72,18 @@ def pad_spectrum(f: Field, factor: int = 2) -> Field:
     big_c = np.zeros(big.shape, dtype=np.complex128)
     big_c[block] = np.fft.fftshift(f.values)
     return Field(big, np.fft.ifftshift(big_c), rep=SPECTRAL, t=f.t)
+
+
+def l4_norm_whole(u: Field) -> float:
+    """``spectral.l4_norm`` on the whole padded grid at once: one padded
+    complex synthesis, |u|^4 of every sample, one sum."""
+    grid = u.grid.refined(2)
+    vals = _padded_samples(to_spectral(u).values, _forward_factor(grid))
+    q = (grid.L / grid.N) ** grid.d
+    mag2 = vals.real ** 2
+    mag2 += vals.imag ** 2
+    mag2 *= mag2
+    return float((np.sum(mag2) * q) ** 0.25)
 
 
 def direct_convolution_cubic(u: Field) -> np.ndarray:

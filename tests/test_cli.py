@@ -139,6 +139,37 @@ def test_empty_or_tied_sigma_grid_is_validation_error(tmp_path, capsys, sweep,
     assert not out.exists()
 
 
+#: d = 2 gaussian data whose A_sigma never grows above the sigma = 0 floor
+D2_NO_GROWTH = "[grid]\nd = 2\nN = 64\nL = 20.0\n"
+
+
+def test_sweep_with_no_usable_sigma_is_runtime_abort(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(D2_NO_GROWTH)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_RUNTIME
+    assert "[fit] C" in captured.err and captured.out == ""
+    # the growth rows it computed are kept
+    assert (out / "sweep.csv").exists()
+
+
+def test_radius_never_invents_C(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(D2_NO_GROWTH + "[solver]\ndt = 0.01\nt_end = 0.02\n")
+    code = main(["radius", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    captured = capsys.readouterr()
+    assert code == EXIT_RUNTIME
+    assert "[fit] C" in captured.err and "C_fit" not in captured.out
+    assert not (tmp_path / "a").exists()
+    # with [fit] C the same run goes through and reports that C
+    cfg.write_text(cfg.read_text() + "[fit]\nC = 2.5\n")
+    code = main(["radius", "--config", str(cfg), "--out", str(tmp_path / "b")])
+    assert code == EXIT_OK
+    assert "C_fit = 2.5" in capsys.readouterr().out
+
+
 def test_bad_boolean_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nd = 1\nN = 64\nL = 10.0\n"

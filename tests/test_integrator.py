@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gnls.integrator as integrator
-from gnls.data import gaussian, plane_wave
+from gnls.data import gaussian, periodized_sech, plane_wave
 from gnls.errors import SimulationAbort
 from gnls.grid import Field, FourierGrid
 from gnls.integrator import SolverConfig, evolve
@@ -215,10 +215,12 @@ def test_abort_in_callback_run_carries_last_recorded_slice(grid1d, monkeypatch):
     rotate = integrator._kernels.phase_rotate
     calls = []
 
-    def poisoned(values, dt):
+    def poisoned(values, dt, phase, out):
         calls.append(1)
-        out = rotate(values, dt)
-        return out * np.nan if len(calls) == 5 else out
+        out = rotate(values, dt, phase, out)
+        if len(calls) == 5:
+            out *= np.nan
+        return out
 
     monkeypatch.setattr(integrator._kernels, "phase_rotate", poisoned)
     seen = []
@@ -250,3 +252,78 @@ def test_focusing_sign_flag(grid1d):
     foc = evolve(u0, SolverConfig(dt=0.1, t_end=0.1,
                                   defocusing=False)).snapshots[-1][1]
     assert rel_err(defoc.values, foc.values) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# buffer reuse: what evolve hands out is never written again
+# ---------------------------------------------------------------------------
+
+def _record_writes(monkeypatch) -> list:
+    """Every array the transforms and the rotation write, in call order."""
+    writes = []
+
+    def recorded(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            writes.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fftn", recorded(np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", recorded(np.fft.ifftn))
+    rotate = integrator._kernels.phase_rotate
+
+    def rotate_recorded(values, dt, phase, out):
+        writes.append(phase)
+        return recorded(rotate)(values, dt, phase, out)
+
+    monkeypatch.setattr(integrator._kernels, "phase_rotate", rotate_recorded)
+    return writes
+
+
+ALIASING_RUNS = {
+    "stride-1": dict(dt=0.02, t_end=0.2),
+    "fused-stride-3": dict(dt=0.02, t_end=0.2, snapshot_stride=3),
+    "linear-only": dict(dt=0.02, t_end=0.2, snapshot_stride=2,
+                        linear_only=True),
+    "focusing-blowup": dict(dt=0.02, t_end=0.6, snapshot_stride=2,
+                            defocusing=False),
+}
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("run", list(ALIASING_RUNS))
+def test_handed_out_arrays_are_never_written_again(run, d, N, monkeypatch):
+    # the focusing run trips the blow-up guard after a few snapshots
+    monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 1.2)
+    u0 = periodized_sech(FourierGrid(d=d, N=N, L=10.0), A=3.0)
+    cfg = SolverConfig(**ALIASING_RUNS[run])
+    writes = _record_writes(monkeypatch)
+    handed = []  # (writes so far, field, its values when handed out)
+
+    def on_snapshot(t, u):
+        handed.append((len(writes), u, u.values.copy()))
+
+    try:
+        kept = evolve(u0, cfg, on_snapshot=on_snapshot).snapshots
+    except SimulationAbort as exc:
+        assert run == "focusing-blowup" and exc.step > 4
+        kept = [exc.last_good]
+    else:
+        assert run != "focusing-blowup"
+    assert kept[-1][1] is handed[-1][1]
+    for i, (n_writes, u, at_hand_out) in enumerate(handed):
+        assert np.array_equal(u.values, at_hand_out)
+        assert not any(np.shares_memory(u.values, w) for w in writes[n_writes:])
+        assert not any(np.shares_memory(u.values, v.values)
+                       for _, v, _ in handed[i + 1:])
+    # without a callback the trajectory keeps every slice, each unchanged
+    # since it was handed out, none sharing memory with another
+    monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 1e6)
+    if run != "focusing-blowup":
+        full = [u for _, u in evolve(u0, cfg).snapshots]
+        assert len(full) == len(handed)
+        for i, (u, (_, _, at_hand_out)) in enumerate(zip(full, handed)):
+            assert np.array_equal(u.values, at_hand_out)
+            assert not any(np.shares_memory(u.values, v.values)
+                           for v in full[i + 1:])

@@ -10,10 +10,15 @@ from gnls import _kernels
 from oracles import triple_gap_ratios_oneshot
 
 
+def _rotate(vals, dt):
+    return _kernels.phase_rotate(vals, dt, np.empty(vals.shape),
+                                 np.empty(vals.shape, np.complex128))
+
+
 def test_phase_rotate_matches_closed_form():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-    a = _kernels.phase_rotate(vals, 0.37)
+    a = _rotate(vals, 0.37)
     b = vals * np.exp(-0.37j * np.abs(vals) ** 2)
     assert np.max(np.abs(a - b)) < 1e-14 * np.max(np.abs(vals))
 
@@ -21,7 +26,7 @@ def test_phase_rotate_matches_closed_form():
 def test_phase_rotate_preserves_shape_and_modulus():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    out = _kernels.phase_rotate(vals, 0.5)
+    out = _rotate(vals, 0.5)
     assert out.shape == vals.shape
     assert np.max(np.abs(np.abs(out) - np.abs(vals))) < 1e-15
 

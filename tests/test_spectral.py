@@ -12,7 +12,8 @@ from gnls.spectral import (apply_exp_gevrey, dealiased_cubic,
                            truncate_spectrum, to_physical, to_spectral)
 
 from conftest import random_field, rel_err, single_mode_field
-from oracles import direct_convolution_cubic, pad_spectrum, zero_field
+from oracles import (direct_convolution_cubic, l4_norm_whole, pad_spectrum,
+                     zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,44 @@ def test_padded_l4_is_exactly_the_full_transform(d, N, L):
         for sigma in (0.05, 0.3):
             assert l4_gevrey(u, sigma) == _padded_l4_reference(
                 apply_exp_gevrey(uh, sigma))
+
+
+@pytest.mark.parametrize("slab", [None, 7], ids=["default-slab", "slab-7"])
+@pytest.mark.parametrize("d,N,L", [(1, 10, 3.0), (1, 4096, 40.0),
+                                   (2, 10, 3.0), (2, 18, 5.0), (2, 300, 30.0),
+                                   (3, 10, 3.0), (3, 18, 4.0), (3, 32, 8.0)])
+def test_slab_l4_equals_the_whole_array_quadrature(d, N, L, slab, monkeypatch):
+    import gnls.spectral as spectral
+    from gnls.data import periodized_sech
+
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", slab)
+    g = FourierGrid(d=d, N=N, L=L)
+    for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
+              periodized_sech(g, A=1.02)):
+        assert l4_norm(u) == l4_norm_whole(u)
+        weighted = apply_exp_gevrey(to_spectral(u), 0.2)
+        assert l4_norm(weighted) == l4_norm_whole(weighted)
+
+
+def test_slab_l4_makes_no_padded_complex_grid():
+    import tracemalloc
+    from gnls.data import periodized_sech
+
+    g = FourierGrid(d=3, N=32, L=8.0)
+    u = to_spectral(periodized_sech(g, A=1.02))
+    l4_norm(u)  # any first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        l4_norm(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded_complex = (2 * g.N) ** 3 * 16
+    # the half-padded synthesis and the real |u|^4 array are half a padded
+    # complex grid each, plus one slab buffer; the whole-array quadrature
+    # peaks at two grids
+    assert peak < 1.25 * padded_complex
 
 
 def _dealiased_cubic_reference(u):
