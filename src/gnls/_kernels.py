@@ -45,23 +45,25 @@ def _row_norms(x):
     return np.sqrt(s, out=s)
 
 
-def triple_gap_ratios(xi1, xi2, xi3, sigma):
+def triple_gap_ratios(draw, n, sigma):
     """Audit 1 - exp(-sigma*gap) <= 12*sigma*xi_med over an ensemble.
 
-    xi1, xi2, xi3 : (n, d) float arrays of interaction frequencies.
+    draw : callable, ``draw(m) -> (xi1, xi2, xi3)``, each an (m, d) float
+        array of the next m members' interaction frequencies.
+    n : number of members.
     Returns (violations, ratios) where ratio = lhs/rhs with
     rhs = 12*sigma*xi_med; degenerate members with rhs == 0 count as a
     violation only if lhs > 0 (they cannot, by the triangle inequality).
 
-    Members are taken in blocks of ``_BLOCK`` so every temporary stays in
-    cache; each block's ratios go straight into the one output array.
+    Members are drawn and checked in blocks of ``_BLOCK``, so every
+    temporary stays in cache and no whole ensemble is held; each block's
+    ratios go straight into the one output array.
     """
-    n = xi1.shape[0]
     ratios = np.zeros(n)
     violations = 0
     for lo in range(0, n, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        x1, x2, x3 = xi1[blk], xi2[blk], xi3[blk]
+        m = min(_BLOCK, n - lo)
+        x1, x2, x3 = draw(m)
         a1, a2, a3 = _row_norms(x1), _row_norms(x2), _row_norms(x3)
         gap = a1 + a2
         gap += a3
@@ -75,7 +77,7 @@ def triple_gap_ratios(xi1, xi2, xi3, sigma):
         med = np.minimum(a1, a2, out=a1)
         np.maximum(med, hi, out=med)
         rhs = np.multiply(12.0 * sigma, med, out=med)
-        np.divide(lhs, rhs, out=ratios[blk], where=rhs > 0.0)
+        np.divide(lhs, rhs, out=ratios[lo:lo + m], where=rhs > 0.0)
         ok_zero = (rhs == 0.0) & (lhs <= 0.0)
         violations += int(np.count_nonzero((lhs > rhs) & ~ok_zero))
     return violations, ratios

@@ -553,10 +553,14 @@ def _write_audit(cfg: ExperimentConfig, record: RunRecord, stem: str) -> None:
 
 
 def run_bookkeeper(cfg: ExperimentConfig) -> RunRecord:
-    A0 = cfg.A0 if cfg.A0 is not None else 1.0
-    params = BookkeeperParams(sigma0=cfg.sigma0, A0=A0, c0=cfg.c0,
-                              C=cfg.C if cfg.C is not None else 1.0,
-                              eps=cfg.eps, T=cfg.T)
+    """The induction for the given constants; unlike ``radius``, it has no
+    data to measure A0 on and no sweep to fit C from, so both must be set."""
+    missing = [f"[fit] {name} (--{name})" for name in ("A0", "C")
+               if getattr(cfg, name) is None]
+    if missing:
+        raise ConfigError(f"bookkeeper needs {' and '.join(missing)}")
+    params = BookkeeperParams(sigma0=cfg.sigma0, A0=cfg.A0, c0=cfg.c0,
+                              C=cfg.C, eps=cfg.eps, T=cfg.T)
     trace = run_induction(params)
     rows = [BookkeeperRow(*kbo) for kbo in zip(trace.ks, trace.bounds, trace.ok)]
     record = RunRecord(

@@ -82,10 +82,11 @@ def apply_exp_gevrey(f: Field, sigma: float) -> Field:
     """
     if not f.is_spectral:
         raise ValueError("apply_exp_gevrey expects a spectral-space field")
-    # the weights are freed before Field copies the product: this call sets
+    # the weights are freed as soon as the product is made: this call sets
     # the peak RSS of the per-snapshot diagnostics
-    return Field(f.grid, f.values * exp_weight(sigma, f.grid), rep=SPECTRAL,
-                 t=f.t)
+    prod = f.values * exp_weight(sigma, f.grid)
+    prod.flags.writeable = False  # Field checks it without a copy
+    return Field(f.grid, prod, rep=SPECTRAL, t=f.t)
 
 
 # ---------------------------------------------------------------------------

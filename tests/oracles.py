@@ -2,14 +2,16 @@
 
 Nothing in ``src/gnls`` calls these: the solver runs its own fused loop,
 the products synthesise padded samples without building a padded field,
-the L4 quadrature synthesises its last axis slab by slab, and the runners
-only write sidecars.  They stay here, written out in the plainest form,
+the L4 quadrature synthesises its last axis slab by slab, the multiplier
+audit draws its ensemble block by block, and the runners only write
+sidecars.  They stay here, written out in the plainest form,
 as the oracles of the tests that use them.
 """
 
 import numpy as np
 
 from gnls import _kernels
+from gnls.audits import XI_MAX, AuditReport
 from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 from gnls.integrator import SolverConfig
 from gnls.spacetime import SpaceTimeSpectrum
@@ -134,6 +136,22 @@ def triple_gap_ratios_oneshot(xi1, xi2, xi3, sigma):
     ratio = np.where(rhs > 0.0, lhs / np.where(rhs > 0.0, rhs, 1.0), 0.0)
     violations = int(np.count_nonzero((lhs > rhs) & ~ok_zero))
     return violations, ratio
+
+
+def audit_multiplier_whole(sigma, n_triples, d, rng) -> AuditReport:
+    """``audits.audit_multiplier_inequality`` on the whole ensemble at once:
+    one ``(3, n_triples, d)`` uniform draw, the whole-array check and a
+    copying median."""
+    seed = int(rng.integers(0, 2 ** 63 - 1))
+    xi = np.random.default_rng(seed).uniform(-XI_MAX, XI_MAX,
+                                             size=(3, n_triples, d))
+    violations, ratios = triple_gap_ratios_oneshot(xi[0], xi[1], xi[2], sigma)
+    max_ratio = float(ratios.max())
+    return AuditReport(kind="multiplier-inequality",
+                       lhs=max_ratio, rhs=1.0, ratio=max_ratio,
+                       count=n_triples, max_ratio=max_ratio,
+                       median_ratio=float(np.median(ratios)),
+                       violations=violations, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Remainder f(v), pointwise multiplier inequality, trilinear and GN audits."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gnls import _kernels
 from gnls.audits import (audit_f_estimate, audit_gagliardo_nirenberg,
                          audit_multiplier_inequality, audit_trilinear, f_of_v,
                          sigma_halving_ratio, trilinear_sides)
@@ -12,8 +16,8 @@ from gnls.norms import mass
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, rel_err, single_mode_field
-from oracles import (direct_convolution_cubic, single_mode,
-                     trilinear_single_mode_oracle, zero_field)
+from oracles import (audit_multiplier_whole, direct_convolution_cubic,
+                     single_mode, trilinear_single_mode_oracle, zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,38 @@ def test_multiplier_inequality_random_ensemble(d, sigma):
     assert rep.violations == 0
     assert rep.max_ratio <= 1.0
     assert rep.median_ratio <= rep.max_ratio
+
+
+B = _kernels._BLOCK
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_streamed_multiplier_audit_equals_the_whole_array_audit(d, n):
+    # two audits back to back: the second one's seed comes from the state
+    # the first one leaves in the caller's rng
+    rng_a = np.random.default_rng(100 * d + n)
+    rng_b = np.random.default_rng(100 * d + n)
+    for sigma in (1e-3, 1.0):
+        got = audit_multiplier_inequality(sigma, n, d, rng_a)
+        want = audit_multiplier_whole(sigma, n, d, rng_b)
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), \
+                field.name
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_multiplier_audit_holds_no_whole_ensemble():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        audit_multiplier_inequality(0.1, 1_000_000, 3, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB ratios plus a few block-sized draws and temporaries; the
+    # whole (3, 10^6, 3) ensemble alone is 72 MB
+    assert peak < 16e6
 
 
 def test_multiplier_inequality_rejects_bad_sigma():

@@ -24,6 +24,22 @@ def test_bookkeeper_defaults_exit_ok(capsys):
     assert "sigma = 0.001953125" in out
 
 
+@pytest.mark.parametrize("flags,missing", [
+    ([], "[fit] A0 (--A0) and [fit] C (--C)"),
+    (["--C", "1.0"], "[fit] A0 (--A0)"),
+    (["--A0", "1.0"], "[fit] C (--C)"),
+], ids=["neither", "no-A0", "no-C"])
+def test_bookkeeper_without_A0_or_C_is_validation_error(flags, missing,
+                                                        tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["bookkeeper", "--out", str(out)] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.err == f"validation error: bookkeeper needs {missing}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_config_is_validation_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == EXIT_VALIDATION
@@ -282,9 +298,14 @@ RUN_OUTPUTS = {
     "audit-gn": {"audit_gn.csv": None,
                  "audit_gn.summary": ECHO_KEYS + ["ratio", "violations"]},
     "bookkeeper": {"bookkeeper.csv": None,
-                   "bookkeeper.summary": ECHO_KEYS + ["delta", "n", "sigma",
-                                                      "c1"]},
+                   "bookkeeper.summary": ECHO_KEYS[:-1] + ["C", "sigma_grid",
+                                                           "delta", "n",
+                                                           "sigma", "c1"]},
 }
+
+#: flags a subcommand needs beyond TINY_CONFIG: the bookkeeper has no data
+#: to measure A0 on and no sweep to fit C from
+RUN_FLAGS = {"bookkeeper": ["--A0", "1.0", "--C", "1.0"]}
 
 
 @pytest.mark.parametrize("command", sorted(RUN_OUTPUTS))
@@ -292,7 +313,8 @@ def test_run_subcommand_output_files(command, tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
     out = tmp_path / "out"
-    code = main([command, "--config", str(cfg), "--out", str(out)])
+    code = main([command, "--config", str(cfg), "--out", str(out)]
+                + RUN_FLAGS.get(command, []))
     capsys.readouterr()
     assert code == EXIT_OK
     expected = RUN_OUTPUTS[command]
@@ -357,3 +379,54 @@ def test_audit_trilinear_with_every_member_rejected_writes_nothing(
     assert "trilinear-1: all 2 members rejected" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+#: (max_ratio, median_ratio, seed) of each report of ``gnls
+#: audit-multiplier`` on ``[audit] triples = 40000``, in run order (d = 1, 2,
+#: 3, each at sigma = 1e-3, 1e-1, 1), as the single whole-array draw of the
+#: ensemble gave them
+MULTIPLIER_REPORTS = {
+    1: [("0.31232953072944525", "0.08595612720903027", 4720721261117928062),
+        ("0.20838603063119226", "0.0013556003608976982", 8766480278738261042),
+        ("0.04598772859775901", "0.000136547396809626", 1329637740802083942),
+        ("0.23917147752001108", "0.06708444841798883", 8749746783503398888),
+        ("0.013330162654970648", "0.0010414653847122552", 2876137494685333844),
+        ("0.0017538715678701684", "0.00010423091506717153", 3904497331914684451),
+        ("0.17671531969248613", "0.059832226266815294", 7634208958675629713),
+        ("0.00672533501900622", "0.0008450153771237324", 3774195871892446564),
+        ("0.0004651826733585245", "8.461072537878619e-05", 5069107050515594516)],
+    7: [("0.3081646795487846", "0.0858295191857385", 5765488047046174020),
+        ("0.20516730981010614", "0.0013595509704892846", 8275336682942969161),
+        ("0.0288420592036178", "0.00013558275930784338", 7154437704795913392),
+        ("0.25526230753741463", "0.06713573378045709", 2077169698657866656),
+        ("0.019027477616241156", "0.0010425725150048585", 2768545318656780450),
+        ("0.0016502775538083626", "0.0001042125730298589", 8057108420966028185),
+        ("0.17316499611871114", "0.05981687983255048", 48563862895646263),
+        ("0.004060232789312309", "0.0008443379661288677", 7574495229982081901),
+        ("0.00041911241303291936", "8.464536843938203e-05", 7351667880583433390)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MULTIPLIER_REPORTS))
+def test_audit_multiplier_reports_are_bit_identical(seed, tmp_path, capsys,
+                                                    monkeypatch):
+    import gnls.harness as harness
+
+    reports = []
+    real = harness.audit_multiplier_inequality
+
+    def audit(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "audit_multiplier_inequality", audit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[audit]\ntriples = 40000\n")
+    code = main(["audit-multiplier", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert [(repr(r.max_ratio), repr(r.median_ratio), r.seed)
+            for r in reports] == MULTIPLIER_REPORTS[seed]
+    top = max((r[0] for r in MULTIPLIER_REPORTS[seed]), key=float)
+    assert f"max_ratio = {top}" in out

@@ -10,6 +10,19 @@ from gnls import _kernels
 from oracles import triple_gap_ratios_oneshot
 
 
+def _slices(xi):
+    """A ``triple_gap_ratios`` draw handing out the next rows of the fixed
+    (3, n, d) array ``xi``."""
+    pos = 0
+
+    def draw(m):
+        nonlocal pos
+        blk = slice(pos, pos + m)
+        pos += m
+        return xi[0][blk], xi[1][blk], xi[2][blk]
+    return draw
+
+
 def _rotate(vals, dt):
     return _kernels.phase_rotate(vals, dt, np.empty(vals.shape),
                                  np.empty(vals.shape, np.complex128))
@@ -58,7 +71,7 @@ def test_triple_gap_ratios_matches_loop_oracle(d):
     xi = rng.uniform(-100, 100, size=(3, 500, d))
     xi[:, 0] = 0.0            # degenerate member: rhs == 0 and lhs == 0
     xi[1, 1] = xi[0, 1]       # two equal frequencies: a tie in the median
-    va, ra = _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], 0.1)
+    va, ra = _kernels.triple_gap_ratios(_slices(xi), 500, 0.1)
     vb, rb = _triple_gap_loop(xi[0].tolist(), xi[1].tolist(), xi[2].tolist(), 0.1)
     assert va == vb == 0
     assert ra[0] == 0.0
@@ -82,7 +95,7 @@ def test_triple_gap_ratios_equals_oneshot_at_block_edges(d, n):
             xi[2, edge + 1] = -xi[0, edge + 1]
     xi[:, 0] = 0.0
     for sigma in (1e-3, 1.0):
-        va, ra = _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], sigma)
+        va, ra = _kernels.triple_gap_ratios(_slices(xi), n, sigma)
         vb, rb = triple_gap_ratios_oneshot(xi[0], xi[1], xi[2], sigma)
         assert va == vb == 0
         assert np.array_equal(ra, rb)
@@ -92,7 +105,7 @@ def test_triple_gap_ratios_keeps_its_temporaries_blocked():
     xi = np.random.default_rng(0).uniform(-1e3, 1e3, size=(3, 1_000_000, 3))
     tracemalloc.start()
     try:
-        _kernels.triple_gap_ratios(xi[0], xi[1], xi[2], 0.1)
+        _kernels.triple_gap_ratios(_slices(xi), 1_000_000, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

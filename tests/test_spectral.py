@@ -7,7 +7,7 @@ from gnls.errors import MultiplierOverflowError, NonFiniteFieldError
 from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.integrator import SolverConfig, evolve
 from gnls.norms import GevreyParams, gevrey_norm
-from gnls.spectral import (apply_exp_gevrey, dealiased_cubic,
+from gnls.spectral import (apply_exp_gevrey, dealiased_cubic, exp_weight,
                            forward_transform, inverse_transform, l4_norm,
                            truncate_spectrum, to_physical, to_spectral)
 
@@ -167,6 +167,25 @@ def test_multiplier_composition_law(grid1d):
     two_step = apply_exp_gevrey(apply_exp_gevrey(f, 0.2), 0.15)
     one_step = apply_exp_gevrey(f, 0.35)
     assert rel_err(two_step.values, one_step.values) < 1e-13
+
+
+def test_exp_gevrey_keeps_its_product_without_a_copy():
+    import tracemalloc
+
+    g = FourierGrid(d=3, N=64, L=8.0)
+    f = to_spectral(random_field(g, seed=5))
+    apply_exp_gevrey(f, 0.1)  # the grid's cached |xi| stays out of the peak
+    tracemalloc.start()
+    try:
+        out = apply_exp_gevrey(f, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.values, f.values * exp_weight(0.1, g))
+    complex_bytes = 16 * g.N ** 3
+    # the product and the real weights; a copy of the product makes it two
+    # complex grids
+    assert peak < 1.75 * complex_bytes
 
 
 def test_exp_gevrey_on_plane_wave(grid1d):
