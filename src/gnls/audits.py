@@ -17,7 +17,8 @@ from . import _kernels
 from .errors import EmptySpectrumError
 from .grid import Field, FourierGrid
 from .norms import gevrey_norm, GevreyParams, gradient_sq, mass
-from .spacetime import random_decaying, st_triple_product, xsb_norm
+from .spacetime import (_decay_envelope, dispersive_weight, random_decaying,
+                        st_triple_product, xsb_norm)
 from .spectral import (apply_exp_gevrey, dealiased_cubic, l4_norm,
                        to_physical, to_spectral)
 
@@ -93,14 +94,34 @@ def audit_multiplier_inequality(sigma: float, n_triples: int, d: int,
 
     violations, ratios = _kernels.triple_gap_ratios(draw, n_triples, sigma)
     max_ratio = float(ratios.max())
-    # in place: the copying median's partition and middle pair, so the same
-    # value without a copy of ratios
-    median_ratio = float(np.median(ratios, overwrite_input=True))
+    median_ratio = _median_in_place(ratios, max_ratio)
     return AuditReport(kind="multiplier-inequality",
                        lhs=max_ratio, rhs=1.0, ratio=max_ratio,
                        count=n_triples, max_ratio=max_ratio,
                        median_ratio=median_ratio,
                        violations=violations, seed=seed)
+
+
+def _median_in_place(ratios: np.ndarray, top: float) -> float:
+    """``np.median(ratios)`` for ``ratios`` whose largest element is
+    ``top``, partitioning ``ratios`` in place at the one index h = n // 2.
+
+    np.median partitions at the middle index or pair and at -1 (its NaN
+    check), and numpy's vectorised select takes only one index.  After the
+    one partition ratios[h] is the middle, or for even n the upper middle
+    and the largest of ratios[:h] the lower one, the pair np.median
+    averages; ``np.mean`` of that slice or pair is how np.median takes it,
+    so the value is the same, and NaN whenever ``top`` is.
+    """
+    if np.isnan(top):
+        return top
+    h = ratios.size // 2
+    ratios.partition(h)
+    if ratios.size % 2:
+        pair = ratios[h:h + 1]
+    else:
+        pair = np.array([ratios[:h].max(), ratios[h]])
+    return float(np.mean(pair))
 
 
 def audit_f_estimate(fields, sigma: float) -> AuditReport:
@@ -150,7 +171,21 @@ def sigma_halving_ratio(v: Field, sigma: float, *, num=None) -> float:
 LEAK_TOLERANCE = 1e-8
 
 
-def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1):
+def _norm_specs(kind: int, b: float, sigma: float) -> tuple:
+    """``(sigma, s, b)`` of the X^{sigma,s,b} norm that trilinear estimate
+    ``kind`` takes of the product (None: its plain L2 norm), and of those
+    it takes of u1, u2 and u3."""
+    if kind == 1:
+        return (0.0, 0.0, -b), ((0.0, 1.0, b), (0.0, 0.0, b), (0.0, 0.0, b))
+    if kind == 2:
+        return None, ((0.0, 1.0, b), (0.0, 1.0, b), (0.0, 0.0, b))
+    if kind == 3:
+        return (sigma, 1.0, 0.0), ((sigma, 1.0, b),) * 3
+    raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
+
+
+def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1, *,
+                    weights: dict = None):
     """LHS and RHS of one trilinear estimate for three space-time factors
     u1, u2, u3, whose product is taken as u1 * conj(u2) * conj(u3).
 
@@ -158,24 +193,20 @@ def trilinear_sides(kind: int, factors, b: float, sigma: float = 0.1):
     kind 2: ||prod||_{L2_{t,x}}   vs ||u1||_{X^{1,b}} ||u2||_{X^{1,b}} ||u3||_{X^{0,b}}
     kind 3: ||prod||_{X^{sigma,1,0}} vs prod_j ||u_j||_{X^{sigma,1,b}}
 
-    Returns (lhs, rhs, leaked_fraction).
+    ``weights``, when given, maps each ``(sigma, s, b)`` of the kind to its
+    :func:`~gnls.spacetime.dispersive_weight` on the factors' lattice;
+    otherwise each norm makes its own.  Returns (lhs, rhs, leaked_fraction).
     """
+    lhs_spec, (spec1, spec2, spec3) = _norm_specs(kind, b, sigma)
+    weights = weights or {}
+
+    def norm(w, spec):
+        return xsb_norm(w, *spec, weight=weights.get(spec))
+
     w1, w2, w3 = factors
     prod, leaked = st_triple_product(w1, w2, w3)
-    if kind == 1:
-        lhs = xsb_norm(prod, 0.0, 0.0, -b)
-        rhs = xsb_norm(w1, 0.0, 1.0, b) * xsb_norm(w2, 0.0, 0.0, b) \
-            * xsb_norm(w3, 0.0, 0.0, b)
-    elif kind == 2:
-        lhs = prod.l2()
-        rhs = xsb_norm(w1, 0.0, 1.0, b) * xsb_norm(w2, 0.0, 1.0, b) \
-            * xsb_norm(w3, 0.0, 0.0, b)
-    elif kind == 3:
-        lhs = xsb_norm(prod, sigma, 1.0, 0.0)
-        rhs = xsb_norm(w1, sigma, 1.0, b) * xsb_norm(w2, sigma, 1.0, b) \
-            * xsb_norm(w3, sigma, 1.0, b)
-    else:
-        raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
+    lhs = prod.l2() if lhs_spec is None else norm(prod, lhs_spec)
+    rhs = norm(w1, spec1) * norm(w2, spec2) * norm(w3, spec3)
     return lhs, rhs, leaked
 
 
@@ -189,15 +220,24 @@ def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
     whose product leaks more than ``LEAK_TOLERANCE`` of its energy beyond
     the padded band are rejected and counted, not asserted on; when all
     are, there is nothing to report and a ValueError is raised.
+
+    The tables that depend on the lattice alone, the dispersive weights of
+    the kind's norms and the band envelope of the draws, are made once for
+    the ensemble and dropped with the call.
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
+    lhs_spec, rhs_specs = _norm_specs(kind, b, sigma)
+    weights = {spec: dispersive_weight(grid, M, T_win, *spec)
+               for spec in {lhs_spec, *rhs_specs} - {None}}
+    envelope = _decay_envelope(grid, M)
     streams = np.random.SeedSequence(seed).spawn(n_members)
 
     def member(ss):
         rng = np.random.default_rng(ss)
-        factors = [random_decaying(grid, M, T_win, rng) for _ in range(3)]
-        return trilinear_sides(kind, factors, b, sigma)
+        factors = [random_decaying(grid, M, T_win, rng, envelope=envelope)
+                   for _ in range(3)]
+        return trilinear_sides(kind, factors, b, sigma, weights=weights)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

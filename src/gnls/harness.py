@@ -96,6 +96,10 @@ class ExperimentConfig:
                "b": self.b}
         if self.C is not None:
             out["C"] = self.C
+        if self.A0 is not None:
+            out["A0"] = self.A0
+        if self.kind == "bookkeeper":  # the one run that reads T
+            out["T"] = self.T
         if self.sigma_grid:
             out["sigma_grid"] = ";".join(f"{s:g}" for s in self.sigma_grid)
         return out

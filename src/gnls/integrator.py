@@ -80,13 +80,16 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     snapshots = [(0.0, u)]
     if on_snapshot is not None:
         on_snapshot(0.0, u)
-    if cfg.n_steps == 0:
+    # bound once: n_steps is a property, read twice per step below
+    n_steps = cfg.n_steps
+    rotation = cfg.sign * cfg.dt
+    if n_steps == 0:
         return Trajectory(snapshots=snapshots)
 
     xi2 = u.grid.xi_abs ** 2
     half_phase = np.exp(-0.5j * cfg.dt * xi2)
     # a full linear step joins two steps when the first records no snapshot
-    fused = cfg.snapshot_stride > 1 and cfg.n_steps > 1
+    fused = cfg.snapshot_stride > 1 and n_steps > 1
     full_phase = np.exp(-1.0j * cfg.dt * xi2) if fused else None
     del xi2
 
@@ -102,10 +105,10 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     coeff *= half_phase
     spare = np.empty_like(coeff)
     real = np.empty(u.grid.shape)
-    for step in range(1, cfg.n_steps + 1):
+    for step in range(1, n_steps + 1):
         vals = np.fft.ifftn(coeff, out=coeff)
         if not cfg.linear_only:
-            vals, spare = _kernels.phase_rotate(vals, cfg.sign * cfg.dt,
+            vals, spare = _kernels.phase_rotate(vals, rotation,
                                                 real, spare), vals
         peak = float(np.abs(vals, out=real).max())
         if not np.isfinite(peak):
@@ -116,7 +119,7 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
             raise SimulationAbort(
                 f"blow-up guard tripped at step {step}: max|u| grew "
                 f"{peak / peak0:.3g}x", step=step, last_good=snapshots[-1])
-        record = step % cfg.snapshot_stride == 0 or step == cfg.n_steps
+        record = step % cfg.snapshot_stride == 0 or step == n_steps
         coeff = np.fft.fftn(vals, out=vals)
         if record:
             coeff *= half_phase
@@ -129,9 +132,9 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
             else:
                 snapshots[-1] = (u.t, u)
                 on_snapshot(u.t, u)
-            if step < cfg.n_steps:
+            if step < n_steps:
                 coeff *= half_phase
                 spare = np.empty_like(coeff)
-        elif step < cfg.n_steps:
+        elif step < n_steps:
             coeff *= full_phase
     return Trajectory(snapshots=snapshots)

@@ -14,7 +14,6 @@ the restricted norm, so bounds audited against it remain valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,49 +32,53 @@ class SpaceTimeSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.M < 8 or self.M % 2 != 0:
-            raise ValueError(f"M must be even and >= 8, got {self.M}")
-        if not self.T_win > 0:
-            raise ValueError(f"T_win must be positive, got {self.T_win}")
+        _check_lattice(self.M, self.T_win)
         c = frozen_complex(self.coeffs, (self.M,) + self.grid.shape,
                            "coefficient")
         if not np.all(np.isfinite(c)):
             raise ValueError("space-time coefficients contain non-finite values")
         object.__setattr__(self, "coeffs", c)
 
-    @cached_property
-    def tau_axis(self) -> np.ndarray:
-        """Time frequencies 2*pi*m/T_win, FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=1.0 / self.M) / self.T_win
-
-    def tau_mesh(self) -> np.ndarray:
-        shape = (self.M,) + (1,) * self.grid.d
-        return self.tau_axis.reshape(shape)
-
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+
+
+def _check_lattice(M: int, T_win: float) -> None:
+    if M < 8 or M % 2 != 0:
+        raise ValueError(f"M must be even and >= 8, got {M}")
+    if not T_win > 0:
+        raise ValueError(f"T_win must be positive, got {T_win}")
 
 
 def _st_forward_factor(grid: FourierGrid, M: int, T_win: float) -> float:
     return (np.sqrt(T_win) / M) * (np.sqrt(grid.L) / grid.N) ** grid.d
 
 
-def dispersive_weight(w: SpaceTimeSpectrum, sigma: float, s: float,
-                      b: float) -> np.ndarray:
-    """e^{sigma|xi|} <xi>^s <tau + |xi|^2>^b on the (tau, xi) lattice."""
-    xi = w.grid.xi_abs
-    mod = w.tau_mesh() + xi[np.newaxis, ...] ** 2
+def dispersive_weight(grid: FourierGrid, M: int, T_win: float, sigma: float,
+                      s: float, b: float) -> np.ndarray:
+    """e^{sigma|xi|} <xi>^s <tau + |xi|^2>^b on the (tau, xi) lattice of
+    ``M`` time modes tau_m = 2*pi*m/T_win (FFT ordering) over ``grid``."""
+    _check_lattice(M, T_win)
+    tau = 2.0 * np.pi * np.fft.fftfreq(M, d=1.0 / M) / T_win
+    xi = grid.xi_abs
+    mod = tau.reshape((M,) + (1,) * grid.d) + xi[np.newaxis, ...] ** 2
     weight = (1.0 + mod * mod) ** (b / 2.0)
     if s != 0.0:
         weight = weight * (1.0 + xi * xi)[np.newaxis, ...] ** (s / 2.0)
     if sigma != 0.0:
-        weight = weight * exp_weight(sigma, w.grid)[np.newaxis, ...]
+        weight = weight * exp_weight(sigma, grid)[np.newaxis, ...]
     return weight
 
 
-def xsb_norm(w: SpaceTimeSpectrum, sigma: float, s: float, b: float) -> float:
-    """Weighted space-time l2 norm || e^{sigma|xi|} <xi>^s <tau+|xi|^2>^b u~ ||."""
-    weight = dispersive_weight(w, sigma, s, b)
+def xsb_norm(w: SpaceTimeSpectrum, sigma: float, s: float, b: float, *,
+             weight: np.ndarray = None) -> float:
+    """Weighted space-time l2 norm || e^{sigma|xi|} <xi>^s <tau+|xi|^2>^b u~ ||.
+
+    ``weight``, when given, is :func:`dispersive_weight` of w's lattice at
+    ``(sigma, s, b)``, made once for many spectra; otherwise it is made here.
+    """
+    if weight is None:
+        weight = dispersive_weight(w.grid, w.M, w.T_win, sigma, s, b)
     return float(np.sqrt(np.sum((weight * np.abs(w.coeffs)) ** 2)))
 
 
@@ -83,20 +86,31 @@ def xsb_norm(w: SpaceTimeSpectrum, sigma: float, s: float, b: float) -> float:
 # Synthesis
 # ---------------------------------------------------------------------------
 
-def random_decaying(grid: FourierGrid, M: int, T_win: float,
-                    rng) -> SpaceTimeSpectrum:
-    """Random coefficients damped by e^{-(|k| + |m|)/2}, with |k| the
-    largest spatial mode index over the axes, restricted to |k| <= N/6 and
-    |m| <= M/6 so that cubic products stay inside the 2x-padded band.
-    """
+def _decay_envelope(grid: FourierGrid, M: int) -> tuple:
+    """``(mask, damp)`` of :func:`random_decaying` on the lattice of ``M``
+    time modes over ``grid``: the band |k| <= N/6, |m| <= M/6 and the
+    damping e^{-(|k| + |m|)/2}."""
     k_band, m_band = grid.N // 6, M // 6
-    shape = (M,) + grid.shape
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
     mask = (grid.k_max <= k_band)[np.newaxis, ...] & \
         (m_idx <= m_band).reshape((M,) + (1,) * grid.d)
     damp = np.exp(-0.5 * grid.k_max)[np.newaxis, ...] * \
         np.exp(-0.5 * m_idx).reshape((M,) + (1,) * grid.d)
+    return mask, damp
+
+
+def random_decaying(grid: FourierGrid, M: int, T_win: float, rng, *,
+                    envelope: tuple = None) -> SpaceTimeSpectrum:
+    """Random coefficients damped by e^{-(|k| + |m|)/2}, with |k| the
+    largest spatial mode index over the axes, restricted to |k| <= N/6 and
+    |m| <= M/6 so that cubic products stay inside the 2x-padded band.
+
+    ``envelope``, when given, is ``_decay_envelope(grid, M)``, made once for
+    many draws; otherwise it is made here.
+    """
+    shape = (M,) + grid.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask, damp = envelope if envelope is not None else _decay_envelope(grid, M)
     return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
                              coeffs=np.where(mask, coeffs * damp, 0.0))
 

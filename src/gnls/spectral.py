@@ -156,7 +156,11 @@ def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
     are synthesised last first, the order ``np.fft.ifftn`` uses.
     """
     a = _synthesise(coeffs, reversed(range(coeffs.ndim)))
-    a /= factor
+    # numpy divides a complex by a real f as ((re + im*0) * (1/f),
+    # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
+    # gives the same values up to the sign of zeros
+    parts = a.view(np.float64)
+    parts *= 1.0 / factor
     return a
 
 

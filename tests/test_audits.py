@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,38 @@ def test_multiplier_audit_holds_no_whole_ensemble():
     assert peak < 16e6
 
 
+def _audit_of_ratios(ratios, monkeypatch):
+    """A multiplier audit whose kernel hands back a copy of ``ratios``."""
+    monkeypatch.setattr(_kernels, "triple_gap_ratios",
+                        lambda draw, n, sigma: (0, ratios.copy()))
+    return audit_multiplier_inequality(0.1, ratios.size, 1,
+                                       np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("values", ["sprinkled-zeros", "ties"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, B - 1, B, B + 1, 1_000_000])
+def test_multiplier_median_is_np_median(n, values, monkeypatch):
+    rng = np.random.default_rng(n)
+    if values == "ties":
+        ratios = rng.integers(0, 4, n) / 3.0  # four values, one of them 0
+    else:
+        ratios = rng.random(n)
+        ratios[rng.random(n) < 0.2] = 0.0
+    rep = _audit_of_ratios(ratios, monkeypatch)
+    assert repr(rep.median_ratio) == repr(float(np.median(ratios)))
+    assert repr(rep.max_ratio) == repr(float(ratios.max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, B + 1])
+def test_multiplier_median_of_ratios_with_a_nan_is_nan(n, monkeypatch):
+    for where in {0, n // 2, n - 1}:
+        ratios = np.random.default_rng(n).random(n)
+        ratios[where] = np.nan
+        rep = _audit_of_ratios(ratios, monkeypatch)
+        assert repr(float(np.median(ratios))) == "nan"
+        assert repr(rep.median_ratio) == "nan"
+
+
 def test_multiplier_inequality_rejects_bad_sigma():
     with pytest.raises(ValueError):
         audit_multiplier_inequality(0.0, 10, 1, np.random.default_rng(0))
@@ -241,6 +274,16 @@ def test_trilinear_rejects_an_empty_ensemble():
     grid = FourierGrid(d=1, N=32, L=5.0)
     with pytest.raises(ValueError, match="n_members"):
         audit_trilinear(1, grid, 16, 1.0, n_members=0, seed=7)
+
+
+@pytest.mark.parametrize("M,T_win,match", [(6, 1.0, "M must be even"),
+                                           (16, 0.0, "T_win must be positive")])
+def test_trilinear_rejects_a_bad_lattice_before_its_tables(M, T_win, match):
+    grid = FourierGrid(d=1, N=32, L=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by T_win = 0 first
+        with pytest.raises(ValueError, match=match):
+            audit_trilinear(1, grid, M, T_win, n_members=2, seed=7)
 
 
 def test_trilinear_with_every_member_rejected_raises(monkeypatch):

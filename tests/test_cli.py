@@ -24,6 +24,27 @@ def test_bookkeeper_defaults_exit_ok(capsys):
     assert "sigma = 0.001953125" in out
 
 
+def test_bookkeeper_echoes_every_constant_it_reads(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["bookkeeper", "--A0", "5", "--C", "2", "--T", "7",
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    summary = dict(line.split(" = ", 1) for line in
+                   (out / "bookkeeper.summary").read_text().splitlines())
+    assert (summary["A0"], summary["C"], summary["T"]) == ("5.0", "2.0", "7.0")
+    header = (out / "bookkeeper.csv").read_text().splitlines()
+    assert {"# A0 = 5.0", "# C = 2.0", "# T = 7.0"} <= set(header)
+
+
+def test_echo_names_A0_when_set_and_T_only_for_the_bookkeeper():
+    from gnls.harness import ExperimentConfig
+
+    assert "A0" not in ExperimentConfig().echo()
+    echo = ExperimentConfig(kind="radius", A0=3.0).echo()
+    assert echo["A0"] == 3.0 and "T" not in echo
+    assert ExperimentConfig(kind="bookkeeper", T=7.0).echo()["T"] == 7.0
+
+
 @pytest.mark.parametrize("flags,missing", [
     ([], "[fit] A0 (--A0) and [fit] C (--C)"),
     (["--C", "1.0"], "[fit] A0 (--A0)"),
@@ -298,9 +319,9 @@ RUN_OUTPUTS = {
     "audit-gn": {"audit_gn.csv": None,
                  "audit_gn.summary": ECHO_KEYS + ["ratio", "violations"]},
     "bookkeeper": {"bookkeeper.csv": None,
-                   "bookkeeper.summary": ECHO_KEYS[:-1] + ["C", "sigma_grid",
-                                                           "delta", "n",
-                                                           "sigma", "c1"]},
+                   "bookkeeper.summary": ECHO_KEYS[:-1] + [
+                       "C", "A0", "T", "sigma_grid", "delta", "n", "sigma",
+                       "c1"]},
 }
 
 #: flags a subcommand needs beyond TINY_CONFIG: the bookkeeper has no data
@@ -430,3 +451,40 @@ def test_audit_multiplier_reports_are_bit_identical(seed, tmp_path, capsys,
             for r in reports] == MULTIPLIER_REPORTS[seed]
     top = max((r[0] for r in MULTIPLIER_REPORTS[seed]), key=float)
     assert f"max_ratio = {top}" in out
+
+
+#: seed -> (repr of max_ratio, repr of median_ratio, rejected, seed) of the
+#: three trilinear kinds of ``gnls audit-trilinear`` with [audit]
+#: members = 6, M = 16, recorded before the per-ensemble lattice tables
+TRILINEAR_REPORTS = {
+    1: [("0.0014869828290147036", "0.0009342490200052622", 0, 2),
+        ("0.002330686707526335", "0.001998223791886424", 0, 3),
+        ("0.002677615175122941", "0.0018493651699331443", 0, 4)],
+    7: [("0.0016611137348033034", "0.00124206708592091", 0, 8),
+        ("0.0019555652350874576", "0.001723067745319567", 0, 9),
+        ("0.0023394801831280693", "0.001768700501176698", 0, 10)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRILINEAR_REPORTS))
+def test_audit_trilinear_reports_are_bit_identical(seed, tmp_path, capsys,
+                                                   monkeypatch):
+    import gnls.harness as harness
+
+    reports = []
+    real = harness.audit_trilinear
+
+    def audit(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "audit_trilinear", audit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[audit]\nmembers = 6\nM = 16\n")
+    code = main(["audit-trilinear", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert [(repr(r.max_ratio), repr(r.median_ratio), r.rejected, r.seed)
+            for r in reports] == TRILINEAR_REPORTS[seed]
+    assert f"kind1_max = {TRILINEAR_REPORTS[seed][0][0]}" in out

@@ -5,7 +5,8 @@ import pytest
 
 from gnls.errors import MultiplierOverflowError
 from gnls.grid import FourierGrid
-from gnls.spacetime import (SpaceTimeSpectrum, random_decaying,
+from gnls.spacetime import (SpaceTimeSpectrum, _decay_envelope,
+                            dispersive_weight, random_decaying,
                             st_triple_product, xsb_norm)
 
 from oracles import single_mode
@@ -119,6 +120,17 @@ def test_st_triple_product_lattice_mismatch(st_lattice):
     other = random_decaying(grid, M, 2 * T_win, np.random.default_rng(5))
     with pytest.raises(ValueError):
         st_triple_product(w, other, w)
+
+
+def test_prebuilt_lattice_tables_change_no_bit(st_lattice):
+    grid, M, T_win = st_lattice
+    w = random_decaying(grid, M, T_win, np.random.default_rng(8))
+    again = random_decaying(grid, M, T_win, np.random.default_rng(8),
+                            envelope=_decay_envelope(grid, M))
+    assert again.coeffs.tobytes() == w.coeffs.tobytes()  # signed zeros too
+    for spec in ((0.0, 0.0, -0.55), (0.0, 1.0, 0.55), (0.3, 1.0, 0.0)):
+        weight = dispersive_weight(grid, M, T_win, *spec)
+        assert xsb_norm(w, *spec, weight=weight) == xsb_norm(w, *spec)
 
 
 def test_random_decaying_band_restriction(st_lattice):
