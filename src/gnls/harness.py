@@ -21,7 +21,8 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
 from .data import KINDS, make_initial_data, random_bandlimited
-from .errors import EmptySpectrumError, FitError, MultiplierOverflowError
+from .errors import (EmptySpectrumError, FitError, MultiplierOverflowError,
+                     SimulationAbort)
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
 from .norms import a_sigma, mass, norm_report, radius_estimate
@@ -245,6 +246,34 @@ def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
     return out
 
 
+def _evolve_rows(u0: Field, solver: SolverConfig, on_snap):
+    """``evolve`` with the runner's row builder ``on_snap``; returns the
+    :class:`SimulationAbort` that stopped it, or None.  An aborted run still
+    writes the rows it computed, then calls :func:`_keep_last_good`."""
+    try:
+        evolve(u0, solver, on_snapshot=on_snap)
+    except SimulationAbort as abort:
+        return abort
+    return None
+
+
+def _with_abort(summary: dict, abort) -> dict:
+    """``summary`` plus the step and reason of the abort, if any."""
+    if abort is None:
+        return summary
+    return {**summary, "abort_step": abort.step, "abort_reason": str(abort)}
+
+
+def _keep_last_good(out, abort) -> None:
+    """After an aborted run's outputs: its last finite snapshot as
+    ``last_good.gnls`` next to them, then the abort raised again."""
+    if abort is None:
+        return
+    if out is not None:
+        write_field(out / "last_good.gnls", abort.last_good[1])
+    raise abort
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -278,7 +307,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
         if save:
             write_field(Path(cfg.out_dir) / f"snapshot_{len(rows) - 1:05d}.gnls", u)
 
-    evolve(u0, cfg.solver(), on_snapshot=on_snap)
+    abort = _evolve_rows(u0, cfg.solver(), on_snap)
     m0, e0 = rows[0].mass, rows[0].energy
     mass_drift = max(abs(r.mass - m0) for r in rows) / m0 if m0 > 0 else 0.0
     energy_drift = max(abs(r.energy - e0) for r in rows)
@@ -289,7 +318,9 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
                "t_end": cfg.t_end, "seed": cfg.seed,
                "data_kind": cfg.data_kind,
                "data_params": record.config["data_params"]}
-    _write_outputs(cfg, record, "norms", NormRow, sidecar, "run.meta")
+    out = _write_outputs(cfg, record, "norms", NormRow,
+                         _with_abort(sidecar, abort), "run.meta")
+    _keep_last_good(out, abort)
     return record
 
 
@@ -430,7 +461,7 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
                    else "ok" if row.sigma_hat >= floor else "fail")
         rows.append(RadiusRow(*row, floor, verdict))
 
-    evolve(u0, cfg.solver(), on_snapshot=on_snap)
+    abort = _evolve_rows(u0, cfg.solver(), on_snap)
     tail = [r for r in rows[len(rows) - max(len(rows) // 3, 1):]
             if not r.floor_flag and not r.entire_flag]
     c_hat = float(np.median([r.t * r.sigma_hat for r in tail])) if tail else 0.0
@@ -442,9 +473,10 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
               "failures": failures},
         violations=failures)
     out = _write_outputs(cfg, record, "radius", RadiusRow,
-                         {**record.config, **record.fits})
+                         _with_abort({**record.config, **record.fits}, abort))
     if out is not None and cfg.svg:
         _write_radius_svg(out / "radius.svg", rows)
+    _keep_last_good(out, abort)
     return record
 
 

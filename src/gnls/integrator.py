@@ -87,10 +87,10 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
         return Trajectory(snapshots=snapshots)
 
     xi2 = u.grid.xi_abs ** 2
-    half_phase = np.exp(-0.5j * cfg.dt * xi2)
+    half_phase = _kernels._exp_of(-0.5j * cfg.dt, xi2)
     # a full linear step joins two steps when the first records no snapshot
     fused = cfg.snapshot_stride > 1 and n_steps > 1
-    full_phase = np.exp(-1.0j * cfg.dt * xi2) if fused else None
+    full_phase = _kernels._exp_of(-1.0j * cfg.dt, xi2) if fused else None
     del xi2
 
     # the loop keeps numpy-convention coefficients (no unitary rescaling):
@@ -101,16 +101,25 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     # phase and then |u|.  A snapshot takes the spare, and a new spare is
     # made only if another step follows, so no array handed out is written
     # again.
-    coeff = np.fft.fftn(u.values, out=np.empty(u.grid.shape, np.complex128))
-    coeff *= half_phase
+    coeff = np.empty(u.grid.shape, np.complex128)
+    # decided once per run: a split grid runs every pass as two
+    # bit-identical halves on two threads (gnls._kernels); any other binds
+    # the plain numpy calls, so a 1-D step makes no extra call
+    split = _kernels._splits(coeff)
+    fftn = _kernels._fftn if split else np.fft.fftn
+    ifftn = _kernels._ifftn if split else np.fft.ifftn
+    multiply = _kernels._multiply if split else np.multiply
+    peak_of = _kernels._peak if split else _kernels._abs_max
+    coeff = fftn(u.values, out=coeff)
+    multiply(coeff, half_phase, out=coeff)
     spare = np.empty_like(coeff)
     real = np.empty(u.grid.shape)
     for step in range(1, n_steps + 1):
-        vals = np.fft.ifftn(coeff, out=coeff)
+        vals = ifftn(coeff, out=coeff)
         if not cfg.linear_only:
             vals, spare = _kernels.phase_rotate(vals, rotation,
                                                 real, spare), vals
-        peak = float(np.abs(vals, out=real).max())
+        peak = float(peak_of(vals, real))
         if not np.isfinite(peak):
             raise SimulationAbort(
                 f"non-finite state at step {step} (t={step * cfg.dt:g})",
@@ -120,10 +129,10 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 f"blow-up guard tripped at step {step}: max|u| grew "
                 f"{peak / peak0:.3g}x", step=step, last_good=snapshots[-1])
         record = step % cfg.snapshot_stride == 0 or step == n_steps
-        coeff = np.fft.fftn(vals, out=vals)
+        coeff = fftn(vals, out=vals)
         if record:
-            coeff *= half_phase
-            snap = np.fft.ifftn(coeff, out=spare)
+            multiply(coeff, half_phase, out=coeff)
+            snap = ifftn(coeff, out=spare)
             spare = None
             snap.flags.writeable = False  # owned here: Field keeps it uncopied
             u = Field(u.grid, snap, rep=PHYSICAL, t=step * cfg.dt, _check=False)
@@ -133,8 +142,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 snapshots[-1] = (u.t, u)
                 on_snapshot(u.t, u)
             if step < n_steps:
-                coeff *= half_phase
+                multiply(coeff, half_phase, out=coeff)
                 spare = np.empty_like(coeff)
         elif step < n_steps:
-            coeff *= full_phase
+            multiply(coeff, full_phase, out=coeff)
     return Trajectory(snapshots=snapshots)

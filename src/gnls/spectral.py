@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .errors import MultiplierOverflowError
 from .grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 
@@ -31,8 +32,8 @@ def forward_transform(f: Field) -> Field:
     if not f.is_physical:
         raise ValueError("forward_transform expects a physical-space field")
     # one array: the transform writes into it and is scaled in place
-    coeffs = np.fft.fftn(f.values, out=np.empty(f.grid.shape, np.complex128))
-    coeffs *= _forward_factor(f.grid)
+    coeffs = _kernels._fftn(f.values, np.empty(f.grid.shape, np.complex128))
+    _kernels._multiply(coeffs, _forward_factor(f.grid), coeffs)
     return Field(f.grid, coeffs, rep=SPECTRAL, t=f.t)
 
 
@@ -40,8 +41,8 @@ def inverse_transform(f: Field) -> Field:
     """Unitary spectral coefficients -> physical samples."""
     if not f.is_spectral:
         raise ValueError("inverse_transform expects a spectral-space field")
-    values = np.fft.ifftn(f.values, out=np.empty(f.grid.shape, np.complex128))
-    values /= _forward_factor(f.grid)
+    values = _kernels._ifftn(f.values, np.empty(f.grid.shape, np.complex128))
+    _kernels._divide(values, _forward_factor(f.grid), values)
     return Field(f.grid, values, rep=PHYSICAL, t=f.t)
 
 
@@ -132,20 +133,36 @@ def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
+def _synthesise(coeffs: np.ndarray, axes, split: bool) -> np.ndarray:
     """Inverse-transform ``coeffs`` along each of ``axes`` in turn, each
     axis embedded into its doubled length by :func:`_embed_band` just before
     its own transform, which runs in place on that one new array.
 
     A line of zeros transforms to zeros, so only the lines that hold
     coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
-    cube, with every sample equal to the full ``np.fft.ifftn``.
+    cube, with every sample equal to the full ``np.fft.ifftn``.  With
+    ``split`` (``_kernels._splits(coeffs)``) each axis is embedded and
+    transformed as two halves on two threads, cut along axis 0, or along
+    axis 1 for axis 0.
     """
     a = coeffs
     for axis in axes:
         shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
-        emb = _embed_band(a, axis, np.empty(shape, dtype=np.complex128))
-        a = np.fft.ifftn(emb, axes=(axis,), out=emb)
+        emb = np.empty(shape, dtype=np.complex128)
+
+        def here(band, out):
+            _embed_band(band, axis, out)
+            return np.fft.ifftn(out, axes=(axis,), out=out)
+
+        def there(band, out):  # the helper thread's half
+            _embed_band(band, axis, out)
+            return np.fft.ifft(out, axis=axis, out=out)
+
+        if split:
+            _kernels._split(int(axis == 0), here, there, a, emb)
+        else:
+            here(a, emb)
+        a = emb
     return a
 
 
@@ -155,7 +172,8 @@ def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
     factor: the one inverse transform of a zero-padded spectrum.  The axes
     are synthesised last first, the order ``np.fft.ifftn`` uses.
     """
-    a = _synthesise(coeffs, reversed(range(coeffs.ndim)))
+    a = _synthesise(coeffs, reversed(range(coeffs.ndim)),
+                    _kernels._splits(coeffs))
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros
@@ -174,7 +192,7 @@ def _cubic_product(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """
     prod = a * b
     prod *= c
-    np.fft.fftn(prod, out=prod)
+    _kernels._fftn(prod, prod)
     prod *= factor
     return prod
 
@@ -214,12 +232,15 @@ def l4_norm(u: Field) -> float:
     Axes d-1 ... 1 are synthesised as in :func:`_padded_samples`.  Axis 0,
     the last, is synthesised ``_SLAB`` lines at a time in one reused
     buffer, and each slab's |u|^4 goes straight into one real array, so no
-    padded complex grid is made.  Every line sees the transform it sees on
-    the whole grid, and the one sum sees the same array, so the value
-    equals the whole-array quadrature bit for bit.
+    padded complex grid is made.  On a split grid each thread takes half of
+    the lines and half of the buffer.  Every line sees the transform it
+    sees on the whole grid, and the one sum sees the same array, so the
+    value equals the whole-array quadrature bit for bit.
     """
     grid = u.grid.refined(2)
-    a = _synthesise(to_spectral(u).values, range(grid.d - 1, 0, -1))
+    coeffs = to_spectral(u).values
+    split = _kernels._splits(coeffs)
+    a = _synthesise(coeffs, range(grid.d - 1, 0, -1), split)
     lines = a.reshape(a.shape[0], -1)  # one column per line along axis 0
     n_lines = lines.shape[1]
     mag2 = np.empty(grid.shape)
@@ -229,14 +250,34 @@ def l4_norm(u: Field) -> float:
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros, which |u|^4 drops
     scale = 1.0 / _forward_factor(grid)
-    for lo in range(0, n_lines, _SLAB):
-        hi = min(lo + _SLAB, n_lines)
+
+    if split and buf.shape[1] > 1:
+        mid, w = n_lines // 2, buf.shape[1] // 2
+        _kernels._both(
+            lambda: _slab_quartics(lines[:, :mid], mag2_lines[:, :mid],
+                                   buf[:, :w], scale),
+            lambda: _slab_quartics(lines[:, mid:], mag2_lines[:, mid:],
+                                   buf[:, w:], scale, np.fft.ifft))
+    else:
+        _slab_quartics(lines, mag2_lines, buf, scale)
+    q = (grid.L / grid.N) ** grid.d
+    return float((np.sum(mag2) * q) ** 0.25)
+
+
+def _slab_quartics(lines, mag2_lines, buf, scale, line=None):
+    """|u|^4 of ``lines`` synthesised along axis 0 into ``mag2_lines``, as
+    many lines at a time as ``buf`` holds.  Each slab is transformed by
+    ``np.fft.ifftn``, or by ``line`` (np.fft.ifft) on the helper thread."""
+    n_lines, width = lines.shape[1], buf.shape[1]
+    for lo in range(0, n_lines, width):
+        hi = min(lo + width, n_lines)
         s = _embed_band(lines[:, lo:hi], 0, buf[:, :hi - lo])
-        np.fft.ifftn(s, axes=(0,), out=s)
+        if line is None:
+            np.fft.ifftn(s, axes=(0,), out=s)
+        else:
+            line(s, axis=0, out=s)
         parts = s.view(np.float64)  # re, im, re, im, ... along each row
         parts *= scale
         parts *= parts
         m = np.add(parts[:, 0::2], parts[:, 1::2], out=mag2_lines[:, lo:hi])
         m *= m
-    q = (grid.L / grid.N) ** grid.d
-    return float((np.sum(mag2) * q) ** 0.25)

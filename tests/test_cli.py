@@ -143,6 +143,41 @@ def test_runtime_abort_exit_code(monkeypatch, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
+#: |u|^2 overflows in the first rotation: the t = 0 row is computed, the
+#: first step is not finite
+OVERFLOWING = ("[grid]\nd = 1\nN = 64\nL = 20.0\n"
+               "[data]\nkind = gaussian\nA = 1e155\n"
+               "[solver]\ndt = 0.01\nt_end = 0.1\nsnapshot_stride = 1\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,stem,summary", [
+    ("simulate", "norms", "run.meta"),
+    ("radius", "radius", "radius.summary"),
+])
+def test_aborted_run_keeps_its_rows_and_last_good_snapshot(command, stem, summary,
+                                                          tmp_path, capsys):
+    from gnls.storage import read_field
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(OVERFLOWING + "[fit]\nC = 1.0\nA0 = 1.0\n"
+                   if command == "radius" else OVERFLOWING)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_RUNTIME
+    assert "non-finite state at step 1" in captured.err
+    rows = [line for line in (out / f"{stem}.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 2 and rows[1].startswith("0.0,")  # columns, t = 0
+    kept = dict(line.split(" = ", 1)
+                for line in (out / summary).read_text().splitlines())
+    assert kept["abort_step"] == "1"
+    assert kept["abort_reason"].startswith("non-finite state at step 1")
+    last = read_field(out / "last_good.gnls")
+    assert last.t == 0.0 and last.grid.N == 64
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--bogus"],
     ["bookkeeper", "--threads", "7"],

@@ -327,3 +327,11 @@ def test_handed_out_arrays_are_never_written_again(run, d, N, monkeypatch):
             assert np.array_equal(u.values, at_hand_out)
             assert not any(np.shares_memory(u.values, v.values)
                            for v in full[i + 1:])
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 10)])
+@pytest.mark.parametrize("run", list(ALIASING_RUNS))
+def test_split_handed_out_arrays_are_never_written_again(run, d, N, monkeypatch):
+    # every pass as two halves on two threads (gnls._kernels)
+    monkeypatch.setattr(integrator._kernels, "_SPLIT_MIN", 2)
+    test_handed_out_arrays_are_never_written_again(run, d, N, monkeypatch)

@@ -353,24 +353,28 @@ def test_slab_l4_equals_the_whole_array_quadrature(d, N, L, slab, monkeypatch):
         assert l4_norm(weighted) == l4_norm_whole(weighted)
 
 
-def test_slab_l4_makes_no_padded_complex_grid():
+def test_slab_l4_makes_no_padded_complex_grid(monkeypatch):
     import tracemalloc
+    from gnls import _kernels
     from gnls.data import periodized_sech
 
     g = FourierGrid(d=3, N=32, L=8.0)
     u = to_spectral(periodized_sech(g, A=1.02))
-    l4_norm(u)  # any first-call set-up stays out of the measurement
-    tracemalloc.start()
-    try:
-        l4_norm(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     padded_complex = (2 * g.N) ** 3 * 16
-    # the half-padded synthesis and the real |u|^4 array are half a padded
-    # complex grid each, plus one slab buffer; the whole-array quadrature
-    # peaks at two grids
-    assert peak < 1.25 * padded_complex
+    # one thread, then two halves that share the one slab buffer
+    for split_min in (float("inf"), 2):
+        monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
+        l4_norm(u)  # any first-call set-up stays out of the measurement
+        tracemalloc.start()
+        try:
+            l4_norm(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the half-padded synthesis and the real |u|^4 array are half a
+        # padded complex grid each, plus one slab buffer; the whole-array
+        # quadrature peaks at two grids
+        assert peak < 1.25 * padded_complex
 
 
 def _dealiased_cubic_reference(u):

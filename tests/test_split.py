@@ -1,0 +1,237 @@
+"""Grid passes as two halves on two threads (gnls._kernels): bit-identical
+to one thread, every wrapped call on the calling thread, failures raised
+after both halves."""
+
+import importlib
+import os
+import subprocess
+import sys
+import threading
+import time
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gnls
+import gnls.integrator as integrator
+import gnls.spectral as spectral
+from gnls import _kernels
+from gnls.data import periodized_sech
+from gnls.errors import SimulationAbort
+from gnls.grid import FourierGrid
+from gnls.integrator import SolverConfig, evolve
+from gnls.norms import l4_gevrey, norm_report
+
+from conftest import random_field
+
+#: grids far below the real threshold, which the tests lower to 2 points
+SPLIT_GRIDS = [(2, 10), (2, 18), (3, 10)]
+
+
+def _serial_and_split(monkeypatch, fn):
+    """``fn()`` on the one-thread path, then on the split path."""
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", float("inf"))
+    serial = fn()
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2)
+    return serial, fn()
+
+
+EVOLVE_RUNS = {
+    "stride-1": dict(dt=0.02, t_end=0.2),
+    "stride-3": dict(dt=0.02, t_end=0.2, snapshot_stride=3),
+    "linear-only": dict(dt=0.02, t_end=0.2, snapshot_stride=2, linear_only=True),
+    "focusing-blowup": dict(dt=0.02, t_end=0.6, snapshot_stride=2,
+                            defocusing=False),
+}
+
+
+@pytest.mark.parametrize("d,N", SPLIT_GRIDS)
+@pytest.mark.parametrize("run", list(EVOLVE_RUNS))
+def test_split_evolve_is_bit_identical(run, d, N, monkeypatch):
+    # the focusing run trips the blow-up guard after a few snapshots
+    monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 1.2)
+    u0 = periodized_sech(FourierGrid(d=d, N=N, L=10.0), A=3.0)
+    cfg = SolverConfig(**EVOLVE_RUNS[run])
+
+    def snapshots():
+        try:
+            return evolve(u0, cfg).snapshots
+        except SimulationAbort as exc:
+            return exc
+
+    serial, split = _serial_and_split(monkeypatch, snapshots)
+    if run == "focusing-blowup":
+        assert isinstance(serial, SimulationAbort) and serial.step > 4
+        assert split.step == serial.step and str(split) == str(serial)
+        serial, split = [serial.last_good], [split.last_good]
+    assert len(split) == len(serial)
+    for (t, u), (ts, us) in zip(serial, split):
+        assert ts == t and np.array_equal(us.values, u.values)
+
+
+@pytest.mark.parametrize("slab", [None, 7], ids=["default-slab", "slab-7"])
+@pytest.mark.parametrize("d,N", SPLIT_GRIDS)
+def test_split_transforms_and_l4_are_bit_identical(d, N, slab, monkeypatch):
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", slab)
+    g = FourierGrid(d=d, N=N, L=5.0)
+    for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
+              periodized_sech(g, A=1.02)):
+        uh = spectral.to_spectral(u)
+        x = spectral.to_physical(u)
+
+        def outputs():
+            return (spectral.forward_transform(x).values,
+                    spectral.inverse_transform(uh).values,
+                    spectral.dealiased_cubic(u).values,
+                    spectral.l4_norm(u), l4_gevrey(u, 0.2))
+
+        serial, split = _serial_and_split(monkeypatch, outputs)
+        for a, b in zip(serial, split):
+            assert np.array_equal(a, b)
+
+
+def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 64)
+    assert not _kernels._splits(np.empty(1 << 20))
+    assert not _kernels._splits(np.empty((2, 31)))
+    assert _kernels._splits(np.empty((2, 32)))
+
+
+# ---------------------------------------------------------------------------
+# thread discipline
+# ---------------------------------------------------------------------------
+
+GNLS_MODULES = ("grid", "spectral", "norms", "integrator", "bookkeeper",
+                "spacetime", "audits", "data", "storage", "harness", "cli",
+                "_kernels")
+
+
+def _record_threads(monkeypatch) -> list:
+    """Wrap np.fft.fftn, np.fft.ifftn and every public gnls function, in
+    every namespace where a caller looks it up, to record (name, thread)."""
+    calls = []
+
+    def wrap(fn, name):
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return recorded
+
+    modules = [importlib.import_module(f"gnls.{m}") for m in GNLS_MODULES]
+    wrappers = {}
+    for mod in modules:
+        for attr, obj in vars(mod).items():
+            if (not attr.startswith("_") and isinstance(obj, types.FunctionType)
+                    and obj.__module__ == mod.__name__):
+                wrappers[id(obj)] = (obj, wrap(obj, f"{mod.__name__}.{attr}"))
+    for attr in ("fftn", "ifftn"):
+        obj = getattr(np.fft, attr)
+        wrappers[id(obj)] = (obj, wrap(obj, f"numpy.fft.{attr}"))
+    for ns in [gnls, *modules, np.fft]:
+        for attr, obj in list(vars(ns).items()):
+            hit = wrappers.get(id(obj))
+            if hit is not None and hit[0] is obj:
+                monkeypatch.setattr(ns, attr, hit[1])
+    return calls
+
+
+def test_every_wrapped_call_runs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2)
+    u0 = periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02)
+    calls = _record_threads(monkeypatch)
+    main = threading.get_ident()
+    traj = integrator.evolve(u0, SolverConfig(dt=0.02, t_end=0.06))
+    spectral.l4_norm(u0)
+    norm_report(traj.snapshots[-1][1], 0.2)
+    names = {name for name, _ in calls}
+    assert {"numpy.fft.fftn", "numpy.fft.ifftn", "gnls._kernels.phase_rotate",
+            "gnls.spectral.l4_norm", "gnls.norms.l4_gevrey"} <= names
+    assert [c for c in calls if c[1] != main] == []
+
+
+def test_helper_failure_is_raised_after_both_halves():
+    finished = []
+
+    def slow_left():
+        time.sleep(0.05)
+        finished.append("left")
+
+    def failing_right():
+        raise ZeroDivisionError("right half")
+
+    with pytest.raises(ZeroDivisionError, match="right half"):
+        _kernels._both(slow_left, failing_right)
+    assert finished == ["left"]
+
+    def failing_left():
+        raise KeyError("left half")
+
+    def slow_right():
+        time.sleep(0.05)
+        finished.append("right")
+
+    with pytest.raises(KeyError, match="left half"):
+        _kernels._both(failing_left, slow_right)
+    assert finished == ["left", "right"]
+    # the helper serves the next hand-off as before
+    assert _kernels._both(lambda: 1, lambda: 2) == (1, 2)
+
+
+def test_import_starts_no_thread():
+    src = str(Path(gnls.__file__).resolve().parents[1])
+    probe = ("import sys, threading, gnls.cli; "
+             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["1", "False"]
+
+
+def test_concurrent_callers_each_get_their_own_halves():
+    # more calling threads than cores, all handing off to the one helper
+    results, errors = {}, []
+
+    def caller(k):
+        try:
+            results[k] = [_kernels._both(lambda: (k, i), lambda: (i, k))
+                          for i in range(200)]
+        except BaseException as exc:  # reported below, after the joins
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    for k in range(6):
+        assert results[k] == [((k, i), (i, k)) for i in range(200)]
+
+
+def test_forked_child_starts_its_own_helper():
+    src = str(Path(gnls.__file__).resolve().parents[1])
+    # the parent's helper thread does not survive a fork; without a new
+    # one the child's first hand-off would wait for ever
+    probe = ("import multiprocessing as mp\n"
+             "from gnls import _kernels\n"
+             "assert _kernels._both(lambda: 1, lambda: 2) == (1, 2)\n"
+             "def child(q):\n"
+             "    q.put(_kernels._both(lambda: 3, lambda: 4))\n"
+             "ctx = mp.get_context('fork')\n"
+             "q = ctx.Queue()\n"
+             "p = ctx.Process(target=child, args=(q,), daemon=True)\n"
+             "p.start()\n"
+             "print(q.get(timeout=10))\n"
+             "p.join(timeout=20)\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["(3,", "4)"]
