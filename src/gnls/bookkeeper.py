@@ -37,8 +37,11 @@ class BookkeeperParams:
 
     def __post_init__(self):
         for name in ("sigma0", "A0", "c0", "C", "T"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0 <= self.eps < 1:
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
 
@@ -100,6 +103,9 @@ class InductionTrace:
 
 def local_delta(A0: float, c0: float = 1.0, eps: float = 0.05) -> float:
     """delta = c0 * (1 + A0)^-(4+eps), the uniform local step."""
+    for name, value in (("A0", A0), ("c0", c0), ("eps", eps)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not A0 >= 0:
         raise ValueError(f"A0 must be >= 0, got {A0}")
     if not c0 > 0:

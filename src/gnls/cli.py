@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .errors import FitError, SimulationAbort
-from .harness import (ConfigError, ExperimentConfig, load_config,
-                      run_almost_conservation_sweep, run_audit_f,
+from .harness import (ConfigError, ExperimentConfig, finite_float,
+                      load_config, run_almost_conservation_sweep, run_audit_f,
                       run_audit_gn, run_audit_multiplier,
                       run_audit_trilinear, run_bookkeeper,
                       run_radius_tracking, run_simulate)
@@ -33,13 +33,13 @@ EXIT_VIOLATION = 3
 #: field its ``dest`` names
 FLAGS = {
     "snapshot": dict(type=Path, help="GNLS snapshot file to evaluate"),
-    "--sigma": dict(type=float, default=0.0, help="Gevrey weight sigma"),
+    "--sigma": dict(type=finite_float, default=0.0, help="Gevrey weight sigma"),
     "--config": dict(type=Path, help="key = value config file"),
     "--out": dict(type=Path, dest="out_dir", metavar="DIR",
                   help="output directory"),
     "--seed": dict(type=int, help="master RNG seed"),
     "--svg": dict(action="store_true", help="also write radius.svg"),
-    **{f"--{name}": dict(type=float, help=f"overrides [fit] {name}")
+    **{f"--{name}": dict(type=finite_float, help=f"overrides [fit] {name}")
        for name in ("sigma0", "A0", "c0", "C", "eps", "T")},
 }
 

@@ -8,6 +8,7 @@ the recorded seed.
 from __future__ import annotations
 
 import configparser
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -21,8 +22,7 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
 from .data import KINDS, make_initial_data, random_bandlimited
-from .errors import (EmptySpectrumError, FitError, MultiplierOverflowError,
-                     SimulationAbort)
+from .errors import EmptySpectrumError, FitError, SimulationAbort
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
 from .norms import a_sigma, mass, norm_report, radius_estimate
@@ -106,6 +106,15 @@ class ExperimentConfig:
         return out
 
 
+def finite_float(raw: str) -> float:
+    """The cast of every float key and flag: ``inf``, ``nan`` and a literal
+    that overflows are bad values, not numbers a run could start from."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _boolean(raw: str) -> bool:
     """configparser's boolean states only; any other word is a bad value."""
     try:
@@ -133,18 +142,19 @@ def _spacing(raw: str):
 #: besides these, numeric profile parameters of any name; the [sweep] keys
 #: set no field but build ``sigma_grid``, from these defaults.
 CONFIG_KEYS = {
-    "grid": {"d": ("d", int), "N": ("N", int), "L": ("L", float)},
+    "grid": {"d": ("d", int), "N": ("N", int), "L": ("L", finite_float)},
     "data": {"kind": ("data_kind", _data_kind), "seed": ("seed", int)},
-    "solver": {"dt": ("dt", float), "t_end": ("t_end", float),
+    "solver": {"dt": ("dt", finite_float), "t_end": ("t_end", finite_float),
                "snapshot_stride": ("snapshot_stride", int),
                "linear_only": ("linear_only", _boolean)},
-    "sweep": {"sigma_min": ("sigma_min", float),
-              "sigma_max": ("sigma_max", float),
+    "sweep": {"sigma_min": ("sigma_min", finite_float),
+              "sigma_max": ("sigma_max", finite_float),
               "n_sigma": ("n_sigma", int), "spacing": ("spacing", _spacing)},
-    "fit": {name: (name, float) for name in ("sigma0", "c0", "eps", "C", "T", "A0")},
-    "audit": {"b": ("b", float), "sigma": ("audit_sigma", float),
+    "fit": {name: (name, finite_float)
+            for name in ("sigma0", "c0", "eps", "C", "T", "A0")},
+    "audit": {"b": ("b", finite_float), "sigma": ("audit_sigma", finite_float),
               "members": ("n_members", int), "triples": ("n_triples", int),
-              "M": ("M", int), "T_win": ("T_win", float)},
+              "M": ("M", int), "T_win": ("T_win", finite_float)},
 }
 SWEEP_DEFAULTS = {"sigma_min": 1e-3, "sigma_max": 1e-1, "n_sigma": 8,
                   "spacing": np.geomspace}
@@ -211,7 +221,7 @@ def load_config(path, kind: str = None) -> ExperimentConfig:
             setattr(cfg, field, value)
         if name == "data":
             cfg.data_params.update(
-                (key, _parse(name, key, raw, float))
+                (key, _parse(name, key, raw, finite_float))
                 for key, raw in section.items() if key not in keys)
     for key, count in (("members", cfg.n_members), ("triples", cfg.n_triples)):
         if count < 1:
@@ -229,12 +239,14 @@ class RunRecord:
 
 
 def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
-                   row_type, summary: dict, summary_name: str = None):
+                   row_type, summary: dict, summary_name: str = None,
+                   abort: SimulationAbort = None):
     """The one output path of every run: ``<stem>.csv`` with the config echo
     as its header and ``row_type``'s fields as its columns, plus a
     ``key = value`` file (``<stem>.summary`` unless ``summary_name`` is
-    given).  Returns the output directory, or None when the config sets
-    none and nothing is written.
+    given); an aborted run adds ``abort``'s step and reason to it and its
+    last finite snapshot as ``last_good.gnls``.  Returns the output
+    directory, or None when the config sets none and nothing is written.
     """
     if cfg.out_dir is None:
         return None
@@ -242,36 +254,24 @@ def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / f"{stem}.csv", row_type._fields, record.rows,
               header_meta=record.config)
+    if abort is not None:
+        summary = {**summary, "abort_step": abort.step,
+                   "abort_reason": str(abort)}
+        write_field(out / "last_good.gnls", abort.last_good[1])
     write_sidecar(out / (summary_name or f"{stem}.summary"), summary)
     return out
 
 
-def _evolve_rows(u0: Field, solver: SolverConfig, on_snap):
-    """``evolve`` with the runner's row builder ``on_snap``; returns the
-    :class:`SimulationAbort` that stopped it, or None.  An aborted run still
-    writes the rows it computed, then calls :func:`_keep_last_good`."""
+def _track(u0: Field, solver: SolverConfig, row_of) -> tuple:
+    """The one place a run steps: ``evolve`` from ``u0`` with ``row_of(t, u)``
+    kept for each snapshot.  Returns ``(rows, abort)``: the rows computed,
+    and the :class:`SimulationAbort` that stopped the run, or None."""
+    rows = []
     try:
-        evolve(u0, solver, on_snapshot=on_snap)
+        evolve(u0, solver, on_snapshot=lambda t, u: rows.append(row_of(t, u)))
     except SimulationAbort as abort:
-        return abort
-    return None
-
-
-def _with_abort(summary: dict, abort) -> dict:
-    """``summary`` plus the step and reason of the abort, if any."""
-    if abort is None:
-        return summary
-    return {**summary, "abort_step": abort.step, "abort_reason": str(abort)}
-
-
-def _keep_last_good(out, abort) -> None:
-    """After an aborted run's outputs: its last finite snapshot as
-    ``last_good.gnls`` next to them, then the abort raised again."""
-    if abort is None:
-        return
-    if out is not None:
-        write_field(out / "last_good.gnls", abort.last_good[1])
-    raise abort
+        return rows, abort
+    return rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def _norm_row(t, u, sigma) -> NormRow:
     # column stays the quadrature of the physical samples (the report of uh
     # sums the coefficients, which differs in the last bits)
     uh = to_spectral(u)
-    rep = norm_report(uh, sigma, t=t)
+    rep = norm_report(uh, sigma)
     try:
         rad = radius_estimate(uh)
         sig_hat, ent, flo = rad.sigma_hat, rad.entire_flag, rad.floor_flag
@@ -296,18 +296,19 @@ def _norm_row(t, u, sigma) -> NormRow:
 def run_simulate(cfg: ExperimentConfig) -> RunRecord:
     """Evolve the configured data and record NormReport rows per snapshot."""
     u0 = cfg.initial_data()
-    rows = []
     sigma = cfg.sigma0
     save = cfg.save_fields and cfg.out_dir is not None
     if save:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    saved = itertools.count()
 
-    def on_snap(t, u):
-        rows.append(_norm_row(t, u, sigma))
+    def row_of(t, u):
+        row = _norm_row(t, u, sigma)
         if save:
-            write_field(Path(cfg.out_dir) / f"snapshot_{len(rows) - 1:05d}.gnls", u)
+            write_field(Path(cfg.out_dir) / f"snapshot_{next(saved):05d}.gnls", u)
+        return row
 
-    abort = _evolve_rows(u0, cfg.solver(), on_snap)
+    rows, abort = _track(u0, cfg.solver(), row_of)
     m0, e0 = rows[0].mass, rows[0].energy
     mass_drift = max(abs(r.mass - m0) for r in rows) / m0 if m0 > 0 else 0.0
     energy_drift = max(abs(r.energy - e0) for r in rows)
@@ -318,9 +319,9 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
                "t_end": cfg.t_end, "seed": cfg.seed,
                "data_kind": cfg.data_kind,
                "data_params": record.config["data_params"]}
-    out = _write_outputs(cfg, record, "norms", NormRow,
-                         _with_abort(sidecar, abort), "run.meta")
-    _keep_last_good(out, abort)
+    _write_outputs(cfg, record, "norms", NormRow, sidecar, "run.meta", abort)
+    if abort is not None:
+        raise abort
     return record
 
 
@@ -338,8 +339,9 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
     """
     sigma_grid = list(cfg.sigma_grid or _sigma_grid({}))
     u0 = cfg.initial_data()
-    sigma_top = max(sigma_grid)
-    A_top = a_sigma(u0, sigma_top)
+    # measured before any step: the overflow guard depends only on sigma
+    # and the grid, so a grid sigma it rejects stops the sweep here
+    A_top = a_sigma(u0, max(sigma_grid))
     delta = local_delta(A_top, cfg.c0, cfg.eps)
     n_steps = max(int(np.ceil(delta / cfg.dt)), 10)
     dt = delta / n_steps
@@ -347,30 +349,20 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
     solver = SolverConfig(dt=dt, t_end=delta, snapshot_stride=stride)
 
     sigmas = [0.0] + sigma_grid
-    base = {}
-    sup = {s: -np.inf for s in sigmas}
-    dropped = []
 
-    def on_snap(t, u):
+    def a_sigmas(t, u):
         uh = to_spectral(u)
-        for s in list(sigmas):
-            if s in dropped:
-                continue
-            try:
-                val = a_sigma(uh, s)
-            except MultiplierOverflowError:
-                dropped.append(s)
-                continue
-            if t == 0.0:
-                base[s] = val
-            sup[s] = max(sup[s], val)
+        return [a_sigma(uh, s) for s in sigmas]
 
-    evolve(u0, solver, on_snapshot=on_snap)
-    growth = {s: max(sup[s] - base[s], 0.0) for s in sigmas if s not in dropped}
-    noise_floor = growth.get(0.0, 0.0)
+    rows, abort = _track(u0, solver, a_sigmas)
+    if abort is not None:
+        raise abort
+    # each sigma's column of A_sigma(t): its first entry is t = 0
+    columns = dict(zip(sigmas, zip(*rows)))
+    growth = {s: max(max(col) - col[0], 0.0) for s, col in columns.items()}
+    noise_floor = growth[0.0]
 
-    usable = [(s, growth[s]) for s in sigma_grid
-              if s not in dropped and growth[s] > noise_floor]
+    usable = [(s, growth[s]) for s in sigma_grid if growth[s] > noise_floor]
     # slope over the small-sigma half of the grid, after floor subtraction
     half = [sv for sv in usable if sv[0] <= np.median(sigma_grid)]
     slope = np.nan
@@ -378,12 +370,12 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
         xs = np.log([s for s, _ in half])
         ys = np.log([max(g - noise_floor, 1e-300) for _, g in half])
         slope = float(np.polynomial.polynomial.polyfit(xs, ys, 1)[1])
-    c_values = [g / (s * base[s] ** 2 * (1.0 + base[s]))
+    c_values = [g / (s * columns[s][0] ** 2 * (1.0 + columns[s][0]))
                 for s, g in usable if s > 0]
     C_fit = float(np.median(c_values)) if c_values else np.nan
     return {"delta": delta, "A0": A_top, "noise_floor": noise_floor,
             "growth": growth, "slope": slope, "C_fit": C_fit,
-            "dropped": dropped, "sigma_grid": sigma_grid}
+            "sigma_grid": sigma_grid}
 
 
 def _fitted_constant(fit: dict) -> float:
@@ -408,8 +400,7 @@ def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
                        fits={k: fit[k] for k in
                              ("delta", "A0", "noise_floor", "slope", "C_fit")})
     _write_outputs(cfg, record, "sweep", SweepRow,
-                   {**record.config, **record.fits,
-                    "dropped": ";".join(f"{s:g}" for s in fit["dropped"])})
+                   {**record.config, **record.fits})
     _fitted_constant(fit)
     return record
 
@@ -452,16 +443,14 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     params = BookkeeperParams(sigma0=sigma0, A0=A0, c0=cfg.c0, C=C_fit,
                               eps=cfg.eps, T=max(cfg.t_end, cfg.dt))
 
-    rows = []
-
-    def on_snap(t, u):
+    def row_of(t, u):
         row = _norm_row(t, u, sigma0)
         floor = radius_floor(t, params)
         verdict = ("entire" if row.entire_flag
                    else "ok" if row.sigma_hat >= floor else "fail")
-        rows.append(RadiusRow(*row, floor, verdict))
+        return RadiusRow(*row, floor, verdict)
 
-    abort = _evolve_rows(u0, cfg.solver(), on_snap)
+    rows, abort = _track(u0, cfg.solver(), row_of)
     tail = [r for r in rows[len(rows) - max(len(rows) // 3, 1):]
             if not r.floor_flag and not r.entire_flag]
     c_hat = float(np.median([r.t * r.sigma_hat for r in tail])) if tail else 0.0
@@ -473,10 +462,11 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
               "failures": failures},
         violations=failures)
     out = _write_outputs(cfg, record, "radius", RadiusRow,
-                         _with_abort({**record.config, **record.fits}, abort))
+                         {**record.config, **record.fits}, abort=abort)
     if out is not None and cfg.svg:
         _write_radius_svg(out / "radius.svg", rows)
-    _keep_last_good(out, abort)
+    if abort is not None:
+        raise abort
     return record
 
 

@@ -103,7 +103,7 @@ def a_sigma(u: Field, sigma: float) -> float:
     return g * g + 0.5 * l4 ** 4
 
 
-def norm_report(u: Field, sigma: float, t: float = None) -> NormReport:
+def norm_report(u: Field, sigma: float) -> NormReport:
     """All scalar diagnostics of one slice at one sigma.
 
     The slice is transformed once; the Gevrey norm, the L4 norm and the
@@ -114,7 +114,7 @@ def norm_report(u: Field, sigma: float, t: float = None) -> NormReport:
     g1 = gevrey_norm(uh, GevreyParams(sigma, 1.0))
     l4 = l4_gevrey(uh, sigma)
     return NormReport(
-        t=u.t if t is None else t,
+        t=u.t,
         sigma=sigma,
         mass=mass(u),
         energy=energy(uh),

@@ -19,6 +19,24 @@ def test_params_validation():
         BookkeeperParams(sigma0=1.0, A0=1.0, T=0.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["sigma0", "A0", "c0", "C", "T"])
+def test_params_must_be_finite(name, value):
+    constants = {**dict(sigma0=1.0, A0=1.0, c0=1.0, C=1.0, T=1.0), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        BookkeeperParams(**constants)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["A0", "c0", "eps"])
+def test_local_delta_needs_finite_constants(name, value):
+    # a non-finite A0 would give delta = 0 (inf) or nan, and every floor
+    # and step count downstream of it
+    constants = {**dict(A0=1.0, c0=1.0, eps=0.05), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        local_delta(**constants)
+
+
 def test_local_delta_reference_values():
     assert local_delta(1.0, c0=1.0, eps=0.0) == 0.0625
     assert local_delta(0.0, c0=3.0, eps=0.3) == 3.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gnls.cli as cli
+import gnls.harness as harness
 from gnls import __version__
 from gnls.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, EXIT_VIOLATION,
                       main)
@@ -178,6 +179,79 @@ def test_aborted_run_keeps_its_rows_and_last_good_snapshot(command, stem, summar
     assert last.t == 0.0 and last.grid.N == 64
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,fit", [("radius", "[fit]\nC = 1.0\n"),
+                                         ("sweep", "")])
+def test_non_finite_measured_A_is_validation_error(command, fit, tmp_path,
+                                                   capsys):
+    # A_sigma of the data overflows: radius measures A0 = inf for its floor,
+    # sweep for its local step delta
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(OVERFLOWING + fit)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.err == "validation error: A0 must be finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "radius"])
+def test_sweep_whose_top_sigma_overflows_exits_before_stepping(
+        command, tmp_path, capsys, monkeypatch):
+    # A_sigma at the top of the grid is measured before evolve runs, and the
+    # overflow guard depends only on sigma and the grid, so no sigma can
+    # overflow in the middle of a sweep
+    def no_step(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(harness, "evolve", no_step)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nd = 1\nN = 64\nL = 20.0\n"
+                   "[sweep]\nsigma_max = 50\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "validation error: multiplier overflow" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("body,key,raw", [
+    ("[solver]\ndt = inf\nt_end = 1.0\n", "[solver] dt", "inf"),
+    ("[solver]\ndt = 0.1\nt_end = inf\n", "[solver] t_end", "inf"),
+    ("[fit]\nsigma0 = nan\n", "[fit] sigma0", "nan"),
+    ("[sweep]\nsigma_min = nan\n", "[sweep] sigma_min", "nan"),
+    ("[data]\nA = 1e400\n", "[data] A", "1e400"),
+], ids=["dt", "t_end", "sigma0", "sigma_min", "A"])
+def test_non_finite_config_value_is_validation_error(body, key, raw, tmp_path,
+                                                     capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nd = 1\nN = 64\nL = 20.0\n" + body)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.err == f"validation error: bad value for {key}: '{raw}'\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv,raw", [
+    (["bookkeeper", "--A0", "1", "--C", "inf"], "inf"),
+    (["bookkeeper", "--A0", "nan", "--C", "1"], "nan"),
+    (["bookkeeper", "--A0", "1", "--C", "1", "--T", "1e400"], "1e400"),
+    (["bookkeeper", "--A0", "1", "--C", "1", "--sigma0=-inf"], "-inf"),
+    (["norms", "snap.gnls", "--sigma", "nan"], "nan"),
+], ids=["C", "A0", "T", "sigma0", "sigma"])
+def test_non_finite_flag_is_usage_error(argv, raw, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "usage: gnls" in err
+    assert f"invalid finite_float value: '{raw}'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--bogus"],
     ["bookkeeper", "--threads", "7"],
@@ -338,7 +412,7 @@ RUN_OUTPUTS = {
                                               "c_hat", "c1", "failures"]},
     "sweep": {"sweep.csv": None,
               "sweep.summary": ECHO_KEYS + ["delta", "A0", "noise_floor",
-                                            "slope", "C_fit", "dropped"]},
+                                            "slope", "C_fit"]},
     "audit-multiplier": {
         "audit_multiplier.csv": None,
         "audit_multiplier.summary": ECHO_KEYS + ["max_ratio", "violations"]},
@@ -466,8 +540,6 @@ MULTIPLIER_REPORTS = {
 @pytest.mark.parametrize("seed", sorted(MULTIPLIER_REPORTS))
 def test_audit_multiplier_reports_are_bit_identical(seed, tmp_path, capsys,
                                                     monkeypatch):
-    import gnls.harness as harness
-
     reports = []
     real = harness.audit_multiplier_inequality
 
@@ -504,8 +576,6 @@ TRILINEAR_REPORTS = {
 @pytest.mark.parametrize("seed", sorted(TRILINEAR_REPORTS))
 def test_audit_trilinear_reports_are_bit_identical(seed, tmp_path, capsys,
                                                    monkeypatch):
-    import gnls.harness as harness
-
     reports = []
     real = harness.audit_trilinear
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gnls.harness import (ConfigError, ExperimentConfig, SWEEP_DEFAULTS,
+from gnls.harness import (CONFIG_KEYS, ConfigError, ExperimentConfig,
+                          SWEEP_DEFAULTS, finite_float,
                           fit_conservation_constant, load_config,
                           run_almost_conservation_sweep, run_audit_f,
                           run_bookkeeper, run_radius_tracking, run_simulate)
@@ -98,6 +99,26 @@ def test_load_config_rejects_a_bad_boolean(tmp_path, raw):
     with pytest.raises(ConfigError,
                        match=rf"bad value for \[solver\] linear_only: '{raw}'"):
         load_config(path)
+
+
+#: every float key of the config table
+FLOAT_KEYS = [(name, key) for name, keys in CONFIG_KEYS.items()
+              for key, (_, cast) in keys.items() if cast is finite_float]
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("name,key", FLOAT_KEYS + [("data", "A")])
+def test_load_config_rejects_non_finite_numbers(tmp_path, name, key, raw):
+    path = write_config(tmp_path, f"[{name}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError,
+                       match=rf"bad value for \[{name}\] {key}: '{raw}'"):
+        load_config(path)
+
+
+def test_no_key_parses_with_the_bare_float_cast():
+    assert not [key for keys in CONFIG_KEYS.values()
+                for key, (_, cast) in keys.items() if cast is float]
+    assert ("solver", "dt") in FLOAT_KEYS and ("fit", "A0") in FLOAT_KEYS
 
 
 @pytest.mark.parametrize("text,where", [

@@ -52,6 +52,19 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert unused == []
 
 
+def test_harness_steps_in_one_place():
+    # simulate, radius and the sweep all run evolve through one tracked-run
+    # core, so what every run checks or records is written once
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    assert list(_references(tree, None)).count("evolve") == 1
+    steppers = [node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(call, ast.Call)
+                        and "evolve" in _references(call.func, None)
+                        for call in ast.walk(node))]
+    assert steppers == ["_track"]
+
+
 @pytest.mark.parametrize("command", sorted(cli._commands()))
 def test_help_lists_exactly_the_flags_of_the_table(command, capsys):
     with pytest.raises(SystemExit) as exc:
