@@ -5,7 +5,8 @@ these are the pointwise nonlinear phase rotation, the Monte-Carlo
 triple-frequency inequality check, and the shell envelope reduction used by
 the radius estimator.  The private section at the end runs a full-grid pass
 (an FFT, a pointwise product, the blow-up guard) as two halves on two
-threads.
+threads; the triple-frequency check runs its ensemble as two halves on the
+same two threads.
 """
 
 import os
@@ -47,58 +48,97 @@ def _rotate(values, phase, out, dt):
     return out
 
 
-#: members per block of ``triple_gap_ratios``: each temporary is 128 KB
+#: members per block of ``triple_gap_ratios``: a working column of one
+#: block is 128 KB
 _BLOCK = 1 << 14
 
 
-def _row_norms(x):
-    """Euclidean norm of each row, summing squared columns left to right.
-
-    For d <= 3 this is the addition order of ``(x * x).sum(axis=1)``, so
-    the norms are bit-identical to it; einsum and linalg.norm are not.
-    """
-    s = x[:, 0] * x[:, 0]
-    for j in range(1, x.shape[1]):
-        s += x[:, j] * x[:, j]
-    return np.sqrt(s, out=s)
-
-
-def triple_gap_ratios(draw, n, sigma):
+def triple_gap_ratios(source, n, sigma):
     """Audit 1 - exp(-sigma*gap) <= 12*sigma*xi_med over an ensemble.
 
-    draw : callable, ``draw(m) -> (xi1, xi2, xi3)``, each an (m, d) float
-        array of the next m members' interaction frequencies.
+    source : callable, ``source(lo, size) -> draw``, where ``draw(m)``,
+        m <= size, hands out the interaction frequencies of the next m
+        members, from member ``lo`` on, as one (3, m, d) float array:
+        xi1, xi2 and xi3 stacked.  This function only reads it.
     n : number of members.
     Returns (violations, ratios) where ratio = lhs/rhs with
     rhs = 12*sigma*xi_med; degenerate members with rhs == 0 count as a
     violation only if lhs > 0 (they cannot, by the triangle inequality).
 
-    Members are drawn and checked in blocks of ``_BLOCK``, so every
-    temporary stays in cache and no whole ensemble is held; each block's
-    ratios go straight into the one output array.
+    Members are drawn and checked in blocks of ``_BLOCK`` in columns made
+    once, so every temporary stays in cache and no whole ensemble is held;
+    each block's ratios go straight into the one output array.  With more
+    than one CPU an ensemble of two blocks or more runs as two halves cut
+    at a block boundary, the second on the helper thread (see the
+    two-thread section below), each in half blocks: both together hold
+    the working columns of one block.  Every member sees the same
+    arithmetic either way, so the output is bit-identical.
     """
     ratios = np.zeros(n)
+
+    def run(lo, hi, size):
+        # the run's draw buffer and working columns, six float and one
+        # bool, made here on the calling thread
+        work = np.empty((6, size)), np.empty(size, np.bool_)
+        return source(lo, size), sigma, ratios[lo:hi], work
+
+    if not (_TWO_CPUS and n > _BLOCK):
+        return _gap_run(*run(0, n, min(n, _BLOCK))), ratios
+    cut = _BLOCK * (-(-n // _BLOCK) // 2)
+    left, right = run(0, cut, _BLOCK // 2), run(cut, n, _BLOCK // 2)
+    return sum(_both(lambda: _gap_run(*left),
+                     lambda: _gap_run(*right))), ratios
+
+
+def _gap_run(draw, sigma, ratios, work):
+    """:func:`triple_gap_ratios` on the run of members whose ratios go into
+    ``ratios``, drawn from ``draw`` as many at a time as ``work`` has
+    columns for; returns their violations.
+
+    Norms sum squared components left to right, the addition order of
+    ``(v * v).sum(axis=1)`` for d <= 3, and the output frequency is
+    ``xi1 - xi2 - xi3`` taken left to right, so every ratio is bit-identical
+    to the whole-array check; einsum and linalg.norm are not.
+    """
+    cols, mask = work
+    size = mask.size
     violations = 0
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
-        x1, x2, x3 = draw(m)
-        a1, a2, a3 = _row_norms(x1), _row_norms(x2), _row_norms(x3)
-        gap = a1 + a2
+    for lo in range(0, ratios.size, size):
+        m = min(size, ratios.size - lo)
+        xi = draw(m)
+        d = xi.shape[2]
+        norms, sq = cols[:3, :m], cols[3:, :m]  # |xi1|, |xi2|, |xi3|; scratch
+        np.multiply(xi[..., 0], xi[..., 0], out=norms)
+        for j in range(1, d):
+            norms += np.multiply(xi[..., j], xi[..., j], out=sq)
+        np.sqrt(norms, out=norms)
+        a1, a2, a3 = norms
+        # |xi1 - xi2 - xi3|, its components in the rows of sq
+        for j in range(d):
+            np.subtract(xi[0, :, j], xi[1, :, j], out=sq[j])
+            sq[j] -= xi[2, :, j]
+        np.multiply(sq[:d], sq[:d], out=sq[:d])
+        aout, gap, hi = sq
+        for j in range(1, d):
+            aout += sq[j]
+        np.sqrt(aout, out=aout)
+        np.add(a1, a2, out=gap)
         gap += a3
-        gap -= _row_norms(x1 - x2 - x3)
+        gap -= aout
         gap *= -sigma
         lhs = np.expm1(gap, out=gap)
         np.negative(lhs, out=lhs)
         # exact median of three: max(min(a1, a2), min(max(a1, a2), a3))
-        hi = np.maximum(a1, a2)
+        np.maximum(a1, a2, out=hi)
         np.minimum(hi, a3, out=hi)
         med = np.minimum(a1, a2, out=a1)
         np.maximum(med, hi, out=med)
         rhs = np.multiply(12.0 * sigma, med, out=med)
-        np.divide(lhs, rhs, out=ratios[lo:lo + m], where=rhs > 0.0)
-        ok_zero = (rhs == 0.0) & (lhs <= 0.0)
-        violations += int(np.count_nonzero((lhs > rhs) & ~ok_zero))
-    return violations, ratios
+        np.divide(lhs, rhs, out=ratios[lo:lo + m],
+                  where=np.greater(rhs, 0.0, out=mask[:m]))
+        # lhs > rhs is the violation: with rhs == 0 it is lhs > 0
+        violations += int(np.count_nonzero(np.greater(lhs, rhs, out=mask[:m])))
+    return violations
 
 
 def shell_envelope(mag, shell, n_shells):
@@ -116,17 +156,20 @@ def shell_envelope(mag, shell, n_shells):
 # two halves on two threads
 # ---------------------------------------------------------------------------
 #
-# numpy releases the GIL inside every FFT and ufunc, so a full-grid pass cut
-# into two halves runs on two cores.  Each half sees exactly the arithmetic
-# of the whole pass: pocketfft transforms every line on its own, in the axis
-# order np.fft.fftn uses, and every ufunc here is pointwise or an exact
-# maximum.  So every output is bit-identical to the one-thread pass.
+# numpy releases the GIL inside every FFT, ufunc and random fill, so a
+# full-grid pass cut into two halves runs on two cores, and so does the
+# triple-frequency ensemble cut into two runs of members, each drawing from
+# its own streams.  Each half sees exactly the arithmetic of the whole pass:
+# pocketfft transforms every line on its own, in the axis order np.fft.fftn
+# uses, and every ufunc here is pointwise or an exact maximum.  So every
+# output is bit-identical to the one-thread pass.
 #
 # The calling thread runs its half through np.fft.fftn/ifftn.  The helper
-# thread calls only ufuncs, np.fft.fft/ifft and private functions, never a
-# public gnls function or np.fft.fftn/ifftn, so whatever wraps those (a
-# profiler, a tracer) sees every call on the calling thread.  The helper is
-# never handed work that hands off again: one helper would wait on itself.
+# thread calls only ufuncs, np.fft.fft/ifft, random fills and private
+# functions, never a public gnls function or np.fft.fftn/ifftn, so whatever
+# wraps those (a profiler, a tracer) sees every call on the calling thread.
+# The helper is never handed work that hands off again: one helper would
+# wait on itself.  Both halves' buffers are made on the calling thread.
 
 def _cpus() -> int:
     try:
@@ -135,9 +178,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: grid points from which a pass over a d >= 2 grid runs as two halves;
-#: with one CPU available none does
-_SPLIT_MIN = 1 << 16 if _cpus() > 1 else float("inf")
+#: whether this process may run on more than one CPU; without, no pass
+#: runs as two halves and the helper thread is never started
+_TWO_CPUS = _cpus() > 1
+
+#: grid points from which a pass over a d >= 2 grid runs as two halves
+_SPLIT_MIN = 1 << 16 if _TWO_CPUS else float("inf")
 
 
 def _splits(a: np.ndarray) -> bool:

@@ -74,25 +74,37 @@ def audit_multiplier_inequality(sigma: float, n_triples: int, d: int,
 
     The ensemble is the ``(3, n_triples, d)`` array that one
     ``default_rng(seed).uniform`` call would draw, but it is never held:
-    xi1, xi2 and xi3 each get their own PCG64 stream, advanced to where
-    that row starts in the single stream (one 64-bit output per double,
-    in C order), and the kernel draws each block just before it checks it.
+    each run of members the kernel checks gets three PCG64 streams, for
+    xi1, xi2 and xi3, advanced to where that run starts in the single
+    stream (one 64-bit output per double, in C order), and the kernel
+    draws each block just before it checks it.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if n_triples < 1:
         raise ValueError(f"n_triples must be >= 1, got {n_triples}")
     seed = int(rng.integers(0, 2 ** 63 - 1))
-    streams = []
-    for j in range(3):
-        bits = np.random.PCG64(seed)
-        bits.advance(j * n_triples * d)
-        streams.append(np.random.Generator(bits))
 
-    def draw(m):
-        return tuple(s.uniform(-XI_MAX, XI_MAX, size=(m, d)) for s in streams)
+    def source(lo, size):
+        streams = []
+        for j in range(3):
+            bits = np.random.PCG64(seed)
+            bits.advance((j * n_triples + lo) * d)
+            streams.append(np.random.Generator(bits))
+        buf = np.empty((3, size, d))
 
-    violations, ratios = _kernels.triple_gap_ratios(draw, n_triples, sigma)
+        def draw(m):
+            # random(out=) scaled in place: the doubles and the stream
+            # state of uniform(-XI_MAX, XI_MAX), into the one buffer
+            xi = buf[:, :m]
+            for s, x in zip(streams, xi):
+                s.random(out=x)
+            xi *= 2.0 * XI_MAX
+            xi += -XI_MAX
+            return xi
+        return draw
+
+    violations, ratios = _kernels.triple_gap_ratios(source, n_triples, sigma)
     max_ratio = float(ratios.max())
     median_ratio = _median_in_place(ratios, max_ratio)
     return AuditReport(kind="multiplier-inequality",

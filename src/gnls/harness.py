@@ -56,6 +56,7 @@ class ExperimentConfig:
     t_end: float = 1.0
     snapshot_stride: int = 100
     linear_only: bool = False
+    defocusing: bool = True
     sigma_grid: tuple = ()
     sigma0: float = 0.1
     c0: float = 1.0
@@ -79,7 +80,8 @@ class ExperimentConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(dt=self.dt, t_end=self.t_end,
                             snapshot_stride=self.snapshot_stride,
-                            linear_only=self.linear_only)
+                            linear_only=self.linear_only,
+                            defocusing=self.defocusing)
 
     def initial_data(self) -> Field:
         return make_initial_data(self.grid(), self.data_kind,
@@ -95,6 +97,8 @@ class ExperimentConfig:
                "snapshot_stride": self.snapshot_stride,
                "sigma0": self.sigma0, "c0": self.c0, "eps": self.eps,
                "b": self.b}
+        if not self.defocusing:  # the default run's echo stays as it was
+            out["defocusing"] = False
         if self.C is not None:
             out["C"] = self.C
         if self.A0 is not None:
@@ -146,7 +150,8 @@ CONFIG_KEYS = {
     "data": {"kind": ("data_kind", _data_kind), "seed": ("seed", int)},
     "solver": {"dt": ("dt", finite_float), "t_end": ("t_end", finite_float),
                "snapshot_stride": ("snapshot_stride", int),
-               "linear_only": ("linear_only", _boolean)},
+               "linear_only": ("linear_only", _boolean),
+               "defocusing": ("defocusing", _boolean)},
     "sweep": {"sigma_min": ("sigma_min", finite_float),
               "sigma_max": ("sigma_max", finite_float),
               "n_sigma": ("n_sigma", int), "spacing": ("spacing", _spacing)},
@@ -346,7 +351,8 @@ def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
     n_steps = max(int(np.ceil(delta / cfg.dt)), 10)
     dt = delta / n_steps
     stride = max(n_steps // 32, 1)
-    solver = SolverConfig(dt=dt, t_end=delta, snapshot_stride=stride)
+    solver = SolverConfig(dt=dt, t_end=delta, snapshot_stride=stride,
+                          defocusing=cfg.defocusing)
 
     sigmas = [0.0] + sigma_grid
 

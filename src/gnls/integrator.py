@@ -76,7 +76,6 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     """
     u = to_physical(u0)
     u = Field(u.grid, u.values, rep=PHYSICAL, t=0.0)
-    peak0 = float(np.abs(u.values).max())
     snapshots = [(0.0, u)]
     if on_snapshot is not None:
         on_snapshot(0.0, u)
@@ -86,7 +85,20 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     if n_steps == 0:
         return Trajectory(snapshots=snapshots)
 
-    xi2 = u.grid.xi_abs ** 2
+    # decided once per run: a split grid runs every pass as two
+    # bit-identical halves on two threads (gnls._kernels); any other binds
+    # the plain numpy calls, so a 1-D step makes no extra call
+    split = _kernels._splits(u.values)
+    fftn = _kernels._fftn if split else np.fft.fftn
+    ifftn = _kernels._ifftn if split else np.fft.ifftn
+    multiply = _kernels._multiply if split else np.multiply
+    peak_of = _kernels._peak if split else _kernels._abs_max
+
+    # the real buffer holds max|u0|'s magnitudes, then |xi|^2, then in the
+    # loop the phase and |u|
+    real = np.empty(u.grid.shape)
+    peak0 = float(peak_of(u.values, real))
+    xi2 = multiply(u.grid.xi_abs, u.grid.xi_abs, out=real)
     half_phase = _kernels._exp_of(-0.5j * cfg.dt, xi2)
     # a full linear step joins two steps when the first records no snapshot
     fused = cfg.snapshot_stride > 1 and n_steps > 1
@@ -97,23 +109,13 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     # fftn/ifftn round-trip physical values directly, and skipping the
     # scalar multiply/divide each step removes its systematic round-off.
     # Every transform writes into an array the loop owns.  The step array
-    # and the spare swap roles at each rotation; the real buffer holds the
-    # phase and then |u|.  A snapshot takes the spare, and a new spare is
-    # made only if another step follows, so no array handed out is written
-    # again.
+    # and the spare swap roles at each rotation.  A snapshot takes the
+    # spare, and a new spare is made only if another step follows, so no
+    # array handed out is written again.
     coeff = np.empty(u.grid.shape, np.complex128)
-    # decided once per run: a split grid runs every pass as two
-    # bit-identical halves on two threads (gnls._kernels); any other binds
-    # the plain numpy calls, so a 1-D step makes no extra call
-    split = _kernels._splits(coeff)
-    fftn = _kernels._fftn if split else np.fft.fftn
-    ifftn = _kernels._ifftn if split else np.fft.ifftn
-    multiply = _kernels._multiply if split else np.multiply
-    peak_of = _kernels._peak if split else _kernels._abs_max
     coeff = fftn(u.values, out=coeff)
     multiply(coeff, half_phase, out=coeff)
     spare = np.empty_like(coeff)
-    real = np.empty(u.grid.shape)
     for step in range(1, n_steps + 1):
         vals = ifftn(coeff, out=coeff)
         if not cfg.linear_only:

@@ -186,7 +186,7 @@ def test_multiplier_audit_holds_no_whole_ensemble():
 def _audit_of_ratios(ratios, monkeypatch):
     """A multiplier audit whose kernel hands back a copy of ``ratios``."""
     monkeypatch.setattr(_kernels, "triple_gap_ratios",
-                        lambda draw, n, sigma: (0, ratios.copy()))
+                        lambda source, n, sigma: (0, ratios.copy()))
     return audit_multiplier_inequality(0.1, ratios.size, 1,
                                        np.random.default_rng(0))
 

@@ -179,6 +179,45 @@ def test_aborted_run_keeps_its_rows_and_last_good_snapshot(command, stem, summar
     assert last.t == 0.0 and last.grid.N == 64
 
 
+#: a sech above the soliton's amplitude: the focusing run's peak grows
+#: 1.23x by step 9, the defocusing run's falls
+SECH_ABOVE_SOLITON = ("[grid]\nd = 1\nN = 64\nL = 10.0\n"
+                      "[data]\nkind = periodized_sech\nA = 3.0\n"
+                      "[solver]\ndt = 0.02\nt_end = 0.6\nsnapshot_stride = 2\n")
+
+
+def test_focusing_simulate_trips_the_blowup_guard_and_keeps_its_rows(
+        tmp_path, capsys, monkeypatch):
+    import gnls.integrator as integrator
+    from gnls.storage import read_field
+
+    monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 1.2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SECH_ABOVE_SOLITON + "defocusing = false\n")
+    out = tmp_path / "focusing"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "blow-up guard tripped at step 9" in capsys.readouterr().err
+    lines = (out / "norms.csv").read_text().splitlines()
+    assert "# defocusing = False" in lines
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.04, 0.08, 0.12, 0.16]
+    kept = dict(line.split(" = ", 1)
+                for line in (out / "run.meta").read_text().splitlines())
+    assert kept["abort_step"] == "9"
+    assert kept["abort_reason"].startswith("blow-up guard tripped at step 9")
+    assert read_field(out / "last_good.gnls").t == 0.16
+    # defocusing, by default or spelt out, the run goes through, and both
+    # write the same bytes: the key is echoed only when it is false
+    for name, body in (("default", SECH_ABOVE_SOLITON),
+                       ("spelt-out", SECH_ABOVE_SOLITON + "defocusing = true\n")):
+        cfg.write_text(body)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+    assert ((tmp_path / "default" / "norms.csv").read_bytes()
+            == (tmp_path / "spelt-out" / "norms.csv").read_bytes())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command,fit", [("radius", "[fit]\nC = 1.0\n"),
                                          ("sweep", "")])

@@ -1,26 +1,35 @@
 """Pointwise kernels against closed forms and plain-Python loop oracles."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gnls import _kernels
+from gnls.audits import audit_multiplier_inequality
+from gnls.data import periodized_sech
+from gnls.grid import FourierGrid
+from gnls.integrator import SolverConfig, evolve
 from oracles import triple_gap_ratios_oneshot
 
 
 def _slices(xi):
-    """A ``triple_gap_ratios`` draw handing out the next rows of the fixed
-    (3, n, d) array ``xi``."""
-    pos = 0
+    """A ``triple_gap_ratios`` source whose draws hand out views of the
+    next rows of the fixed (3, n, d) array ``xi``, from the row it is asked
+    for on."""
+    def source(lo, size):
+        pos = lo
 
-    def draw(m):
-        nonlocal pos
-        blk = slice(pos, pos + m)
-        pos += m
-        return xi[0][blk], xi[1][blk], xi[2][blk]
-    return draw
+        def draw(m):
+            nonlocal pos
+            blk = slice(pos, pos + m)
+            pos += m
+            return xi[:, blk]
+        return draw
+    return source
 
 
 def _rotate(vals, dt):
@@ -81,12 +90,10 @@ def test_triple_gap_ratios_matches_loop_oracle(d):
 B = _kernels._BLOCK
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
-def test_triple_gap_ratios_equals_oneshot_at_block_edges(d, n):
-    rng = np.random.default_rng(10 * d + n)
-    xi = rng.uniform(-1e3, 1e3, size=(3, n, d))
-    # degenerate members and median ties on both sides of each block edge
+def _edged_ensemble(n, d):
+    """A (3, n, d) ensemble with degenerate members (rhs == 0) and median
+    ties on both sides of every block edge, the cut of two halves included."""
+    xi = np.random.default_rng(10 * d + n).uniform(-1e3, 1e3, size=(3, n, d))
     for edge in range(B, n, B):
         xi[:, edge - 1] = 0.0
         xi[:, edge] = 0.0
@@ -94,11 +101,124 @@ def test_triple_gap_ratios_equals_oneshot_at_block_edges(d, n):
         if edge + 1 < n:
             xi[2, edge + 1] = -xi[0, edge + 1]
     xi[:, 0] = 0.0
+    return xi
+
+
+def _assert_equals_oneshot(xi, n):
     for sigma in (1e-3, 1.0):
         va, ra = _kernels.triple_gap_ratios(_slices(xi), n, sigma)
         vb, rb = triple_gap_ratios_oneshot(xi[0], xi[1], xi[2], sigma)
         assert va == vb == 0
         assert np.array_equal(ra, rb)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_triple_gap_ratios_equals_oneshot_at_block_edges(d, n):
+    _assert_equals_oneshot(_edged_ensemble(n, d), n)
+
+
+def _record_runs(monkeypatch) -> set:
+    """The threads that check a run of members of ``triple_gap_ratios``."""
+    threads = set()
+    run = _kernels._gap_run
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return run(*args)
+    monkeypatch.setattr(_kernels, "_gap_run", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("halves", [False, True], ids=["one-run", "two-halves"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 7])
+def test_split_triple_gap_ratios_equals_oneshot(n, d, halves, monkeypatch):
+    monkeypatch.setattr(_kernels, "_TWO_CPUS", halves)
+    threads = _record_runs(monkeypatch)
+    _assert_equals_oneshot(_edged_ensemble(n, d), n)
+    assert len(threads) == (2 if halves else 1)
+
+
+def test_split_triple_gap_ratios_counts_violations_in_both_halves(monkeypatch):
+    monkeypatch.setattr(_kernels, "_TWO_CPUS", True)
+    n = 2 * B + 1
+    xi = _edged_ensemble(n, 2)
+    # a negative sigma turns the bound round: most members violate it
+    va, _ = _kernels.triple_gap_ratios(_slices(xi), n, -1e-3)
+    vb, _ = triple_gap_ratios_oneshot(xi[0], xi[1], xi[2], -1e-3)
+    assert va == vb > B
+
+
+def test_one_cpu_never_starts_the_helper(monkeypatch):
+    def refuse():
+        raise AssertionError("helper started with one CPU")
+
+    monkeypatch.setattr(_kernels, "_TWO_CPUS", False)
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", float("inf"))
+    monkeypatch.setattr(_kernels, "_helper", None)
+    monkeypatch.setattr(_kernels, "_start_helper", refuse)
+    threads = _record_runs(monkeypatch)
+    rep = audit_multiplier_inequality(0.1, 3 * B + 7, 3,
+                                      np.random.default_rng(0))
+    assert rep.violations == 0 and threads == {threading.get_ident()}
+    evolve(periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
+           SolverConfig(dt=0.02, t_end=0.04))
+
+
+def test_concurrent_split_audits_are_each_bit_identical(monkeypatch):
+    # more calling threads than cores, each handing its second half to the
+    # one helper
+    monkeypatch.setattr(_kernels, "_TWO_CPUS", True)
+    seeds = range(5)
+
+    def audit(seed):
+        return audit_multiplier_inequality(0.1, 3 * B + 7, 2,
+                                           np.random.default_rng(seed))
+
+    want = [audit(seed) for seed in seeds]
+    got, errors = {}, []
+
+    def caller(seed):
+        try:
+            got[seed] = audit(seed)
+        except BaseException as exc:  # reported below, after the joins
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(s,)) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert [got[seed] for seed in seeds] == want
+
+
+def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
+    # what a tracer wraps: the kernel, np.fft.fftn and np.fft.ifftn
+    calls = []
+    for owner, name in ((_kernels, "triple_gap_ratios"), (np.fft, "fftn"),
+                        (np.fft, "ifftn")):
+        def recorded(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append((_name, threading.get_ident()))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+    monkeypatch.setattr(_kernels, "_TWO_CPUS", True)
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2)
+    runs = _record_runs(monkeypatch)
+    audit_multiplier_inequality(0.1, 1_000_000, 3, np.random.default_rng(0))
+    evolve(periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
+           SolverConfig(dt=0.02, t_end=0.06))
+    main = threading.get_ident()
+    assert len(runs) == 2  # the audit ran as two halves
+    assert {name for name, _ in calls} == {"triple_gap_ratios", "fftn", "ifftn"}
+    assert [name for name, _ in calls].count("triple_gap_ratios") == 1
+    assert [c for c in calls if c[1] != main] == []
 
 
 def test_triple_gap_ratios_keeps_its_temporaries_blocked():
