@@ -334,16 +334,15 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
 # radius tracking
 # ---------------------------------------------------------------------------
 
-def fit_conservation_constant(cfg: ExperimentConfig) -> dict:
+def fit_conservation_constant(cfg: ExperimentConfig, u0: Field) -> dict:
     """Almost-conservation sweep: growth D(sigma), slope fit, empirical C.
 
-    Evolves once over [0, delta] (delta from the measured data functional)
-    and measures D(sigma) = sup_t A_sigma(t) - A_sigma(0) per grid sigma.
-    The sigma = 0 growth is the scheme's own drift in mass + energy and is
-    reported as the noise floor.
+    Evolves the run's data ``u0`` once over [0, delta] (delta from the
+    measured data functional) and measures D(sigma) = sup_t A_sigma(t) -
+    A_sigma(0) per grid sigma.  The sigma = 0 growth is the scheme's own
+    drift in mass + energy and is reported as the noise floor.
     """
     sigma_grid = list(cfg.sigma_grid or _sigma_grid({}))
-    u0 = cfg.initial_data()
     # measured before any step: the overflow guard depends only on sigma
     # and the grid, so a grid sigma it rejects stops the sweep here
     A_top = a_sigma(u0, max(sigma_grid))
@@ -399,7 +398,7 @@ def _fitted_constant(fit: dict) -> float:
 def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
     """The sweep's rows and fits, written out before :func:`_fitted_constant`
     rejects a sweep with no usable sigma."""
-    fit = fit_conservation_constant(cfg)
+    fit = fit_conservation_constant(cfg, cfg.initial_data())
     rows = [SweepRow(s, g, max(g - fit["noise_floor"], 0.0))
             for s, g in sorted(fit["growth"].items())]
     record = RunRecord(config=cfg.echo(), rows=rows,
@@ -444,7 +443,7 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     if cfg.C is not None:
         C_fit = cfg.C
     else:
-        C_fit = _fitted_constant(fit_conservation_constant(cfg))
+        C_fit = _fitted_constant(fit_conservation_constant(cfg, u0))
     A0 = cfg.A0 if cfg.A0 is not None else _measured_a_sigma(u0, sigma0)
     params = BookkeeperParams(sigma0=sigma0, A0=A0, c0=cfg.c0, C=C_fit,
                               eps=cfg.eps, T=max(cfg.t_end, cfg.dt))

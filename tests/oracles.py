@@ -2,8 +2,9 @@
 
 Nothing in ``src/gnls`` calls these: the solver runs its own fused loop,
 the products synthesise padded samples without building a padded field,
-the L4 quadrature synthesises its last axis slab by slab, the multiplier
-audit draws its ensemble block by block, and the runners only write
+the L4 quadrature synthesises its last axis slab by slab, the radial data
+builders fill their samples slab by slab, the multiplier audit draws its
+ensemble block by block, and the runners only write
 sidecars.  They stay here, written out in the plainest form,
 as the oracles of the tests that use them.
 """
@@ -57,6 +58,34 @@ def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
         uh = linear_half_step(uh, dt)
     out = inverse_transform(uh)
     return Field(out.grid, out.values, rep=PHYSICAL, t=u.t + dt, _check=False)
+
+
+# ---------------------------------------------------------------------------
+# the radial data builders on the whole grid
+# ---------------------------------------------------------------------------
+
+def gaussian_whole(grid: FourierGrid, A: float = 1.0, w: float = 1.0) -> Field:
+    """``data.gaussian`` from the full coordinate mesh at once."""
+    mesh = grid.meshgrid()
+    r2 = sum((x - grid.L / 2.0) ** 2 for x in mesh)
+    return Field(grid, A * np.exp(-r2 / w ** 2), rep=PHYSICAL)
+
+
+def periodized_sech_whole(grid: FourierGrid, A: float = 1.0,
+                          a: float = 1.0) -> Field:
+    """``data.periodized_sech`` on the whole grid at once: the same images,
+    each added to the sum as a fresh full-grid array."""
+    r_max = np.sqrt(grid.d) * grid.L / 2.0
+    n_images = min(int(np.ceil((2.0 * r_max + 60.0 * np.log(2.0) * a) / grid.L)),
+                   int(np.ceil(745.0 * a / grid.L)) + 1)
+    mesh = np.meshgrid(*([grid.x] * grid.d), indexing="ij", sparse=True)
+    r = np.sqrt(sum((x - grid.L / 2.0) ** 2 for x in mesh))
+    vals = np.zeros(grid.shape)
+    for j in range(-n_images, n_images + 1):
+        z = np.abs(r - j * grid.L) / a
+        e = np.exp(-z)
+        vals = vals + 2.0 * e / (1.0 + e * e)
+    return Field(grid, A * vals, rep=PHYSICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_criterion_07_remainder_linearity():
 def test_criterion_08_almost_conservation_sweep():
     cfg = ExperimentConfig(kind="sweep", N=256, L=40.0, dt=1e-3,
                            sigma_grid=tuple(np.geomspace(1e-3, 1e-1, 8)))
-    fit = fit_conservation_constant(cfg)
+    fit = fit_conservation_constant(cfg, cfg.initial_data())
     slope = fit["slope"]
     floor = fit["noise_floor"]
     above = [(s, gr) for s, gr in sorted(fit["growth"].items())

@@ -7,6 +7,7 @@ from gnls.data import (KINDS, gaussian, make_initial_data, periodized_sech,
                        plane_wave, random_bandlimited)
 from gnls.grid import FourierGrid
 from gnls.spectral import to_spectral
+from oracles import gaussian_whole, periodized_sech_whole
 
 
 @pytest.fixture
@@ -73,6 +74,17 @@ def test_random_bandlimited_is_exactly_the_per_axis_formula(d, N):
                       0.0)
     u = random_bandlimited(g, seed=4, band=band, decay=decay)
     assert np.array_equal(u.values, expect)
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 4096, 40.0), (1, 64, 2.0), (2, 18, 3.0),
+                                   (3, 10, 5.0), (3, 64, 20.0)])
+def test_radial_builders_are_bytes_equal_to_the_whole_grid_formulas(d, N, L):
+    g = FourierGrid(d=d, N=N, L=L)
+    for build, whole in ((gaussian, gaussian_whole),
+                         (periodized_sech, periodized_sech_whole)):
+        for A, p in ((1.0, 1.0), (0.97, 2.0), (3.0, 0.3)):
+            assert (build(g, A, p).values.tobytes()
+                    == whole(g, A, p).values.tobytes())
 
 
 def test_make_initial_data_dispatch(grid):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gnls.harness as harness
 from gnls.harness import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                           SWEEP_DEFAULTS, finite_float,
                           fit_conservation_constant, load_config,
@@ -243,7 +244,8 @@ def test_sweep_default_grid_is_the_config_default(tmp_path):
                            data_kind="plane_wave",
                            data_params={"A": 0.5, "k": 3.0}, dt=1e-2)
     default = load_config(write_config(tmp_path, "[sweep]\n")).sigma_grid
-    assert fit_conservation_constant(cfg)["sigma_grid"] == list(default)
+    fit = fit_conservation_constant(cfg, cfg.initial_data())
+    assert fit["sigma_grid"] == list(default)
     assert default == tuple(np.geomspace(SWEEP_DEFAULTS["sigma_min"],
                                          SWEEP_DEFAULTS["sigma_max"],
                                          SWEEP_DEFAULTS["n_sigma"]))
@@ -255,7 +257,7 @@ def test_sweep_plane_wave_growth_at_round_off():
                            data_kind="plane_wave",
                            data_params={"A": 0.5, "k": 3.0}, dt=1e-2,
                            sigma_grid=(1e-3, 1e-2, 1e-1))
-    fit = fit_conservation_constant(cfg)
+    fit = fit_conservation_constant(cfg, cfg.initial_data())
     a0 = 0.25 * 2 * np.pi  # A^2 L, scale of A_sigma
     for sigma, growth in fit["growth"].items():
         assert growth < 1e-9 * a0
@@ -303,6 +305,21 @@ def test_radius_tracking_entire_data_verdict():
     record = run_radius_tracking(cfg)
     assert record.rows[0][-1] == "entire"
     assert record.violations == 0
+
+
+def test_radius_tracking_builds_its_data_once(monkeypatch, tmp_path):
+    # no [fit] C: the internal sweep fits C from the run's own data
+    built, build = [], harness.make_initial_data
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_initial_data", counted)
+    cfg = load_config(write_config(tmp_path), kind="radius")
+    assert cfg.C is None
+    record = run_radius_tracking(cfg)
+    assert np.isfinite(record.fits["C_fit"]) and len(built) == 1
 
 
 # ---------------------------------------------------------------------------

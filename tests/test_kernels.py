@@ -8,9 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gnls import _kernels
+from gnls import _kernels, data
 from gnls.audits import audit_multiplier_inequality
-from gnls.data import periodized_sech
 from gnls.grid import FourierGrid
 from gnls.integrator import SolverConfig, evolve
 from oracles import triple_gap_ratios_oneshot
@@ -130,6 +129,18 @@ def _record_runs(monkeypatch) -> set:
     return threads
 
 
+def _record_slabs(monkeypatch) -> list:
+    """The threads that fill a run of slabs of a radial data builder."""
+    threads = []
+    slabs = data._slabs
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return slabs(*args)
+    monkeypatch.setattr(data, "_slabs", recorded)
+    return threads
+
+
 @pytest.mark.parametrize("halves", [False, True], ids=["one-run", "two-halves"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 7])
@@ -159,11 +170,15 @@ def test_one_cpu_never_starts_the_helper(monkeypatch):
     monkeypatch.setattr(_kernels, "_helper", None)
     monkeypatch.setattr(_kernels, "_start_helper", refuse)
     threads = _record_runs(monkeypatch)
+    slab_threads = _record_slabs(monkeypatch)
     rep = audit_multiplier_inequality(0.1, 3 * B + 7, 3,
                                       np.random.default_rng(0))
     assert rep.violations == 0 and threads == {threading.get_ident()}
-    evolve(periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
+    # a data build on a grid that two CPUs would split
+    data.gaussian(FourierGrid(d=2, N=256, L=5.0))
+    evolve(data.periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
            SolverConfig(dt=0.02, t_end=0.04))
+    assert slab_threads == [threading.get_ident()] * 2
 
 
 def test_concurrent_split_audits_are_each_bit_identical(monkeypatch):
@@ -203,7 +218,8 @@ def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
     # what a tracer wraps: the kernel, np.fft.fftn and np.fft.ifftn
     calls = []
     for owner, name in ((_kernels, "triple_gap_ratios"), (np.fft, "fftn"),
-                        (np.fft, "ifftn")):
+                        (np.fft, "ifftn"), (data, "periodized_sech"),
+                        (data, "gaussian")):
         def recorded(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.append((_name, threading.get_ident()))
             return _fn(*args, **kwargs)
@@ -211,12 +227,16 @@ def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(_kernels, "_TWO_CPUS", True)
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2)
     runs = _record_runs(monkeypatch)
+    slab_threads = _record_slabs(monkeypatch)
     audit_multiplier_inequality(0.1, 1_000_000, 3, np.random.default_rng(0))
-    evolve(periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
+    data.gaussian(FourierGrid(d=2, N=16, L=5.0))
+    evolve(data.periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
            SolverConfig(dt=0.02, t_end=0.06))
     main = threading.get_ident()
     assert len(runs) == 2  # the audit ran as two halves
-    assert {name for name, _ in calls} == {"triple_gap_ratios", "fftn", "ifftn"}
+    assert len(slab_threads) == 4 and len(set(slab_threads)) == 2  # each build
+    assert {name for name, _ in calls} == {"triple_gap_ratios", "fftn", "ifftn",
+                                           "periodized_sech", "gaussian"}
     assert [name for name, _ in calls].count("triple_gap_ratios") == 1
     assert [c for c in calls if c[1] != main] == []
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -15,16 +16,18 @@ import numpy as np
 import pytest
 
 import gnls
+import gnls.data as data
 import gnls.integrator as integrator
 import gnls.spectral as spectral
 from gnls import _kernels
-from gnls.data import periodized_sech
+from gnls.data import gaussian, periodized_sech
 from gnls.errors import SimulationAbort
 from gnls.grid import FourierGrid
 from gnls.integrator import SolverConfig, evolve
 from gnls.norms import l4_gevrey, norm_report
 
 from conftest import random_field
+from oracles import gaussian_whole, periodized_sech_whole
 
 #: grids far below the real threshold, which the tests lower to 2 points
 SPLIT_GRIDS = [(2, 10), (2, 18), (3, 10)]
@@ -91,6 +94,46 @@ def test_split_transforms_and_l4_are_bit_identical(d, N, slab, monkeypatch):
         serial, split = _serial_and_split(monkeypatch, outputs)
         for a, b in zip(serial, split):
             assert np.array_equal(a, b)
+
+
+#: grids of at least the real threshold of 2^16 points
+DATA_GRIDS = [(2, 256), (3, 42)]
+
+
+@pytest.mark.parametrize("slab", [None, 7, 5], ids=["default-slab", "slab-7",
+                                                   "slab-5-rows"])
+@pytest.mark.parametrize("d,N", DATA_GRIDS)
+def test_split_data_builds_are_bit_identical(d, N, slab, monkeypatch):
+    # 7 points, under one row, make one-row slabs; 5 rows a slab leave a
+    # partial slab at the end of each half, and one slab of the serial
+    # build that straddles the cut
+    if slab is not None:
+        monkeypatch.setattr(data, "_SLAB", 7 if slab == 7 else 5 * N ** (d - 1))
+    g = FourierGrid(d=d, N=N, L=7.3)
+    for build, whole, args in ((gaussian, gaussian_whole, (0.9, 1.7)),
+                               (periodized_sech, periodized_sech_whole,
+                                (1.02, 0.6))):
+        serial, split = _serial_and_split(monkeypatch,
+                                          lambda: build(g, *args).values)
+        assert np.array_equal(serial, split)
+        assert split.tobytes() == whole(g, *args).values.tobytes()
+
+
+def test_periodized_sech_builds_without_full_grid_temporaries(monkeypatch):
+    g = FourierGrid(d=3, N=128, L=20.0)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            periodized_sech(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the output grid plus one slab's buffers per half; the whole-grid
+    # formula peaks at 3.56 complex grids
+    for p in _serial_and_split(monkeypatch, peak):
+        assert p < 1.25 * 16 * g.N ** 3
 
 
 def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):
