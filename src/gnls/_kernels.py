@@ -1,51 +1,92 @@
 """Hot pointwise kernels in numpy, and the two-thread grid passes.
 
 The FFTs that dominate the integrator are delegated to numpy/pocketfft;
-these are the pointwise nonlinear phase rotation, the Monte-Carlo
-triple-frequency inequality check, and the shell envelope reduction used by
-the radius estimator.  The private section at the end runs a full-grid pass
-(an FFT, a pointwise product, the blow-up guard) as two halves on two
-threads; the triple-frequency check runs its ensemble as two halves on the
-same two threads.
+these are the pointwise nonlinear phase rotation, in place with the
+blow-up guard's peak fused into it, the Monte-Carlo triple-frequency
+inequality check, and the shell envelope reduction used by the radius
+estimator.  The rotation, the guard and the linear phase tables go over
+the grid in cache-sized slabs of rows along axis 0, in buffers the caller
+makes once (:func:`_workspace`).  The private section at the end runs a
+full-grid pass (an FFT, a pointwise product, the slabs of the rotation)
+as two halves on two threads; the triple-frequency check runs its
+ensemble as two halves on the same two threads.
 """
 
 import os
 import threading
+from functools import reduce
 
 import numpy as np
 
 
-def phase_rotate(values: np.ndarray, dt: float, phase: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """u <- u * exp(-i |u|^2 dt), written into ``out`` and returned.
+def phase_rotate(values: np.ndarray, dt: float, work) -> np.ndarray:
+    """u <- u * exp(-i |u|^2 dt) in place; returns max|u| of the result.
 
-    ``phase`` (real) and ``out`` (complex) are the caller's buffers of the
-    shape of ``values``; ``out`` must not share memory with ``values``.
-    On a split grid (see :func:`_splits`) each half along axis 0 is
-    rotated on its own thread.
+    ``work`` is :func:`_workspace` of ``values``, made once by the caller.
+    The rotation and the blow-up guard's peak run slab by slab (see
+    :func:`_slabs`), so every sample is read and written once; on a split
+    grid (see :func:`_splits`) each half along axis 0 runs on its own
+    thread.  A NaN anywhere is the peak.
     """
-    # the test of _splits inline: one call fewer per 1-D step
-    if values.ndim > 1 and values.size >= _SPLIT_MIN:
-        _split(0, _rotate, _rotate, values, phase, out, dt)
-        return out
-    return _rotate(values, phase, out, dt)
+    return reduce(np.maximum, _halves(_slabs, work, values, -float(dt)))
 
 
-def _rotate(values, phase, out, dt):
-    """The rotation of :func:`phase_rotate` on one piece of the grid.
+def _guard(values: np.ndarray, work) -> np.ndarray:
+    """max|u| over ``values`` in the slabs of :func:`phase_rotate`, with
+    no rotation: ``values`` is only read."""
+    return reduce(np.maximum, _halves(_slabs, work, values, None))
 
-    The phase -dt |u|^2 goes into ``phase``, with ``out.imag`` holding
-    Im(u)^2 on the way; its cosine and sine are written straight into the
-    real and imaginary parts of ``out``, which is then multiplied by
-    ``values`` in place, so no temporary is made.
+
+def _slabs(values, rotation, phase, rot):
+    """max|u| over ``values``, as many rows along axis 0 at a time as the
+    real ``phase`` and complex ``rot`` buffers hold; unless ``rotation`` is
+    None each slab is first multiplied in place by exp(i rotation |u|^2).
+
+    A slab's phase goes into ``phase``, with ``rot.imag`` holding Im(u)^2
+    on the way; its cosine and sine are written into the real and
+    imaginary parts of ``rot``, which multiplies the slab, and ``phase``
+    then takes the slab's |u| for its maximum while the slab is in cache.
+    Every sample sees the ufuncs of the whole-grid rotation in their order
+    (tests/oracles.py), so the output is bit-identical to it.  The slabs'
+    peaks combine through np.maximum, which, unlike max(), keeps a NaN.
     """
-    np.multiply(values.real, values.real, out=phase)
-    phase += np.multiply(values.imag, values.imag, out=out.imag)
-    phase *= -float(dt)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    np.multiply(values, out, out=out)
-    return out
+    rows = phase.shape[0]
+    peak = None
+    for lo in range(0, values.shape[0], rows):
+        v = values[lo:lo + rows]
+        if v.shape[0] < rows:  # the last slab, partial
+            phase, rot = phase[:v.shape[0]], rot[:v.shape[0]]
+        if rotation is not None:
+            np.multiply(v.real, v.real, out=phase)
+            phase += np.multiply(v.imag, v.imag, out=rot.imag)
+            phase *= rotation
+            np.cos(phase, out=rot.real)
+            np.sin(phase, out=rot.imag)
+            np.multiply(v, rot, out=v)
+        top = np.maximum.reduce(np.abs(v, out=phase), axis=None)
+        peak = top if peak is None else np.maximum(peak, top)
+    return peak
+
+
+def _phase_table(scale: complex, xi_abs: np.ndarray, work) -> np.ndarray:
+    """``np.exp(scale * xi_abs**2)``, the linear step's phase table, built
+    slab by slab: |xi|^2 into the real buffer of ``work``, then the product
+    with ``scale`` and its exponential in the slab of the one output, the
+    order of the whole-grid formula, so the bits are the same."""
+    table = np.empty(xi_abs.shape, np.complex128)
+    _halves(_table_slabs, work, xi_abs, table, scale)
+    return table
+
+
+def _table_slabs(xi_abs, table, scale, phase, rot):
+    """:func:`_phase_table` on the rows of ``table``, as many at a time as
+    ``phase`` holds."""
+    rows = phase.shape[0]
+    for lo in range(0, xi_abs.shape[0], rows):
+        x, t = xi_abs[lo:lo + rows], table[lo:lo + rows]
+        xi2 = np.multiply(x, x, out=phase[:x.shape[0]])
+        np.multiply(scale, xi2, out=t)
+        np.exp(t, out=t)
 
 
 #: members per block of ``triple_gap_ratios``: a working column of one
@@ -262,6 +303,46 @@ def _split(axis, left, right, *args):
     return _both(lambda: left(*lo), lambda: right(*hi))
 
 
+#: grid points per slab of the rotation, the guard and the phase tables:
+#: a slab's real buffer takes 256 KB and its complex one 512 KB
+_SLAB = 1 << 15
+
+
+def _workspace(values: np.ndarray) -> tuple:
+    """The slab buffers of :func:`phase_rotate`, :func:`_guard` and
+    :func:`_phase_table` on grids of the shape of ``values``: a real and a
+    complex array of one slab of rows along axis 0, one pair for the whole
+    grid or, on a split grid, one per half, all made here on the calling
+    thread."""
+    rows = max(_SLAB * values.shape[0] // values.size, 1)
+    halves = 2 if _splits(values) else 1
+    shape = (min(rows, -(-values.shape[0] // halves)),) + values.shape[1:]
+    return tuple((np.empty(shape), np.empty(shape, np.complex128))
+                 for _ in range(halves))
+
+
+def _mesh_sum(sq, lo, out):
+    """((0 + s0) + s1) + s2, the order of sum() over the sparse mesh ``sq``
+    of per-axis squares, on the rows of ``out`` from row ``lo`` along axis
+    0 on; returns ``out``.  Copying s0 is adding it to 0: a square is +0 or
+    more."""
+    np.copyto(out, sq[0][lo:lo + out.shape[0]])
+    for s in sq[1:]:
+        out += s
+    return out
+
+
+def _halves(run, work, *args):
+    """``run(*args, *buffers)`` with the one buffer pair of ``work``, or,
+    with a pair per half, :func:`_split` along axis 0 with each half's
+    pair; returns the results, one per piece."""
+    if len(work) == 1:
+        return (run(*args, *work[0]),)
+    left, right = work
+    return _split(0, lambda *a: run(*a, *left), lambda *a: run(*a, *right),
+                  *args)
+
+
 def _transform(a, out, nd, line):
     """``nd(a, out=out)`` for ``nd`` np.fft.fftn or ifftn, as two passes:
     axes d-1 ... 1 over the halves along axis 0, then axis 0 over the
@@ -307,29 +388,3 @@ def _pointwise(ufunc):
 
 _multiply = _pointwise(np.multiply)
 _divide = _pointwise(np.divide)
-
-
-def _exp_of(scale, x):
-    """``np.exp(scale * x)``, in two halves along axis 0 on a split grid."""
-    if not _splits(x):
-        return np.exp(scale * x)
-    out = np.empty(x.shape, np.result_type(scale, x))
-
-    def part(x, out):
-        np.multiply(scale, x, out=out)
-        return np.exp(out, out=out)
-
-    _split(0, part, part, x, out)
-    return out
-
-
-def _abs_max(values, mag):
-    """``np.abs(values, out=mag).max()``, the blow-up guard's peak, through
-    the reduction itself: one call fewer per step than ndarray.max."""
-    return np.maximum.reduce(np.abs(values, out=mag), axis=None)
-
-
-def _peak(values, mag):
-    """:func:`_abs_max` over two halves along axis 0; a NaN in either half
-    is the peak."""
-    return np.maximum(*_split(0, _abs_max, _abs_max, values, mag))

@@ -8,6 +8,8 @@ All profiles are centered at L/2 so the bulk sits away from the seam.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from . import _kernels
@@ -47,10 +49,17 @@ def periodized_sech(grid: FourierGrid, A: float = 1.0, a: float = 1.0) -> Field:
 
 
 def plane_wave(grid: FourierGrid, A: float = 1.0, k: int = 1) -> Field:
-    """A * exp(i k_vec . x) with k_vec = (2*pi*k/L) along the first axis."""
-    mesh = grid.meshgrid()
+    """A * exp(i k_vec . x) with k_vec = (2*pi*k/L) along the first axis.
+
+    The profile along axis 0 is computed once and broadcast into the one
+    output, so every sample is the whole-grid formula's.
+    """
     xi = 2.0 * np.pi * k / grid.L
-    return Field(grid, A * np.exp(1j * xi * mesh[0]), rep=PHYSICAL)
+    profile = A * np.exp(1j * xi * grid.x)
+    out = np.empty(grid.shape, np.complex128)
+    out[...] = profile.reshape((-1,) + (1,) * (grid.d - 1))
+    out.flags.writeable = False
+    return Field(grid, out, rep=PHYSICAL)
 
 
 def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
@@ -59,17 +68,40 @@ def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
 
     ``band`` is the largest integer mode index kept per axis (default N/6,
     safe under one dealiased cubic product).
+
+    The real parts are drawn first and the imaginary parts after them, in
+    the stream order of two whole-grid draws, slab by slab along axis 0
+    through one real buffer of a slab; the damping, the band mask and the
+    amplitude then go over the output slab by slab in place, with the
+    ufuncs of the whole-grid formula (tests/oracles.py) in their order.
     """
     if band is None:
         band = grid.N // 6
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
     # |k|^2 sums integer squares, exact in any order
-    k2 = sum(np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True))
-    coeffs = np.where(grid.k_max <= band,
-                      coeffs * np.exp(-decay * np.sqrt(k2)), 0.0)
-    return Field(grid, amplitude * coeffs, rep=SPECTRAL)
+    sq = np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True)
+    # max_j |k_j| > band: any axis outside the band
+    outside = np.meshgrid(*[np.abs(k) > band] * grid.d, indexing="ij",
+                          sparse=True)
+    out = np.empty(grid.shape, np.complex128)
+    rows = max(_SLAB * grid.N // out.size, 1)
+    buf = np.empty((min(rows, grid.N),) + grid.shape[1:])
+    for part in (out.real, out.imag):
+        for lo in range(0, grid.N, rows):
+            dst = part[lo:lo + rows]
+            dst[...] = rng.standard_normal(out=buf[:dst.shape[0]])
+    for lo in range(0, grid.N, rows):
+        c = out[lo:lo + rows]
+        damp = _kernels._mesh_sum(sq, lo, buf[:c.shape[0]])
+        np.sqrt(damp, out=damp)
+        np.multiply(-decay, damp, out=damp)
+        c *= np.exp(damp, out=damp)
+        np.copyto(c, 0.0, where=reduce(np.logical_or,
+                                       [outside[0][lo:lo + rows], *outside[1:]]))
+        np.multiply(amplitude, c, out=c)
+    out.flags.writeable = False
+    return Field(grid, out, rep=SPECTRAL)
 
 
 def make_initial_data(grid: FourierGrid, kind: str, params: dict,
@@ -145,11 +177,7 @@ def _slabs(out, sq0, sq_rest, work, fill, params):
     rows = work.shape[1]
     for lo in range(0, out.shape[0], rows):
         m = min(rows, out.shape[0] - lo)
-        r2 = work[0, :m]
-        # ((0 + s0) + s1) + s2, the order of sum() over the sparse mesh
-        np.copyto(r2, sq0[lo:lo + m])
-        for s in sq_rest:
-            r2 += s
+        r2 = _kernels._mesh_sum((sq0, *sq_rest), lo, work[0, :m])
         fill(r2, out.real[lo:lo + m], [w[:m] for w in work[1:]], *params)
 
 

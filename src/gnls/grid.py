@@ -17,6 +17,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import _kernels
 from .errors import NonFiniteFieldError
 
 PHYSICAL = "physical"
@@ -69,13 +70,20 @@ class FourierGrid:
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
-        """|xi| on the full d-dimensional lattice, FFT ordering."""
-        sq = np.zeros(self.shape)
-        for axis in range(self.d):
-            shape = [1] * self.d
-            shape[axis] = self.N
-            sq = sq + (self.xi_axis.reshape(shape)) ** 2
-        return np.sqrt(sq)
+        """|xi| on the full d-dimensional lattice, FFT ordering.
+
+        Filled slab by slab along axis 0 into the one output, each slab's
+        passes in cache: the sum ((0 + s0) + s1) + s2 of the squared
+        wavenumbers per axis, then its square root in place.
+        """
+        sq = np.meshgrid(*[self.xi_axis ** 2] * self.d, indexing="ij",
+                         sparse=True)
+        out = np.empty(self.shape)
+        rows = max(_kernels._SLAB // self.N ** (self.d - 1), 1)
+        for lo in range(0, self.N, rows):
+            slab = _kernels._mesh_sum(sq, lo, out[lo:lo + rows])
+            np.sqrt(slab, out=slab)
+        return out
 
     @cached_property
     def k_max(self) -> np.ndarray:

@@ -73,6 +73,12 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     slice and the trajectory keeps only the latest one, so memory does not
     grow with the number of snapshots.  Non-finite or blown-up states abort
     with the step index and the last recorded snapshot attached.
+
+    Beyond its input a run holds the linear phase table (two when steps
+    are fused), the one step array that every transform and the in-place
+    rotation write, one array per snapshot it hands out (the last one is
+    the step array itself) and a few slab buffers: no pass makes a
+    temporary of the grid.
     """
     u = to_physical(u0)
     u = Field(u.grid, u.values, rep=PHYSICAL, t=0.0)
@@ -92,36 +98,32 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     fftn = _kernels._fftn if split else np.fft.fftn
     ifftn = _kernels._ifftn if split else np.fft.ifftn
     multiply = _kernels._multiply if split else np.multiply
-    peak_of = _kernels._peak if split else _kernels._abs_max
 
-    # the real buffer holds max|u0|'s magnitudes, then |xi|^2, then in the
-    # loop the phase and |u|
-    real = np.empty(u.grid.shape)
-    peak0 = float(peak_of(u.values, real))
-    xi2 = multiply(u.grid.xi_abs, u.grid.xi_abs, out=real)
-    half_phase = _kernels._exp_of(-0.5j * cfg.dt, xi2)
+    # the slab buffers of the rotation, the guard and the phase tables,
+    # made once: no pass of the loop makes a temporary of the grid
+    work = _kernels._workspace(u.values)
+    peak0 = float(_kernels._guard(u.values, work))
+    half_phase = _kernels._phase_table(-0.5j * cfg.dt, u.grid.xi_abs, work)
     # a full linear step joins two steps when the first records no snapshot
     fused = cfg.snapshot_stride > 1 and n_steps > 1
-    full_phase = _kernels._exp_of(-1.0j * cfg.dt, xi2) if fused else None
-    del xi2
+    full_phase = (_kernels._phase_table(-1.0j * cfg.dt, u.grid.xi_abs, work)
+                  if fused else None)
 
     # the loop keeps numpy-convention coefficients (no unitary rescaling):
     # fftn/ifftn round-trip physical values directly, and skipping the
     # scalar multiply/divide each step removes its systematic round-off.
-    # Every transform writes into an array the loop owns.  The step array
-    # and the spare swap roles at each rotation.  A snapshot takes the
-    # spare, and a new spare is made only if another step follows, so no
-    # array handed out is written again.
+    # Every transform and the rotation write into the one step array.  A
+    # snapshot before the last step takes a fresh array and the last one
+    # takes the step array itself, so no array handed out is written again.
     coeff = np.empty(u.grid.shape, np.complex128)
     coeff = fftn(u.values, out=coeff)
     multiply(coeff, half_phase, out=coeff)
-    spare = np.empty_like(coeff)
     for step in range(1, n_steps + 1):
         vals = ifftn(coeff, out=coeff)
-        if not cfg.linear_only:
-            vals, spare = _kernels.phase_rotate(vals, rotation,
-                                                real, spare), vals
-        peak = float(peak_of(vals, real))
+        if cfg.linear_only:
+            peak = float(_kernels._guard(vals, work))
+        else:
+            peak = float(_kernels.phase_rotate(vals, rotation, work))
         if not np.isfinite(peak):
             raise SimulationAbort(
                 f"non-finite state at step {step} (t={step * cfg.dt:g})",
@@ -134,8 +136,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
         coeff = fftn(vals, out=vals)
         if record:
             multiply(coeff, half_phase, out=coeff)
-            snap = ifftn(coeff, out=spare)
-            spare = None
+            last = step == n_steps
+            snap = ifftn(coeff, out=coeff if last else np.empty_like(coeff))
             snap.flags.writeable = False  # owned here: Field keeps it uncopied
             u = Field(u.grid, snap, rep=PHYSICAL, t=step * cfg.dt, _check=False)
             if on_snapshot is None:
@@ -143,9 +145,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
             else:
                 snapshots[-1] = (u.t, u)
                 on_snapshot(u.t, u)
-            if step < n_steps:
+            if not last:
                 multiply(coeff, half_phase, out=coeff)
-                spare = np.empty_like(coeff)
         elif step < n_steps:
             multiply(coeff, full_phase, out=coeff)
     return Trajectory(snapshots=snapshots)

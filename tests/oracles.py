@@ -1,12 +1,13 @@
 """Independent references the tests compare the package against.
 
-Nothing in ``src/gnls`` calls these: the solver runs its own fused loop,
-the products synthesise padded samples without building a padded field,
-the L4 quadrature synthesises its last axis slab by slab, the radial data
-builders fill their samples slab by slab, the multiplier audit draws its
-ensemble block by block, and the runners only write
-sidecars.  They stay here, written out in the plainest form,
-as the oracles of the tests that use them.
+Nothing in ``src/gnls`` calls these: the solver runs its own fused loop
+and rotates in place slab by slab, ``xi_abs`` is summed slab by slab, the
+products synthesise padded samples without building a padded field, the
+L4 quadrature synthesises its last axis slab by slab, the data builders
+fill their samples slab by slab or broadcast a profile, the multiplier
+audit draws its ensemble block by block, and the runners only write
+sidecars.  They stay here, written out in the plainest form, as the
+oracles of the tests that use them.
 """
 
 import numpy as np
@@ -41,9 +42,34 @@ def nonlinear_step(u: Field, dt: float, sign: float = 1.0) -> Field:
     """Exact cubic-ODE flow: u <- u * exp(-i sign |u|^2 dt), pointwise."""
     if not u.is_physical:
         raise ValueError("nonlinear_step expects a physical-space field")
-    out = _kernels.phase_rotate(u.values, sign * dt, np.empty(u.grid.shape),
-                                np.empty(u.grid.shape, np.complex128))
+    out = u.values.copy()
+    _kernels.phase_rotate(out, sign * dt, _kernels._workspace(out))
     return Field(u.grid, out, rep=PHYSICAL, t=u.t)
+
+
+def rotate_whole(values, dt):
+    """``_kernels.phase_rotate`` as the whole-grid pass it replaced: the
+    rotated samples, written out of place, and the blow-up guard's max|u|
+    of them, from a second pass over the whole grid."""
+    phase = np.empty(values.shape)
+    out = np.empty(values.shape, np.complex128)
+    np.multiply(values.real, values.real, out=phase)
+    phase += np.multiply(values.imag, values.imag, out=out.imag)
+    phase *= -float(dt)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.multiply(values, out, out=out)
+    return out, np.maximum.reduce(np.abs(out, out=phase), axis=None)
+
+
+def xi_abs_whole(grid: FourierGrid) -> np.ndarray:
+    """``FourierGrid.xi_abs`` as whole-grid sums from a zero grid."""
+    sq = np.zeros(grid.shape)
+    for axis in range(grid.d):
+        shape = [1] * grid.d
+        shape[axis] = grid.N
+        sq = sq + (grid.xi_axis.reshape(shape)) ** 2
+    return np.sqrt(sq)
 
 
 def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
@@ -61,7 +87,7 @@ def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# the radial data builders on the whole grid
+# the data builders on the whole grid
 # ---------------------------------------------------------------------------
 
 def gaussian_whole(grid: FourierGrid, A: float = 1.0, w: float = 1.0) -> Field:
@@ -86,6 +112,30 @@ def periodized_sech_whole(grid: FourierGrid, A: float = 1.0,
         e = np.exp(-z)
         vals = vals + 2.0 * e / (1.0 + e * e)
     return Field(grid, A * vals, rep=PHYSICAL)
+
+
+def plane_wave_whole(grid: FourierGrid, A: float = 1.0, k: int = 1) -> Field:
+    """``data.plane_wave`` from the full coordinate mesh at once."""
+    mesh = grid.meshgrid()
+    xi = 2.0 * np.pi * k / grid.L
+    return Field(grid, A * np.exp(1j * xi * mesh[0]), rep=PHYSICAL)
+
+
+def random_bandlimited_whole(grid: FourierGrid, seed: int, band: int = None,
+                             decay: float = 0.3,
+                             amplitude: float = 1.0) -> Field:
+    """``data.random_bandlimited`` on the whole grid at once: two whole-grid
+    normal draws, the damping as a full grid and the band mask by
+    ``np.where``."""
+    if band is None:
+        band = grid.N // 6
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    k2 = sum(np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True))
+    coeffs = np.where(grid.k_max <= band,
+                      coeffs * np.exp(-decay * np.sqrt(k2)), 0.0)
+    return Field(grid, amplitude * coeffs, rep=SPECTRAL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Initial-data library."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gnls.data as data
+from gnls import _kernels
 from gnls.data import (KINDS, gaussian, make_initial_data, periodized_sech,
                        plane_wave, random_bandlimited)
 from gnls.grid import FourierGrid
 from gnls.spectral import to_spectral
-from oracles import gaussian_whole, periodized_sech_whole
+from oracles import (gaussian_whole, periodized_sech_whole, plane_wave_whole,
+                     random_bandlimited_whole)
 
 
 @pytest.fixture
@@ -85,6 +90,42 @@ def test_radial_builders_are_bytes_equal_to_the_whole_grid_formulas(d, N, L):
         for A, p in ((1.0, 1.0), (0.97, 2.0), (3.0, 0.3)):
             assert (build(g, A, p).values.tobytes()
                     == whole(g, A, p).values.tobytes())
+
+
+@pytest.mark.parametrize("slab", [None, 7, 5], ids=["default-slab", "slab-7",
+                                                   "slab-5-rows"])
+@pytest.mark.parametrize("d,N,L", [(1, 4096, 40.0), (1, 64, 2.0), (2, 18, 3.0),
+                                   (3, 10, 5.0), (3, 64, 20.0)])
+def test_plane_wave_and_random_data_are_bytes_equal_to_the_whole_grid_formulas(
+        d, N, L, slab, monkeypatch):
+    # 7 points make one-row slabs in d >= 2; 5 rows leave a partial slab
+    if slab is not None:
+        monkeypatch.setattr(data, "_SLAB", 7 if slab == 7 else 5 * N ** (d - 1))
+    g = FourierGrid(d=d, N=N, L=L)
+    for A, k in ((1.0, 1), (0.3, -3), (-2.0, 5)):
+        assert (plane_wave(g, A, k).values.tobytes()
+                == plane_wave_whole(g, A, k).values.tobytes())
+    for seed, band, decay, amp in ((4, None, 0.3, 1.0), (9, 2, 0.05, -0.7),
+                                   (1, N, 1.0, 3.0)):
+        assert (random_bandlimited(g, seed, band, decay, amp).values.tobytes()
+                == random_bandlimited_whole(g, seed, band, decay,
+                                            amp).values.tobytes())
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_data_builders_make_no_grid_temporaries(kind, split, monkeypatch):
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
+    g = FourierGrid(d=3, N=64, L=20.0)
+    tracemalloc.start()
+    try:
+        make_initial_data(g, kind, {}, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus slab buffers; the whole-grid plane_wave and
+    # random_bandlimited peak at 3.56 and 4.09 complex grids
+    assert peak < 2.1 * 16 * g.N ** 3
 
 
 def test_make_initial_data_dispatch(grid):

@@ -215,12 +215,11 @@ def test_abort_in_callback_run_carries_last_recorded_slice(grid1d, monkeypatch):
     rotate = integrator._kernels.phase_rotate
     calls = []
 
-    def poisoned(values, dt, phase, out):
+    def poisoned(values, dt, work):
         calls.append(1)
-        out = rotate(values, dt, phase, out)
         if len(calls) == 5:
-            out *= np.nan
-        return out
+            values *= np.nan
+        return rotate(values, dt, work)
 
     monkeypatch.setattr(integrator._kernels, "phase_rotate", poisoned)
     seen = []
@@ -273,9 +272,10 @@ def _record_writes(monkeypatch) -> list:
     monkeypatch.setattr(np.fft, "ifftn", recorded(np.fft.ifftn))
     rotate = integrator._kernels.phase_rotate
 
-    def rotate_recorded(values, dt, phase, out):
-        writes.append(phase)
-        return recorded(rotate)(values, dt, phase, out)
+    def rotate_recorded(values, dt, work):
+        # the rotation writes the samples in place and its slab buffers
+        writes.extend([values, *(buf for pair in work for buf in pair)])
+        return rotate(values, dt, work)
 
     monkeypatch.setattr(integrator._kernels, "phase_rotate", rotate_recorded)
     return writes

@@ -10,9 +10,10 @@ import pytest
 
 from gnls import _kernels, data
 from gnls.audits import audit_multiplier_inequality
+from gnls.errors import SimulationAbort
 from gnls.grid import FourierGrid
 from gnls.integrator import SolverConfig, evolve
-from oracles import triple_gap_ratios_oneshot
+from oracles import rotate_whole, triple_gap_ratios_oneshot
 
 
 def _slices(xi):
@@ -32,8 +33,9 @@ def _slices(xi):
 
 
 def _rotate(vals, dt):
-    return _kernels.phase_rotate(vals, dt, np.empty(vals.shape),
-                                 np.empty(vals.shape, np.complex128))
+    out = vals.copy()
+    _kernels.phase_rotate(out, dt, _kernels._workspace(out))
+    return out
 
 
 def test_phase_rotate_matches_closed_form():
@@ -50,6 +52,119 @@ def test_phase_rotate_preserves_shape_and_modulus():
     out = _rotate(vals, 0.5)
     assert out.shape == vals.shape
     assert np.max(np.abs(np.abs(out) - np.abs(vals))) < 1e-15
+
+
+#: (d, N, split) of the in-place rotation's tests: 258 and 18 rows split
+#: into odd halves, and a 1-D grid is never split
+SLAB_CASES = [(1, 258, False), (2, 18, False), (2, 18, True), (3, 10, False),
+              (3, 10, True)]
+
+#: slab widths, in rows along axis 0: the default, one row (a slab of 7
+#: points), and 4 rows, which leaves a partial last slab in every half and,
+#: on one thread, a slab across the cut of the two halves
+SLAB_ROWS = {"default-slab": None, "slab-7": 1, "slab-4-rows": 4}
+
+
+def _slab_grid(monkeypatch, d, N, split, rows) -> FourierGrid:
+    """The grid of ``d`` and ``N``, split into halves or not and cut into
+    slabs of ``rows`` rows along axis 0 (7 points for one row)."""
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
+    if rows is not None:
+        monkeypatch.setattr(_kernels, "_SLAB",
+                            7 if rows == 1 else rows * N ** (d - 1))
+    return FourierGrid(d=d, N=N, L=7.3)
+
+
+def _samples(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return 1.7 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("rows", list(SLAB_ROWS))
+@pytest.mark.parametrize("d,N,split", SLAB_CASES)
+def test_phase_rotate_is_bytes_equal_to_the_whole_grid_rotation(
+        d, N, split, rows, monkeypatch):
+    g = _slab_grid(monkeypatch, d, N, split, SLAB_ROWS[rows])
+    vals = _samples(g.shape)
+    want, want_peak = rotate_whole(vals, 0.37)
+    got = vals.copy()
+    work = _kernels._workspace(got)
+    assert len(work) == (2 if split else 1)
+    peak = _kernels.phase_rotate(got, 0.37, work)
+    assert got.tobytes() == want.tobytes()
+    assert np.float64(peak).tobytes() == np.float64(want_peak).tobytes()
+    # the guard alone reads the same peak and leaves the samples unchanged
+    assert _kernels._guard(got, work) == peak
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", list(SLAB_ROWS))
+@pytest.mark.parametrize("d,N,split", SLAB_CASES)
+def test_phase_tables_are_bytes_equal_to_the_whole_grid_formula(
+        d, N, split, rows, monkeypatch):
+    g = _slab_grid(monkeypatch, d, N, split, SLAB_ROWS[rows])
+    work = _kernels._workspace(np.empty(g.shape, np.complex128))
+    for scale in (-0.5j * 0.013, -1.0j * 0.013):
+        want = np.exp(scale * np.multiply(g.xi_abs, g.xi_abs))
+        got = _kernels._phase_table(scale, g.xi_abs, work)
+        assert got.tobytes() == want.tobytes()
+
+
+#: rows holding a non-finite sample: in the first, a middle and the last
+#: slab of 4 rows (of 10), and in the helper's half only
+POISON_ROWS = {"first-slab": 0, "middle-slab": 5, "last-slab": 9,
+               "helper-half": 7}
+
+
+#: the cosine and sine of an infinite phase, on either thread
+NAN_PHASE = "ignore:invalid value encountered:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(NAN_PHASE)
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", list(POISON_ROWS))
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_a_non_finite_sample_anywhere_is_the_peak(split, where, bad,
+                                                  monkeypatch):
+    g = _slab_grid(monkeypatch, 3, 10, split, 4)
+    vals = _samples(g.shape, seed=3)
+    vals[POISON_ROWS[where], 3, 6] = bad
+    work = _kernels._workspace(vals)
+    guard = _kernels._guard(vals, work)
+    assert (guard == np.inf) if np.isinf(bad) else np.isnan(guard)
+    # the rotation of an infinite sample is NaN
+    assert np.isnan(_kernels.phase_rotate(vals, 0.37, work))
+
+
+@pytest.mark.filterwarnings(NAN_PHASE)
+@pytest.mark.parametrize("linear_only", [False, True],
+                         ids=["rotation", "linear-only"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", list(POISON_ROWS))
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_evolve_aborts_on_a_non_finite_sample_in_any_slab(
+        split, where, bad, linear_only, monkeypatch):
+    # the pass that computes step 3's peak finds a non-finite sample in
+    # the step array
+    g = _slab_grid(monkeypatch, 3, 10, split, 4)
+    name = "_guard" if linear_only else "phase_rotate"
+    kernel, calls = getattr(_kernels, name), []
+
+    def poisoned(values, *args):
+        calls.append(1)
+        # the guard's first call reads the initial data
+        if len(calls) == (4 if linear_only else 3):
+            values[POISON_ROWS[where], 3, 6] = bad
+        return kernel(values, *args)
+
+    monkeypatch.setattr(_kernels, name, poisoned)
+    u0 = data.periodized_sech(g, A=1.02)
+    with pytest.raises(SimulationAbort) as exc:
+        evolve(u0, SolverConfig(dt=0.02, t_end=0.1, linear_only=linear_only))
+    assert exc.value.step == 3
+    assert str(exc.value) == "non-finite state at step 3 (t=0.06)"
+    t, last = exc.value.last_good
+    assert t == pytest.approx(0.04) and np.all(np.isfinite(last.values))
 
 
 def _triple_gap_loop(xi1, xi2, xi3, sigma):

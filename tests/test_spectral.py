@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gnls import _kernels
 from gnls.errors import MultiplierOverflowError, NonFiniteFieldError
 from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.integrator import SolverConfig, evolve
@@ -13,7 +14,7 @@ from gnls.spectral import (apply_exp_gevrey, dealiased_cubic, exp_weight,
 
 from conftest import random_field, rel_err, single_mode_field
 from oracles import (direct_convolution_cubic, l4_norm_whole, pad_spectrum,
-                     zero_field)
+                     xi_abs_whole, zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,33 @@ def test_grid_k_max_is_the_largest_mode_index_over_the_axes(d):
     assert g.k_max.shape == g.shape
     for idx in np.ndindex(g.shape):
         assert g.k_max[idx] == max(k[i] for i in idx)
+
+
+@pytest.mark.parametrize("slab", [None, 7, 5], ids=["default-slab", "slab-7",
+                                                   "slab-5-rows"])
+@pytest.mark.parametrize("d,N,L", [(1, 4096, 40.0), (1, 64, 2.0), (2, 18, 3.0),
+                                   (2, 256, 20.0), (3, 10, 5.0), (3, 64, 20.0)])
+def test_xi_abs_is_bytes_equal_to_the_whole_grid_sum(d, N, L, slab, monkeypatch):
+    # 7 points make one-row slabs in d >= 2; 5 rows leave a partial slab
+    if slab is not None:
+        monkeypatch.setattr(_kernels, "_SLAB",
+                            7 if slab == 7 else 5 * N ** (d - 1))
+    g = FourierGrid(d=d, N=N, L=L)
+    assert g.xi_abs.tobytes() == xi_abs_whole(g).tobytes()
+
+
+def test_xi_abs_is_filled_without_grid_temporaries():
+    import tracemalloc
+
+    g = FourierGrid(d=3, N=128, L=20.0)
+    tracemalloc.start()
+    try:
+        g.xi_abs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the one real output; the whole-grid sum peaks at 2 real grids
+    assert peak < 1.1 * 8 * g.N ** 3
 
 
 def test_field_rejects_nonfinite_and_shape_mismatch(grid1d):

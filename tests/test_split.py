@@ -136,6 +136,26 @@ def test_periodized_sech_builds_without_full_grid_temporaries(monkeypatch):
         assert p < 1.25 * 16 * g.N ** 3
 
 
+def test_an_evolve_step_makes_no_grid_temporaries(monkeypatch):
+    g = FourierGrid(d=3, N=64, L=20.0)
+    u0 = periodized_sech(g)
+    g.xi_abs
+
+    def peak():
+        tracemalloc.start()
+        try:
+            evolve(u0, SolverConfig(dt=0.01, t_end=0.01))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the phase table, the step array that becomes the snapshot and one
+    # slab's buffers per half; rotating out of place into a spare, with a
+    # real array for the phase and the guard, took 3.5 complex grids
+    for p in _serial_and_split(monkeypatch, peak):
+        assert p < 2.5 * 16 * g.N ** 3
+
+
 def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 64)
     assert not _kernels._splits(np.empty(1 << 20))
