@@ -4,17 +4,19 @@ The FFTs that dominate the integrator are delegated to numpy/pocketfft;
 these are the pointwise nonlinear phase rotation, in place with the
 blow-up guard's peak fused into it, the Monte-Carlo triple-frequency
 inequality check, and the shell envelope reduction used by the radius
-estimator.  The rotation, the guard and the linear phase tables go over
-the grid in cache-sized slabs of rows along axis 0, in buffers the caller
-makes once (:func:`_workspace`).  The private section at the end runs a
-full-grid pass (an FFT, a pointwise product, the slabs of the rotation)
-as two halves on two threads; the triple-frequency check runs its
-ensemble as two halves on the same two threads.
+estimator.  The rotation and the guard go over the grid in cache-sized
+slabs of rows along axis 0, in buffers the caller makes once
+(:func:`_workspace`); the linear phase tables are kept on the
+mirror-symmetric half lattice and multiplied into the grid block by block.
+The private section at the end runs a full-grid pass (an FFT, a pointwise
+product, the slabs of the rotation, the blocks of a phase product) as two
+halves on two threads; the triple-frequency check runs its ensemble as two
+halves on the same two threads.
 """
 
 import os
 import threading
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -69,24 +71,82 @@ def _slabs(values, rotation, phase, rot):
 
 
 def _phase_table(scale: complex, xi_abs: np.ndarray, work) -> np.ndarray:
-    """``np.exp(scale * xi_abs**2)``, the linear step's phase table, built
-    slab by slab: |xi|^2 into the real buffer of ``work``, then the product
-    with ``scale`` and its exponential in the slab of the one output, the
-    order of the whole-grid formula, so the bits are the same."""
-    table = np.empty(xi_abs.shape, np.complex128)
-    _halves(_table_slabs, work, xi_abs, table, scale)
+    """``np.exp(scale * xi_abs**2)``, the linear step's phase table, on the
+    half lattice: the block [0, N/2] of every axis but the last, which stays
+    whole.  ``xi_abs`` is the whole lattice's |xi|.
+
+    Along an axis, wavenumber N - k is exactly minus wavenumber k, so every
+    entry the block leaves out repeats one it keeps, bit for bit; the block
+    is a quarter of the grid at d = 3 and all of it at d = 1 (see
+    :func:`_phase_product`).  It is built in the slabs of rows of ``work``
+    (:func:`_workspace`), in place in the one output: |xi|^2 into the real
+    parts and +0 into the imaginary parts, which is numpy's cast of |xi|^2
+    to complex, then the product with ``scale`` and its exponential, the
+    order of the whole-grid formula, so the bits are the same.
+    """
+    head = slice(None, xi_abs.shape[0] // 2 + 1)
+    block = xi_abs[(head,) * (xi_abs.ndim - 1)]
+    table = np.empty(block.shape, np.complex128)
+    _halves(_table_slabs, work, block, table, scale)
     return table
 
 
 def _table_slabs(xi_abs, table, scale, phase, rot):
     """:func:`_phase_table` on the rows of ``table``, as many at a time as
-    ``phase`` holds."""
+    ``phase`` has rows; the product with ``scale`` reads no cast, so numpy
+    makes it without a buffer."""
     rows = phase.shape[0]
     for lo in range(0, xi_abs.shape[0], rows):
         x, t = xi_abs[lo:lo + rows], table[lo:lo + rows]
-        xi2 = np.multiply(x, x, out=phase[:x.shape[0]])
-        np.multiply(scale, xi2, out=t)
+        np.multiply(x, x, out=t.real)
+        t.imag = 0.0
+        np.multiply(scale, t, out=t)
         np.exp(t, out=t)
+
+
+def _phase_product(values: np.ndarray, table: np.ndarray):
+    """A function of no arguments that multiplies ``values`` in place by the
+    whole-lattice phase table whose half lattice is ``table``
+    (:func:`_phase_table`).
+
+    Along every axis but the last, indices [0, N/2] take the table's rows
+    in order and indices (N/2, N) take rows N/2 - 1 ... 1, a reversed view.
+    The product runs as blocks of the planes over the last two axes (see
+    :func:`_blocks`); each block of ``values`` is contiguous, so numpy
+    multiplies it without buffering, and the last axis stays whole and
+    contiguous in every operand, so each sample sees the multiply of the
+    whole-grid product ``values * table``, in its operand order: numpy
+    rounds a complex a * b and b * a differently.  At d = 1 the table is
+    the whole table and the function is one ``np.multiply``.  On a split
+    grid (see :func:`_splits`) the first half of the blocks, the head half
+    of the planes at d = 3, runs on the calling thread and the second half
+    on the helper.
+    """
+    if values.ndim == 1:
+        return partial(np.multiply, values, table, out=values)
+    planes = values.reshape((-1,) + values.shape[-2:])
+    rows = table.reshape((-1,) + table.shape[-2:])
+    n = 2 * len(planes)
+    if not _splits(values):
+        return partial(_blocks, planes, rows, 0, n)
+    return partial(_both, partial(_blocks, planes, rows, 0, n // 2),
+                   partial(_blocks, planes, rows, n // 2, n))
+
+
+def _blocks(planes, table, lo, hi):
+    """Blocks ``lo`` ... ``hi - 1`` of :func:`_phase_product` on the stack
+    of ``planes``: block k is rows [0, N/2] of plane k // 2 when k is even,
+    rows (N/2, N) when k is odd, times the table's plane of the mirrored
+    index, its rows reversed for the second block."""
+    h = planes.shape[1] // 2 + 1
+    for k in range(lo, hi):
+        i = k // 2
+        v, t = planes[i], table[min(i, len(planes) - i)]
+        if k % 2:
+            v, t = v[h:], t[h - 2:0:-1]
+        else:
+            v = v[:h]
+        np.multiply(v, t, out=v)
 
 
 #: members per block of ``triple_gap_ratios``: a working column of one
@@ -312,10 +372,11 @@ def _workspace(values: np.ndarray) -> tuple:
     """The slab buffers of :func:`phase_rotate`, :func:`_guard` and
     :func:`_phase_table` on grids of the shape of ``values``: a real and a
     complex array of one slab of rows along axis 0, one pair for the whole
-    grid or, on a split grid, one per half, all made here on the calling
+    grid or, on a split grid, one pair of half a slab per half, so that
+    both together hold one slab's buffers; all made here on the calling
     thread."""
-    rows = max(_SLAB * values.shape[0] // values.size, 1)
     halves = 2 if _splits(values) else 1
+    rows = max(_SLAB // halves * values.shape[0] // values.size, 1)
     shape = (min(rows, -(-values.shape[0] // halves)),) + values.shape[1:]
     return tuple((np.empty(shape), np.empty(shape, np.complex128))
                  for _ in range(halves))
@@ -375,16 +436,10 @@ def _ifftn(a, out):
     return _transform(a, out, np.fft.ifftn, np.fft.ifft)
 
 
-def _pointwise(ufunc):
-    """``ufunc(a, b, out=out)``, in two halves along axis 0 on a split grid;
-    ``b`` is a scalar or an array of the shape of ``a``."""
-    def run(a, b, out):
-        if not _splits(a):
-            return ufunc(a, b, out=out)
-        _split(0, ufunc, ufunc, a, b, out)
-        return out
-    return run
-
-
-_multiply = _pointwise(np.multiply)
-_divide = _pointwise(np.divide)
+def _multiply(a, b, out):
+    """``np.multiply(a, b, out=out)``, in two halves along axis 0 on a split
+    grid; ``b`` is a scalar."""
+    if not _splits(a):
+        return np.multiply(a, b, out=out)
+    _split(0, np.multiply, np.multiply, a, b, out)
+    return out

@@ -74,11 +74,13 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     grow with the number of snapshots.  Non-finite or blown-up states abort
     with the step index and the last recorded snapshot attached.
 
-    Beyond its input a run holds the linear phase table (two when steps
-    are fused), the one step array that every transform and the in-place
-    rotation write, one array per snapshot it hands out (the last one is
-    the step array itself) and a few slab buffers: no pass makes a
-    temporary of the grid.
+    Beyond its input a run holds the linear phase table on the half
+    lattice, (N/2 + 1)^(d-1) N entries (two tables when steps are fused),
+    the one step array that every transform, phase multiply and the
+    in-place rotation write, one array per snapshot it hands out and a few
+    slab buffers: no pass makes a temporary of the grid.  The last
+    snapshot is the step array itself, and the tables and slab buffers are
+    freed before its ``on_snapshot`` runs.
     """
     u = to_physical(u0)
     u = Field(u.grid, u.values, rep=PHYSICAL, t=0.0)
@@ -97,27 +99,33 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     split = _kernels._splits(u.values)
     fftn = _kernels._fftn if split else np.fft.fftn
     ifftn = _kernels._ifftn if split else np.fft.ifftn
-    multiply = _kernels._multiply if split else np.multiply
 
     # the slab buffers of the rotation, the guard and the phase tables,
     # made once: no pass of the loop makes a temporary of the grid
     work = _kernels._workspace(u.values)
     peak0 = float(_kernels._guard(u.values, work))
-    half_phase = _kernels._phase_table(-0.5j * cfg.dt, u.grid.xi_abs, work)
-    # a full linear step joins two steps when the first records no snapshot
-    fused = cfg.snapshot_stride > 1 and n_steps > 1
-    full_phase = (_kernels._phase_table(-1.0j * cfg.dt, u.grid.xi_abs, work)
-                  if fused else None)
 
     # the loop keeps numpy-convention coefficients (no unitary rescaling):
     # fftn/ifftn round-trip physical values directly, and skipping the
     # scalar multiply/divide each step removes its systematic round-off.
-    # Every transform and the rotation write into the one step array.  A
-    # snapshot before the last step takes a fresh array and the last one
-    # takes the step array itself, so no array handed out is written again.
+    # Every transform, phase multiply and rotation writes the one step
+    # array.  A snapshot before the last step takes a fresh array and the
+    # last one takes the step array itself, so no array handed out is
+    # written again.  The linear steps multiply it by their phase tables
+    # on the half lattice (gnls._kernels._phase_table); a full linear step
+    # joins two half steps when the first records no snapshot.  The tables
+    # are built before the step array is made, so their builds' transient
+    # buffers do not add to it
+    half_table = _kernels._phase_table(-0.5j * cfg.dt, u.grid.xi_abs, work)
+    full_table = (_kernels._phase_table(-1.0j * cfg.dt, u.grid.xi_abs, work)
+                  if cfg.snapshot_stride > 1 and n_steps > 1 else None)
     coeff = np.empty(u.grid.shape, np.complex128)
+    half = _kernels._phase_product(coeff, half_table)
+    full = (None if full_table is None
+            else _kernels._phase_product(coeff, full_table))
+    del half_table, full_table  # held by the products, freed with them
     coeff = fftn(u.values, out=coeff)
-    multiply(coeff, half_phase, out=coeff)
+    half()
     for step in range(1, n_steps + 1):
         vals = ifftn(coeff, out=coeff)
         if cfg.linear_only:
@@ -135,8 +143,12 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
         record = step % cfg.snapshot_stride == 0 or step == n_steps
         coeff = fftn(vals, out=vals)
         if record:
-            multiply(coeff, half_phase, out=coeff)
+            half()
             last = step == n_steps
+            if last:
+                # the last snapshot is the step array: the tables and the
+                # slab buffers go before its callback runs
+                half = full = work = None
             snap = ifftn(coeff, out=coeff if last else np.empty_like(coeff))
             snap.flags.writeable = False  # owned here: Field keeps it uncopied
             u = Field(u.grid, snap, rep=PHYSICAL, t=step * cfg.dt, _check=False)
@@ -146,7 +158,7 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 snapshots[-1] = (u.t, u)
                 on_snapshot(u.t, u)
             if not last:
-                multiply(coeff, half_phase, out=coeff)
+                half()
         elif step < n_steps:
-            multiply(coeff, full_phase, out=coeff)
+            full()
     return Trajectory(snapshots=snapshots)

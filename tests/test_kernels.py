@@ -98,16 +98,59 @@ def test_phase_rotate_is_bytes_equal_to_the_whole_grid_rotation(
     assert got.tobytes() == want.tobytes()
 
 
+#: the slab cases, and more grids of N = 10, 18 and 258, where fftfreq's
+#: 1/N is inexact: the table's mirror blocks must still repeat it exactly
+TABLE_CASES = SLAB_CASES + [(1, 10, False), (1, 18, False), (2, 10, True),
+                            (2, 258, False), (2, 258, True), (3, 18, False),
+                            (3, 18, True)]
+
+#: the scales of the half and the full linear step's tables
+TABLE_SCALES = (-0.5j * 0.013, -1.0j * 0.013)
+
+
+def _whole_lattice(table, N):
+    """The half-lattice ``table`` expanded to the whole lattice: index k
+    along every axis but the last reads row min(k, N - k)."""
+    mirror = np.minimum(np.arange(N), N - np.arange(N))
+    return table[np.ix_(*[mirror] * (table.ndim - 1), np.arange(N))]
+
+
 @pytest.mark.parametrize("rows", list(SLAB_ROWS))
-@pytest.mark.parametrize("d,N,split", SLAB_CASES)
+@pytest.mark.parametrize("d,N,split", TABLE_CASES)
 def test_phase_tables_are_bytes_equal_to_the_whole_grid_formula(
         d, N, split, rows, monkeypatch):
     g = _slab_grid(monkeypatch, d, N, split, SLAB_ROWS[rows])
     work = _kernels._workspace(np.empty(g.shape, np.complex128))
-    for scale in (-0.5j * 0.013, -1.0j * 0.013):
+    for scale in TABLE_SCALES:
         want = np.exp(scale * np.multiply(g.xi_abs, g.xi_abs))
         got = _kernels._phase_table(scale, g.xi_abs, work)
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == (N // 2 + 1,) * (d - 1) + (N,)
+        assert _whole_lattice(got, N).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d,N,split", TABLE_CASES)
+def test_phase_products_are_bytes_equal_to_the_whole_grid_product(
+        d, N, split, monkeypatch):
+    g = _slab_grid(monkeypatch, d, N, split, None)
+    work = _kernels._workspace(np.empty(g.shape, np.complex128))
+    for scale in TABLE_SCALES:
+        vals = _samples(g.shape, seed=N + d)
+        # values times table, in the solver's operand order: numpy's
+        # complex multiply rounds a * b and b * a differently, and
+        # ``vals * np.exp(...)`` may run as the second
+        want = np.multiply(vals, np.exp(scale * (g.xi_abs * g.xi_abs)))
+        product = _kernels._phase_product(
+            vals, _kernels._phase_table(scale, g.xi_abs, work))
+        product()
+        assert vals.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [8, 10, 18, 64, 258])
+def test_wavenumbers_mirror_exactly(N):
+    g = FourierGrid(d=2, N=N, L=7.3)
+    k = np.arange(1, N // 2)
+    assert (-g.xi_axis[N - k]).tobytes() == g.xi_axis[k].tobytes()
+    assert g.xi_abs[N - k][:, N - k].tobytes() == g.xi_abs[k][:, k].tobytes()
 
 
 #: rows holding a non-finite sample: in the first, a middle and the last

@@ -166,6 +166,21 @@ def test_zero_spectrum_round_trip(grid1d):
     assert np.all(inverse_transform(z).values == 0.0)
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 18), (3, 10)])
+def test_inverse_transform_equals_division_by_the_forward_factor(
+        d, N, split, monkeypatch):
+    # the real view is scaled by 1/factor: the same numbers as numpy's
+    # complex division by the factor, up to the sign of zeros
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
+    g = FourierGrid(d=d, N=N, L=7.3)
+    factor = (np.sqrt(g.L) / g.N) ** g.d
+    for uh in (to_spectral(random_field(g, seed=N + d, band=N // 2)),
+               Field(g, np.zeros(g.shape), rep=SPECTRAL)):
+        want = np.fft.ifftn(uh.values) / factor
+        assert np.all(inverse_transform(uh).values == want)
+
+
 def test_transform_rejects_wrong_representation(grid1d):
     f = Field(grid1d, np.ones(grid1d.shape, dtype=complex))
     with pytest.raises(ValueError):

@@ -136,24 +136,59 @@ def test_periodized_sech_builds_without_full_grid_temporaries(monkeypatch):
         assert p < 1.25 * 16 * g.N ** 3
 
 
-def test_an_evolve_step_makes_no_grid_temporaries(monkeypatch):
+def _evolve_peak(u0, cfg, on_snapshot=None) -> int:
+    """Peak bytes traced while ``evolve(u0, cfg, on_snapshot)`` runs."""
+    tracemalloc.start()
+    try:
+        evolve(u0, cfg, on_snapshot)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sech_64():
     g = FourierGrid(d=3, N=64, L=20.0)
     u0 = periodized_sech(g)
     g.xi_abs
+    return u0, 16 * g.N ** 3
 
-    def peak():
-        tracemalloc.start()
-        try:
-            evolve(u0, SolverConfig(dt=0.01, t_end=0.01))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    # the phase table, the step array that becomes the snapshot and one
-    # slab's buffers per half; rotating out of place into a spare, with a
-    # real array for the phase and the guard, took 3.5 complex grids
-    for p in _serial_and_split(monkeypatch, peak):
-        assert p < 2.5 * 16 * g.N ** 3
+def test_an_evolve_step_makes_no_grid_temporaries(monkeypatch):
+    u0, grid = _sech_64()
+    cfg = SolverConfig(dt=0.01, t_end=0.01)
+    # the step array that becomes the snapshot, the phase table on the
+    # half lattice (0.27 grids) and one slab's buffers (0.19 grids); the
+    # whole-lattice table took 2.19 grids, and rotating out of place into
+    # a spare, with a real array for the phase and the guard, 3.5
+    for p in _serial_and_split(monkeypatch, lambda: _evolve_peak(u0, cfg)):
+        assert p < 1.5 * grid
+
+
+def test_a_fused_run_holds_two_half_lattice_tables(monkeypatch):
+    u0, grid = _sech_64()
+    cfg = SolverConfig(dt=0.01, t_end=0.03, snapshot_stride=3)
+    # one step array, the half- and the full-step table on the half
+    # lattice and one slab's buffers; two whole-lattice tables took 3.19
+    for p in _serial_and_split(monkeypatch, lambda: _evolve_peak(u0, cfg)):
+        assert p < 1.75 * grid
+
+
+@pytest.mark.parametrize("stride", [1, 2], ids=["stride-1", "fused"])
+def test_the_last_callback_sees_only_the_step_array(stride, monkeypatch):
+    u0, grid = _sech_64()
+    cfg = SolverConfig(dt=0.01, t_end=0.04, snapshot_stride=stride)
+
+    def held():
+        """Traced bytes at each snapshot's callback."""
+        seen = []
+        _evolve_peak(u0, cfg, lambda t, u: seen.append(
+            tracemalloc.get_traced_memory()[0]))
+        return seen
+
+    # the tables and the slab buffers are freed before the last snapshot,
+    # the step array itself, is handed out: they held 1.19 grids there
+    for seen in _serial_and_split(monkeypatch, held):
+        assert len(seen) == 1 + 4 // stride and seen[-1] < 1.05 * grid
 
 
 def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):
