@@ -221,9 +221,10 @@ def dealiased_cubic(u: Field) -> Field:
     return inverse_transform(truncate_spectrum(prod, u.grid))
 
 
-#: lines along axis 0 per slab of the last synthesis in :func:`l4_norm`;
-#: at 128^3 a slab's buffer is 1 MB
-_SLAB = 512
+#: lines along axis 0 per slab of the last synthesis in :func:`l4_norm`,
+#: on each thread: at 64^3 a thread's complex and real slab buffers take
+#: 393 KB
+_SLAB = 128
 
 
 def l4_norm(u: Field) -> float:
@@ -234,54 +235,83 @@ def l4_norm(u: Field) -> float:
     outer half of that band.
 
     Axes d-1 ... 1 are synthesised as in :func:`_padded_samples`.  Axis 0,
-    the last, is synthesised ``_SLAB`` lines at a time in one reused
-    buffer, and each slab's |u|^4 goes straight into one real array, so no
-    padded complex grid is made.  On a split grid each thread takes half of
-    the lines and half of the buffer.  Every line sees the transform it
-    sees on the whole grid, and the one sum sees the same array, so the
-    value equals the whole-array quadrature bit for bit.
+    the last, is synthesised ``_SLAB`` lines at a time, each slab embedded
+    transposed into a buffer where every line is a contiguous row (see
+    :func:`_quartics`), and each slab's |u|^4 is copied back transposed
+    into one real C-ordered array, so no padded complex grid is made.  On a
+    split grid each thread takes half of the lines, in slabs of its own
+    buffers.  Every line sees the transform it sees on
+    the whole grid, and every sample the ufuncs of the whole-array
+    quadrature in their order, so every value is bit-identical to it.
+
+    The whole |u|^4 array is kept for the one ``np.sum``: numpy sums a
+    contiguous array as one pairwise tree (with numpy 2.4.6, the sum of a
+    128^3 float64 array is the pairwise combination of its aligned
+    8192-element chunk sums, not their running sum), so a slab-wise sum
+    would change the last bits wherever a slab boundary is not a node of
+    that tree, as at N = 10, 18 and 300.
     """
     grid = u.grid.refined(2)
     coeffs = to_spectral(u).values
     split = _kernels._splits(coeffs)
     a = _synthesise(coeffs, range(grid.d - 1, 0, -1), split)
-    lines = a.reshape(a.shape[0], -1)  # one column per line along axis 0
-    n_lines = lines.shape[1]
+    lines = a.reshape(a.shape[0], -1).T  # one row per line along axis 0
     mag2 = np.empty(grid.shape)
-    mag2_lines = mag2.reshape(grid.N, -1)
-    buf = np.empty((grid.N, min(_SLAB, n_lines)), dtype=np.complex128)
+    quartics = mag2.reshape(grid.N, -1).T  # row k: |u|^4 of line k
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros, which |u|^4 drops
     scale = 1.0 / _forward_factor(grid)
 
-    if split and buf.shape[1] > 1:
-        mid, w = n_lines // 2, buf.shape[1] // 2
+    def buffers(n):
+        """The complex and real buffers of slabs of ``n`` lines, made on the
+        calling thread; slabs of one line need no real buffer (see
+        :func:`_quartics`)."""
+        w = min(_SLAB, n)
+        return (np.empty((w, grid.N), np.complex128),
+                np.empty((w, grid.N)) if w > 1 else None)
+
+    def ifftn(s, out):  # the calling thread's, as a tracer sees it
+        return np.fft.ifftn(s, axes=(1,), out=out)
+
+    n_lines = len(lines)
+    if split:
+        mid = n_lines // 2
+        left, right = buffers(mid), buffers(n_lines - mid)
         _kernels._both(
-            lambda: _slab_quartics(lines[:, :mid], mag2_lines[:, :mid],
-                                   buf[:, :w], scale),
-            lambda: _slab_quartics(lines[:, mid:], mag2_lines[:, mid:],
-                                   buf[:, w:], scale, np.fft.ifft))
+            lambda: _quartics(lines[:mid], quartics[:mid], *left, scale, ifftn),
+            lambda: _quartics(lines[mid:], quartics[mid:], *right, scale,
+                              np.fft.ifft))
     else:
-        _slab_quartics(lines, mag2_lines, buf, scale)
+        _quartics(lines, quartics, *buffers(n_lines), scale, ifftn)
     q = (grid.L / grid.N) ** grid.d
     return float((np.sum(mag2) * q) ** 0.25)
 
 
-def _slab_quartics(lines, mag2_lines, buf, scale, line=None):
-    """|u|^4 of ``lines`` synthesised along axis 0 into ``mag2_lines``, as
-    many lines at a time as ``buf`` holds.  Each slab is transformed by
-    ``np.fft.ifftn``, or by ``line`` (np.fft.ifft) on the helper thread."""
-    n_lines, width = lines.shape[1], buf.shape[1]
-    for lo in range(0, n_lines, width):
-        hi = min(lo + width, n_lines)
-        s = _embed_band(lines[:, lo:hi], 0, buf[:, :hi - lo])
-        if line is None:
-            np.fft.ifftn(s, axes=(0,), out=s)
-        else:
-            line(s, axis=0, out=s)
+def _quartics(lines, quartics, buf, quart, scale, ifft):
+    """|u|^4 of the rows of ``lines``, each synthesised along its length
+    and multiplied by ``scale``, into the rows of ``quartics``, as many
+    rows at a time as ``buf`` holds.
+
+    A slab is embedded into ``buf`` by :func:`_embed_band` and transformed
+    in place along its contiguous rows by ``ifft``: ``np.fft.ifftn`` over
+    axis 1 on the calling thread, ``np.fft.ifft`` on the helper.  Its |u|^4
+    is formed in the real ``quart`` with the ufuncs of the whole-array
+    quadrature in their order (times scale, square, re^2 + im^2, square)
+    and then copied into ``quartics``, a transposed view.  Without
+    ``quart`` each slab is one line and is formed straight in
+    ``quartics``: at d = 1 the one line is contiguous there.
+    """
+    width = len(buf)
+    for lo in range(0, len(lines), width):
+        s = _embed_band(lines[lo:lo + width], 1, buf[:len(lines) - lo])
+        ifft(s, out=s)
         parts = s.view(np.float64)  # re, im, re, im, ... along each row
         parts *= scale
         parts *= parts
-        m = np.add(parts[:, 0::2], parts[:, 1::2], out=mag2_lines[:, lo:hi])
+        rows = quartics[lo:lo + width]
+        m = rows if quart is None else quart[:len(s)]
+        np.add(parts[:, 0::2], parts[:, 1::2], out=m)
         m *= m
+        if quart is not None:
+            rows[...] = m

@@ -47,3 +47,19 @@ def single_mode_field(grid, k, amplitude=1.0):
     k = (k,) if np.isscalar(k) else tuple(k)
     coeffs[tuple(ki % grid.N for ki in k)] = amplitude * grid.L ** (grid.d / 2.0)
     return Field(grid, coeffs, rep=SPECTRAL)
+
+
+#: ``slab`` parameters of the L4 quadrature's tests: the default width, 7
+#: lines (a partial last slab) and a width that straddles the two-thread
+#: cut
+L4_SLABS = dict(argvalues=[None, 7, "straddle"],
+                ids=["default-slab", "slab-7", "slab-straddles-cut"])
+
+
+def l4_slab_lines(slab, grid):
+    """``spectral._SLAB`` for an ``L4_SLABS`` parameter on ``grid``, None
+    for the default: "straddle" makes the first slab of the one-thread
+    pass cross the two-thread cut, at half of the lines, by three lines."""
+    if slab == "straddle":
+        return (2 * grid.N) ** (grid.d - 1) // 2 + 3
+    return slab

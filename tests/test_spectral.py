@@ -12,7 +12,8 @@ from gnls.spectral import (apply_exp_gevrey, dealiased_cubic, exp_weight,
                            forward_transform, inverse_transform, l4_norm,
                            truncate_spectrum, to_physical, to_spectral)
 
-from conftest import random_field, rel_err, single_mode_field
+from conftest import (L4_SLABS, l4_slab_lines, random_field, rel_err,
+                      single_mode_field)
 from oracles import (direct_convolution_cubic, l4_norm_whole, pad_spectrum,
                      xi_abs_whole, zero_field)
 
@@ -378,7 +379,7 @@ def test_padded_l4_is_exactly_the_full_transform(d, N, L):
                 apply_exp_gevrey(uh, sigma))
 
 
-@pytest.mark.parametrize("slab", [None, 7], ids=["default-slab", "slab-7"])
+@pytest.mark.parametrize("slab", **L4_SLABS)
 @pytest.mark.parametrize("d,N,L", [(1, 10, 3.0), (1, 4096, 40.0),
                                    (2, 10, 3.0), (2, 18, 5.0), (2, 300, 30.0),
                                    (3, 10, 3.0), (3, 18, 4.0), (3, 32, 8.0)])
@@ -386,13 +387,35 @@ def test_slab_l4_equals_the_whole_array_quadrature(d, N, L, slab, monkeypatch):
     import gnls.spectral as spectral
     from gnls.data import periodized_sech
 
-    if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", slab)
     g = FourierGrid(d=d, N=N, L=L)
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", l4_slab_lines(slab, g))
     for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
               periodized_sech(g, A=1.02)):
         assert l4_norm(u) == l4_norm_whole(u)
         weighted = apply_exp_gevrey(to_spectral(u), 0.2)
+        assert l4_norm(weighted) == l4_norm_whole(weighted)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-thread", "split"])
+@pytest.mark.parametrize("slab", **L4_SLABS)
+@pytest.mark.parametrize("d,N,L", [(3, 64, 20.0), (2, 256, 20.0)],
+                         ids=["d3-n64", "d2-n256"])
+def test_slab_l4_on_the_benchmark_grids(d, N, L, slab, split, monkeypatch):
+    import gnls.spectral as spectral
+    from gnls import _kernels
+    from gnls.data import periodized_sech
+
+    g = FourierGrid(d=d, N=N, L=L)
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", l4_slab_lines(slab, g))
+    # both grids reach the real threshold of 2^16 points; take each path
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
+    for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
+              periodized_sech(g, A=1.02)):
+        uh = to_spectral(u)
+        assert l4_norm(uh) == l4_norm_whole(uh)
+        weighted = apply_exp_gevrey(uh, 0.2)
         assert l4_norm(weighted) == l4_norm_whole(weighted)
 
 
@@ -404,7 +427,7 @@ def test_slab_l4_makes_no_padded_complex_grid(monkeypatch):
     g = FourierGrid(d=3, N=32, L=8.0)
     u = to_spectral(periodized_sech(g, A=1.02))
     padded_complex = (2 * g.N) ** 3 * 16
-    # one thread, then two halves that share the one slab buffer
+    # one thread, then two halves, each with its own slab buffers
     for split_min in (float("inf"), 2):
         monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
         l4_norm(u)  # any first-call set-up stays out of the measurement
@@ -415,7 +438,7 @@ def test_slab_l4_makes_no_padded_complex_grid(monkeypatch):
         finally:
             tracemalloc.stop()
         # the half-padded synthesis and the real |u|^4 array are half a
-        # padded complex grid each, plus one slab buffer; the whole-array
+        # padded complex grid each, plus the slab buffers; the whole-array
         # quadrature peaks at two grids
         assert peak < 1.25 * padded_complex
 

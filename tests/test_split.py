@@ -26,7 +26,7 @@ from gnls.grid import FourierGrid
 from gnls.integrator import SolverConfig, evolve
 from gnls.norms import l4_gevrey, norm_report
 
-from conftest import random_field
+from conftest import L4_SLABS, l4_slab_lines, random_field
 from oracles import gaussian_whole, periodized_sech_whole
 
 #: grids far below the real threshold, which the tests lower to 2 points
@@ -74,12 +74,12 @@ def test_split_evolve_is_bit_identical(run, d, N, monkeypatch):
         assert ts == t and np.array_equal(us.values, u.values)
 
 
-@pytest.mark.parametrize("slab", [None, 7], ids=["default-slab", "slab-7"])
+@pytest.mark.parametrize("slab", **L4_SLABS)
 @pytest.mark.parametrize("d,N", SPLIT_GRIDS)
 def test_split_transforms_and_l4_are_bit_identical(d, N, slab, monkeypatch):
-    if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", slab)
     g = FourierGrid(d=d, N=N, L=5.0)
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", l4_slab_lines(slab, g))
     for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
               periodized_sech(g, A=1.02)):
         uh = spectral.to_spectral(u)
@@ -191,6 +191,29 @@ def test_the_last_callback_sees_only_the_step_array(stride, monkeypatch):
         assert len(seen) == 1 + 4 // stride and seen[-1] < 1.05 * grid
 
 
+def test_norm_report_peak_is_bounded(monkeypatch):
+    # a guard on a slice's diagnostics, which set a simulate run's peak:
+    # no buffer may outlive one quadrature, as one shared by the slice's
+    # two quadratures would, holding the |u|^4 array through the second
+    # synthesis (2 more field grids here)
+    g = FourierGrid(d=3, N=32, L=8.0)
+    uh = spectral.to_spectral(periodized_sech(g, A=1.02))
+    field_grid = g.N ** 3 * 16
+    # the bounds, in field grids under tracemalloc, are the peaks when the
+    # last pass of the quadrature ran strided lines through one shared
+    # slab buffer: 10.38 on one thread, 10.76 as two halves
+    for split_min, bound in ((float("inf"), 10.4), (2, 10.8)):
+        monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
+        norm_report(uh, 0.2)  # any first-call set-up stays out of it
+        tracemalloc.start()
+        try:
+            norm_report(uh, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * field_grid
+
+
 def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 64)
     assert not _kernels._splits(np.empty(1 << 20))
@@ -242,12 +265,27 @@ def test_every_wrapped_call_runs_on_the_calling_thread(monkeypatch):
     calls = _record_threads(monkeypatch)
     main = threading.get_ident()
     traj = integrator.evolve(u0, SolverConfig(dt=0.02, t_end=0.06))
-    spectral.l4_norm(u0)
     norm_report(traj.snapshots[-1][1], 0.2)
+    # the quadrature's ifftn calls, seen inside the recorder's wrapper
+    ifftn, slabs = np.fft.ifftn, []
+
+    def seen(a, *args, **kwargs):
+        slabs.append((a.shape, kwargs.get("axes"), threading.get_ident()))
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", seen)
+    spectral.l4_norm(u0)
     names = {name for name, _ in calls}
     assert {"numpy.fft.fftn", "numpy.fft.ifftn", "gnls._kernels.phase_rotate",
             "gnls.spectral.l4_norm", "gnls.norms.l4_gevrey"} <= names
     assert [c for c in calls if c[1] != main] == []
+    # the last pass transforms the calling thread's half of the 20^2 lines
+    # along axis 0 as slabs of contiguous rows, through np.fft.ifftn
+    last = [(shape, t) for shape, axes, t in slabs
+            if len(shape) == 2 and axes == (1,)]
+    assert sum(shape[0] for shape, _ in last) == 20 * 20 // 2
+    assert {shape[1] for shape, _ in last} == {20}
+    assert {t for _, t in last} == {main}
 
 
 def test_helper_failure_is_raised_after_both_halves():
