@@ -9,9 +9,11 @@ slabs of rows along axis 0, in buffers the caller makes once
 (:func:`_workspace`); the linear phase tables are kept on the
 mirror-symmetric half lattice and multiplied into the grid block by block.
 The private section at the end runs a full-grid pass (an FFT, a pointwise
-product, the slabs of the rotation, the blocks of a phase product) as two
-halves on two threads; the triple-frequency check runs its ensemble as two
-halves on the same two threads.
+product, the slabs of the rotation, the blocks of a phase product, the one
+slab pass of a function of the per-axis squares that fills |xi|, the phase
+tables and the radial initial data) as two halves on two threads; the
+triple-frequency check runs its ensemble as two halves on the same two
+threads.  No other module hands work to the helper thread.
 """
 
 import os
@@ -70,38 +72,36 @@ def _slabs(values, rotation, phase, rot):
     return peak
 
 
-def _phase_table(scale: complex, xi_abs: np.ndarray, work) -> np.ndarray:
+def _phase_table(scale: complex, xi_axis: np.ndarray, d: int) -> np.ndarray:
     """``np.exp(scale * xi_abs**2)``, the linear step's phase table, on the
-    half lattice: the block [0, N/2] of every axis but the last, which stays
-    whole.  ``xi_abs`` is the whole lattice's |xi|.
+    half lattice of the d-dimensional lattice of wavenumbers ``xi_axis``:
+    the block [0, N/2] of every axis but the last, which stays whole.
 
     Along an axis, wavenumber N - k is exactly minus wavenumber k, so every
     entry the block leaves out repeats one it keeps, bit for bit; the block
     is a quarter of the grid at d = 3 and all of it at d = 1 (see
-    :func:`_phase_product`).  It is built in the slabs of rows of ``work``
-    (:func:`_workspace`), in place in the one output: |xi|^2 into the real
-    parts and +0 into the imaginary parts, which is numpy's cast of |xi|^2
-    to complex, then the product with ``scale`` and its exponential, the
-    order of the whole-grid formula, so the bits are the same.
+    :func:`_phase_product`).  It is built by :func:`_radial` from the
+    block's per-axis squares, so its |xi| is ``FourierGrid.xi_abs``'s.
     """
-    head = slice(None, xi_abs.shape[0] // 2 + 1)
-    block = xi_abs[(head,) * (xi_abs.ndim - 1)]
-    table = np.empty(block.shape, np.complex128)
-    _halves(_table_slabs, work, block, table, scale)
-    return table
+    sq = xi_axis ** 2
+    head = sq[:len(sq) // 2 + 1]
+    mesh = np.meshgrid(*[head] * (d - 1), sq, indexing="ij", sparse=True)
+    table = np.empty((len(head),) * (d - 1) + (len(sq),), np.complex128)
+    return _radial(mesh, table, _table_fill, 0, scale)
 
 
-def _table_slabs(xi_abs, table, scale, phase, rot):
-    """:func:`_phase_table` on the rows of ``table``, as many at a time as
-    ``phase`` has rows; the product with ``scale`` reads no cast, so numpy
-    makes it without a buffer."""
-    rows = phase.shape[0]
-    for lo in range(0, xi_abs.shape[0], rows):
-        x, t = xi_abs[lo:lo + rows], table[lo:lo + rows]
-        np.multiply(x, x, out=t.real)
-        t.imag = 0.0
-        np.multiply(scale, t, out=t)
-        np.exp(t, out=t)
+def _table_fill(r2, table, scale):
+    """exp(scale * |xi|^2) into ``table`` at the squared wavenumbers ``r2``,
+    in place: |xi| = sqrt(r2), its square into the real parts and +0 into
+    the imaginary parts, which is numpy's cast of |xi|^2 to complex, then
+    the product with ``scale`` and its exponential, the order of the
+    whole-grid formula, so the bits are the same.  The product reads no
+    cast, so numpy makes it without a buffer."""
+    x = np.sqrt(r2, out=r2)
+    np.multiply(x, x, out=table.real)
+    table.imag = 0.0
+    np.multiply(scale, table, out=table)
+    np.exp(table, out=table)
 
 
 def _phase_product(values: np.ndarray, table: np.ndarray):
@@ -363,18 +363,17 @@ def _split(axis, left, right, *args):
     return _both(lambda: left(*lo), lambda: right(*hi))
 
 
-#: grid points per slab of the rotation, the guard and the phase tables:
-#: a slab's real buffer takes 256 KB and its complex one 512 KB
+#: grid points per slab of the rotation, the guard and :func:`_radial`: a
+#: slab's real buffer takes 256 KB and its complex one 512 KB
 _SLAB = 1 << 15
 
 
 def _workspace(values: np.ndarray) -> tuple:
-    """The slab buffers of :func:`phase_rotate`, :func:`_guard` and
-    :func:`_phase_table` on grids of the shape of ``values``: a real and a
-    complex array of one slab of rows along axis 0, one pair for the whole
-    grid or, on a split grid, one pair of half a slab per half, so that
-    both together hold one slab's buffers; all made here on the calling
-    thread."""
+    """The slab buffers of :func:`phase_rotate` and :func:`_guard` on grids
+    of the shape of ``values``: a real and a complex array of one slab of
+    rows along axis 0, one pair for the whole grid or, on a split grid, one
+    pair of half a slab per half, so that both together hold one slab's
+    buffers; all made here on the calling thread."""
     halves = 2 if _splits(values) else 1
     rows = max(_SLAB // halves * values.shape[0] // values.size, 1)
     shape = (min(rows, -(-values.shape[0] // halves)),) + values.shape[1:]
@@ -394,14 +393,56 @@ def _mesh_sum(sq, lo, out):
 
 
 def _halves(run, work, *args):
-    """``run(*args, *buffers)`` with the one buffer pair of ``work``, or,
-    with a pair per half, :func:`_split` along axis 0 with each half's
-    pair; returns the results, one per piece."""
+    """``run(*args, *buffers)`` with the one buffer tuple of ``work``, or,
+    with a tuple per half, :func:`_split` along axis 0 with each half's
+    tuple; returns the results, one per piece."""
     if len(work) == 1:
         return (run(*args, *work[0]),)
     left, right = work
     return _split(0, lambda *a: run(*a, *left), lambda *a: run(*a, *right),
                   *args)
+
+
+def _pieces(split: bool, n: int, make) -> tuple:
+    """The ``work`` of :func:`_halves` for a pass over ``n`` rows along axis
+    0: ``make(n, True)``, or, when ``split``, ``make(n // 2, True)`` for the
+    calling thread's half and ``make(n - n // 2, False)`` for the helper's;
+    each ``make(rows, here)`` is a tuple of buffers (and whatever else the
+    piece takes), all made here on the calling thread."""
+    if not split:
+        return (make(n, True),)
+    return make(n // 2, True), make(n - n // 2, False)
+
+
+def _radial(sq, out, fill, n_work, *params):
+    """``out``, filled with a function of the sum of the per-axis squares
+    ``sq``, a sparse mesh of out's shape: the one slab pass of |xi|, the
+    phase tables and the radial initial data.
+
+    Each slab of rows along axis 0, about ``_SLAB`` points, is summed by
+    :func:`_mesh_sum` into a real buffer, and ``fill(r2, slab, *scratch,
+    *params)`` then writes the function of those sums ``r2`` into the
+    slab of ``out``, using ``r2`` itself and the ``n_work`` real
+    ``scratch`` arrays of the slab's shape; so no pass makes a temporary of
+    the grid, and every value sees the ufuncs of the whole-grid formula.
+    On a split grid each half along axis 0 runs on its own thread, with
+    one slab's buffers of its own.  Returns ``out``.
+    """
+    rows = max(_SLAB * out.shape[0] // out.size, 1)
+    work = _pieces(_splits(out), out.shape[0], lambda n, _: (
+        np.empty((n_work + 1, min(rows, n)) + out.shape[1:]),))
+    _halves(_radial_slabs, work, out, sq[0], sq[1:], fill, params)
+    return out
+
+
+def _radial_slabs(out, sq0, sq_rest, fill, params, work):
+    """:func:`_radial` on the rows of ``out``, whose squares along axis 0
+    are ``sq0``, as many rows at a time as ``work`` holds."""
+    rows = work.shape[1]
+    for lo in range(0, out.shape[0], rows):
+        m = min(rows, out.shape[0] - lo)
+        r2 = _mesh_sum((sq0, *sq_rest), lo, work[0, :m])
+        fill(r2, out[lo:lo + m], *[w[:m] for w in work[1:]], *params)
 
 
 def _transform(a, out, nd, line):

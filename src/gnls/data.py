@@ -85,7 +85,7 @@ def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
     outside = np.meshgrid(*[np.abs(k) > band] * grid.d, indexing="ij",
                           sparse=True)
     out = np.empty(grid.shape, np.complex128)
-    rows = max(_SLAB * grid.N // out.size, 1)
+    rows = max(_kernels._SLAB * grid.N // out.size, 1)
     buf = np.empty((min(rows, grid.N),) + grid.shape[1:])
     for part in (out.real, out.imag):
         for lo in range(0, grid.N, rows):
@@ -128,72 +128,43 @@ def make_initial_data(grid: FourierGrid, kind: str, params: dict,
 #
 # A radial builder never makes a temporary of the whole grid: it writes its
 # profile of r^2 = |x - L/2|^2 into the real parts of the one complex output
-# slab by slab along axis 0, in a few real buffers of one slab made once, so
-# that each of its many passes runs in cache.  Every sample sees the ufuncs
-# of the whole-array formula in their order (tests/oracles.py), so the output
-# is bit-identical to it.  On a grid that gnls._kernels splits, the two
-# halves along axis 0 run on two threads; both halves' buffers are made on
-# the calling thread, and the helper's half calls only ufuncs and the private
-# functions below.
-
-#: grid points per slab of the radial builders: each of a slab's real
-#: buffers takes 256 KB
-_SLAB = 1 << 15
-
+# slab by slab along axis 0, through gnls._kernels._radial, so that each of
+# its many passes runs in cache, on two threads on a grid that gnls._kernels
+# splits.  Every sample sees the ufuncs of the whole-array formula in their
+# order (tests/oracles.py), so the output is bit-identical to it.
 
 def _radial(grid: FourierGrid, fill, n_work: int, *params) -> np.ndarray:
     """The read-only complex samples of a radial profile on ``grid``.
 
-    ``fill(r2, re, work, *params)`` writes the profile's values at the
-    squared radii ``r2`` of one slab into ``re``, the real parts of the
-    slab's samples, using the ``n_work`` scratch arrays of ``work`` and
-    ``r2`` itself.  The imaginary parts are +0.0, as numpy's float to
-    complex conversion gives, and the array is marked read-only, so that a
+    ``fill(r2, slab, *scratch, *params)`` writes the profile's values at
+    the squared radii ``r2`` of one slab into the real parts of the slab's
+    samples, using the ``n_work`` real arrays ``scratch`` and ``r2``
+    itself.  The imaginary parts are +0.0, as numpy's float to complex
+    conversion gives, and the array is marked read-only, so that a
     :class:`Field` keeps it without a copy.
     """
     # the squares per axis, as the sparse mesh the whole-array r^2 sums
     sq = np.meshgrid(*[(grid.x - grid.L / 2.0) ** 2] * grid.d,
                      indexing="ij", sparse=True)
-    out = np.zeros(grid.shape, np.complex128)
-    rows = max(_SLAB * grid.N // out.size, 1)
-
-    def half(lo, hi):
-        work = np.empty((n_work + 1, min(rows, hi - lo)) + grid.shape[1:])
-        return out[lo:hi], sq[0][lo:hi], sq[1:], work, fill, params
-
-    if _kernels._splits(out):
-        h = grid.N // 2
-        left, right = half(0, h), half(h, grid.N)
-        _kernels._both(lambda: _slabs(*left), lambda: _slabs(*right))
-    else:
-        _slabs(*half(0, grid.N))
+    out = _kernels._radial(sq, np.zeros(grid.shape, np.complex128), fill,
+                           n_work, *params)
     out.flags.writeable = False
     return out
 
 
-def _slabs(out, sq0, sq_rest, work, fill, params):
-    """:func:`_radial` on the rows of ``out``, whose squares along axis 0
-    are ``sq0``, as many rows at a time as ``work`` holds."""
-    rows = work.shape[1]
-    for lo in range(0, out.shape[0], rows):
-        m = min(rows, out.shape[0] - lo)
-        r2 = _kernels._mesh_sum((sq0, *sq_rest), lo, work[0, :m])
-        fill(r2, out.real[lo:lo + m], [w[:m] for w in work[1:]], *params)
-
-
-def _gaussian_slab(r2, re, work, A, w2):
-    """A * exp(-r2 / w2) into ``re``."""
+def _gaussian_slab(r2, slab, A, w2):
+    """A * exp(-r2 / w2) into the real parts of ``slab``."""
     np.negative(r2, out=r2)
     np.divide(r2, w2, out=r2)
     np.exp(r2, out=r2)
-    np.multiply(A, r2, out=re)
+    np.multiply(A, r2, out=slab.real)
 
 
-def _sech_slab(r2, re, work, A, a, L, n_images):
-    """A * sum_j sech((r - jL) / a) into ``re``, r = sqrt(r2), the images
-    j = -n_images ... n_images added in that order to a sum from zero."""
+def _sech_slab(r2, slab, e, den, vals, A, a, L, n_images):
+    """A * sum_j sech((r - jL) / a) into the real parts of ``slab``,
+    r = sqrt(r2), the images j = -n_images ... n_images added in that order
+    to a sum from zero."""
     r = np.sqrt(r2, out=r2)
-    e, den, vals = work
     vals.fill(0.0)
     for j in range(-n_images, n_images + 1):
         # sech(x) = 2 e^{-|x|} / (1 + e^{-2|x|}), overflow-safe form
@@ -207,4 +178,4 @@ def _sech_slab(r2, re, work, A, a, L, n_images):
         np.multiply(2.0, e, out=e)
         np.divide(e, den, out=e)
         vals += e
-    np.multiply(A, vals, out=re)
+    np.multiply(A, vals, out=slab.real)

@@ -70,20 +70,13 @@ class FourierGrid:
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
-        """|xi| on the full d-dimensional lattice, FFT ordering.
-
-        Filled slab by slab along axis 0 into the one output, each slab's
-        passes in cache: the sum ((0 + s0) + s1) + s2 of the squared
-        wavenumbers per axis, then its square root in place.
+        """|xi| on the full d-dimensional lattice, FFT ordering: the square
+        root of the sum ((0 + s0) + s1) + s2 of the squared wavenumbers per
+        axis, slab by slab into the one output (``gnls._kernels._radial``).
         """
         sq = np.meshgrid(*[self.xi_axis ** 2] * self.d, indexing="ij",
                          sparse=True)
-        out = np.empty(self.shape)
-        rows = max(_kernels._SLAB // self.N ** (self.d - 1), 1)
-        for lo in range(0, self.N, rows):
-            slab = _kernels._mesh_sum(sq, lo, out[lo:lo + rows])
-            np.sqrt(slab, out=slab)
-        return out
+        return _kernels._radial(sq, np.empty(self.shape), np.sqrt, 0)
 
     @cached_property
     def k_max(self) -> np.ndarray:
@@ -97,10 +90,6 @@ class FourierGrid:
     def xi_max(self) -> float:
         """Largest |xi| representable on the lattice."""
         return float(np.sqrt(self.d) * np.pi * self.N / self.L)
-
-    def meshgrid(self) -> tuple:
-        """Physical coordinate arrays, one per axis."""
-        return np.meshgrid(*([self.x] * self.d), indexing="ij")
 
     def refined(self, factor: int) -> "FourierGrid":
         """Same torus, ``factor`` times as many points per axis."""

@@ -100,8 +100,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     fftn = _kernels._fftn if split else np.fft.fftn
     ifftn = _kernels._ifftn if split else np.fft.ifftn
 
-    # the slab buffers of the rotation, the guard and the phase tables,
-    # made once: no pass of the loop makes a temporary of the grid
+    # the slab buffers of the rotation and the guard, made once: no pass of
+    # the loop makes a temporary of the grid
     work = _kernels._workspace(u.values)
     peak0 = float(_kernels._guard(u.values, work))
 
@@ -112,12 +112,13 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     # array.  A snapshot before the last step takes a fresh array and the
     # last one takes the step array itself, so no array handed out is
     # written again.  The linear steps multiply it by their phase tables
-    # on the half lattice (gnls._kernels._phase_table); a full linear step
-    # joins two half steps when the first records no snapshot.  The tables
-    # are built before the step array is made, so their builds' transient
-    # buffers do not add to it
-    half_table = _kernels._phase_table(-0.5j * cfg.dt, u.grid.xi_abs, work)
-    full_table = (_kernels._phase_table(-1.0j * cfg.dt, u.grid.xi_abs, work)
+    # on the half lattice, built from the per-axis wavenumbers
+    # (gnls._kernels._phase_table); a full linear step joins two half steps
+    # when the first records no snapshot.  The tables are built before the
+    # step array is made, so their builds' transient buffers do not add to it
+    xi, d = u.grid.xi_axis, u.grid.d
+    half_table = _kernels._phase_table(-0.5j * cfg.dt, xi, d)
+    full_table = (_kernels._phase_table(-1.0j * cfg.dt, xi, d)
                   if cfg.snapshot_stride > 1 and n_steps > 1 else None)
     coeff = np.empty(u.grid.shape, np.complex128)
     half = _kernels._phase_product(coeff, half_table)

@@ -137,18 +137,19 @@ def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _synthesise(coeffs: np.ndarray, axes, split: bool) -> np.ndarray:
+def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
     """Inverse-transform ``coeffs`` along each of ``axes`` in turn, each
     axis embedded into its doubled length by :func:`_embed_band` just before
     its own transform, which runs in place on that one new array.
 
     A line of zeros transforms to zeros, so only the lines that hold
     coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
-    cube, with every sample equal to the full ``np.fft.ifftn``.  With
-    ``split`` (``_kernels._splits(coeffs)``) each axis is embedded and
+    cube, with every sample equal to the full ``np.fft.ifftn``.  On a
+    split grid (``_kernels._splits(coeffs)``) each axis is embedded and
     transformed as two halves on two threads, cut along axis 0, or along
     axis 1 for axis 0.
     """
+    split = _kernels._splits(coeffs)
     a = coeffs
     for axis in axes:
         shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
@@ -176,8 +177,7 @@ def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
     factor: the one inverse transform of a zero-padded spectrum.  The axes
     are synthesised last first, the order ``np.fft.ifftn`` uses.
     """
-    a = _synthesise(coeffs, reversed(range(coeffs.ndim)),
-                    _kernels._splits(coeffs))
+    a = _synthesise(coeffs, reversed(range(coeffs.ndim)))
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros
@@ -253,8 +253,7 @@ def l4_norm(u: Field) -> float:
     """
     grid = u.grid.refined(2)
     coeffs = to_spectral(u).values
-    split = _kernels._splits(coeffs)
-    a = _synthesise(coeffs, range(grid.d - 1, 0, -1), split)
+    a = _synthesise(coeffs, range(grid.d - 1, 0, -1))
     lines = a.reshape(a.shape[0], -1).T  # one row per line along axis 0
     mag2 = np.empty(grid.shape)
     quartics = mag2.reshape(grid.N, -1).T  # row k: |u|^4 of line k
@@ -263,32 +262,26 @@ def l4_norm(u: Field) -> float:
     # gives the same values up to the sign of zeros, which |u|^4 drops
     scale = 1.0 / _forward_factor(grid)
 
-    def buffers(n):
-        """The complex and real buffers of slabs of ``n`` lines, made on the
-        calling thread; slabs of one line need no real buffer (see
-        :func:`_quartics`)."""
-        w = min(_SLAB, n)
-        return (np.empty((w, grid.N), np.complex128),
-                np.empty((w, grid.N)) if w > 1 else None)
-
     def ifftn(s, out):  # the calling thread's, as a tracer sees it
         return np.fft.ifftn(s, axes=(1,), out=out)
 
-    n_lines = len(lines)
-    if split:
-        mid = n_lines // 2
-        left, right = buffers(mid), buffers(n_lines - mid)
-        _kernels._both(
-            lambda: _quartics(lines[:mid], quartics[:mid], *left, scale, ifftn),
-            lambda: _quartics(lines[mid:], quartics[mid:], *right, scale,
-                              np.fft.ifft))
-    else:
-        _quartics(lines, quartics, *buffers(n_lines), scale, ifftn)
+    def work(n, here):
+        """A piece of ``n`` lines: its complex and real slab buffers (slabs
+        of one line need no real buffer, see :func:`_quartics`) and its
+        transform."""
+        w = min(_SLAB, n)
+        return (np.empty((w, grid.N), np.complex128),
+                np.empty((w, grid.N)) if w > 1 else None,
+                ifftn if here else np.fft.ifft)
+
+    _kernels._halves(_quartics, _kernels._pieces(_kernels._splits(coeffs),
+                                                 len(lines), work),
+                     lines, quartics, scale)
     q = (grid.L / grid.N) ** grid.d
     return float((np.sum(mag2) * q) ** 0.25)
 
 
-def _quartics(lines, quartics, buf, quart, scale, ifft):
+def _quartics(lines, quartics, scale, buf, quart, ifft):
     """|u|^4 of the rows of ``lines``, each synthesised along its length
     and multiplied by ``scale``, into the rows of ``quartics``, as many
     rows at a time as ``buf`` holds.

@@ -1,13 +1,15 @@
 """Independent references the tests compare the package against.
 
 Nothing in ``src/gnls`` calls these: the solver runs its own fused loop
-and rotates in place slab by slab, ``xi_abs`` is summed slab by slab, the
-products synthesise padded samples without building a padded field, the
-L4 quadrature synthesises its last axis slab by slab, the data builders
-fill their samples slab by slab or broadcast a profile, the multiplier
-audit draws its ensemble block by block, and the runners only write
-sidecars.  They stay here, written out in the plainest form, as the
-oracles of the tests that use them.
+and rotates in place slab by slab; ``xi_abs``, the phase tables and the
+radial data are filled by one slab pass over the per-axis squares
+(``gnls._kernels._radial``) and no builder makes the whole coordinate mesh
+of :func:`meshgrid`; the products synthesise padded samples without
+building a padded field, the L4 quadrature synthesises its last axis slab
+by slab, the other data builders fill their samples slab by slab or
+broadcast a profile, the multiplier audit draws its ensemble block by
+block, and the runners only write sidecars.  They stay here, written out
+in the plainest form, as the oracles of the tests that use them.
 """
 
 import numpy as np
@@ -19,6 +21,11 @@ from gnls.integrator import SolverConfig
 from gnls.spacetime import SpaceTimeSpectrum
 from gnls.spectral import (_forward_factor, _padded_samples,
                            forward_transform, inverse_transform, to_spectral)
+
+
+def meshgrid(grid: FourierGrid) -> tuple:
+    """Physical coordinate arrays of ``grid``, one whole grid per axis."""
+    return np.meshgrid(*([grid.x] * grid.d), indexing="ij")
 
 
 def zero_field(grid: FourierGrid, rep: str = PHYSICAL) -> Field:
@@ -92,7 +99,7 @@ def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
 
 def gaussian_whole(grid: FourierGrid, A: float = 1.0, w: float = 1.0) -> Field:
     """``data.gaussian`` from the full coordinate mesh at once."""
-    mesh = grid.meshgrid()
+    mesh = meshgrid(grid)
     r2 = sum((x - grid.L / 2.0) ** 2 for x in mesh)
     return Field(grid, A * np.exp(-r2 / w ** 2), rep=PHYSICAL)
 
@@ -116,7 +123,7 @@ def periodized_sech_whole(grid: FourierGrid, A: float = 1.0,
 
 def plane_wave_whole(grid: FourierGrid, A: float = 1.0, k: int = 1) -> Field:
     """``data.plane_wave`` from the full coordinate mesh at once."""
-    mesh = grid.meshgrid()
+    mesh = meshgrid(grid)
     xi = 2.0 * np.pi * k / grid.L
     return Field(grid, A * np.exp(1j * xi * mesh[0]), rep=PHYSICAL)
 

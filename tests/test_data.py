@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import gnls.data as data
 from gnls import _kernels
 from gnls.data import (KINDS, gaussian, make_initial_data, periodized_sech,
                        plane_wave, random_bandlimited)
 from gnls.grid import FourierGrid
 from gnls.spectral import to_spectral
-from oracles import (gaussian_whole, periodized_sech_whole, plane_wave_whole,
-                     random_bandlimited_whole)
+from oracles import (gaussian_whole, meshgrid, periodized_sech_whole,
+                     plane_wave_whole, random_bandlimited_whole)
 
 
 @pytest.fixture
@@ -100,7 +99,8 @@ def test_plane_wave_and_random_data_are_bytes_equal_to_the_whole_grid_formulas(
         d, N, L, slab, monkeypatch):
     # 7 points make one-row slabs in d >= 2; 5 rows leave a partial slab
     if slab is not None:
-        monkeypatch.setattr(data, "_SLAB", 7 if slab == 7 else 5 * N ** (d - 1))
+        monkeypatch.setattr(_kernels, "_SLAB",
+                            7 if slab == 7 else 5 * N ** (d - 1))
     g = FourierGrid(d=d, N=N, L=L)
     for A, k in ((1.0, 1), (0.3, -3), (-2.0, 5)):
         assert (plane_wave(g, A, k).values.tobytes()
@@ -144,7 +144,7 @@ def test_make_initial_data_params(grid):
 def _sech_all_images(grid, A, a):
     """The image sum over every image that does not underflow."""
     n_images = int(np.ceil(745.0 * a / grid.L)) + 1
-    r = np.sqrt(sum((x - grid.L / 2.0) ** 2 for x in grid.meshgrid()))
+    r = np.sqrt(sum((x - grid.L / 2.0) ** 2 for x in meshgrid(grid)))
     vals = np.zeros(grid.shape)
     for j in range(-n_images, n_images + 1):
         e = np.exp(-np.abs(r - j * grid.L) / a)

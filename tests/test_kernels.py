@@ -120,10 +120,9 @@ def _whole_lattice(table, N):
 def test_phase_tables_are_bytes_equal_to_the_whole_grid_formula(
         d, N, split, rows, monkeypatch):
     g = _slab_grid(monkeypatch, d, N, split, SLAB_ROWS[rows])
-    work = _kernels._workspace(np.empty(g.shape, np.complex128))
     for scale in TABLE_SCALES:
         want = np.exp(scale * np.multiply(g.xi_abs, g.xi_abs))
-        got = _kernels._phase_table(scale, g.xi_abs, work)
+        got = _kernels._phase_table(scale, g.xi_axis, d)
         assert got.shape == (N // 2 + 1,) * (d - 1) + (N,)
         assert _whole_lattice(got, N).tobytes() == want.tobytes()
 
@@ -132,7 +131,6 @@ def test_phase_tables_are_bytes_equal_to_the_whole_grid_formula(
 def test_phase_products_are_bytes_equal_to_the_whole_grid_product(
         d, N, split, monkeypatch):
     g = _slab_grid(monkeypatch, d, N, split, None)
-    work = _kernels._workspace(np.empty(g.shape, np.complex128))
     for scale in TABLE_SCALES:
         vals = _samples(g.shape, seed=N + d)
         # values times table, in the solver's operand order: numpy's
@@ -140,7 +138,7 @@ def test_phase_products_are_bytes_equal_to_the_whole_grid_product(
         # ``vals * np.exp(...)`` may run as the second
         want = np.multiply(vals, np.exp(scale * (g.xi_abs * g.xi_abs)))
         product = _kernels._phase_product(
-            vals, _kernels._phase_table(scale, g.xi_abs, work))
+            vals, _kernels._phase_table(scale, g.xi_axis, d))
         product()
         assert vals.tobytes() == want.tobytes()
 
@@ -288,14 +286,15 @@ def _record_runs(monkeypatch) -> set:
 
 
 def _record_slabs(monkeypatch) -> list:
-    """The threads that fill a run of slabs of a radial data builder."""
+    """The threads that fill a run of slabs of the pass of a function of the
+    per-axis squares: a radial data builder, |xi| or a phase table."""
     threads = []
-    slabs = data._slabs
+    slabs = _kernels._radial_slabs
 
     def recorded(*args):
         threads.append(threading.get_ident())
         return slabs(*args)
-    monkeypatch.setattr(data, "_slabs", recorded)
+    monkeypatch.setattr(_kernels, "_radial_slabs", recorded)
     return threads
 
 
@@ -332,11 +331,12 @@ def test_one_cpu_never_starts_the_helper(monkeypatch):
     rep = audit_multiplier_inequality(0.1, 3 * B + 7, 3,
                                       np.random.default_rng(0))
     assert rep.violations == 0 and threads == {threading.get_ident()}
-    # a data build on a grid that two CPUs would split
+    # a data build on a grid that two CPUs would split, and the build and
+    # the phase table of a run
     data.gaussian(FourierGrid(d=2, N=256, L=5.0))
     evolve(data.periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
            SolverConfig(dt=0.02, t_end=0.04))
-    assert slab_threads == [threading.get_ident()] * 2
+    assert slab_threads == [threading.get_ident()] * 3
 
 
 def test_concurrent_split_audits_are_each_bit_identical(monkeypatch):
@@ -392,7 +392,8 @@ def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
            SolverConfig(dt=0.02, t_end=0.06))
     main = threading.get_ident()
     assert len(runs) == 2  # the audit ran as two halves
-    assert len(slab_threads) == 4 and len(set(slab_threads)) == 2  # each build
+    # each build and the run's phase table, as two halves
+    assert len(slab_threads) == 6 and len(set(slab_threads)) == 2
     assert {name for name, _ in calls} == {"triple_gap_ratios", "fftn", "ifftn",
                                            "periodized_sech", "gaussian"}
     assert [name for name, _ in calls].count("triple_gap_ratios") == 1

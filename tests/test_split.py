@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import gnls
-import gnls.data as data
 import gnls.integrator as integrator
 import gnls.spectral as spectral
 from gnls import _kernels
@@ -27,7 +26,7 @@ from gnls.integrator import SolverConfig, evolve
 from gnls.norms import l4_gevrey, norm_report
 
 from conftest import L4_SLABS, l4_slab_lines, random_field
-from oracles import gaussian_whole, periodized_sech_whole
+from oracles import gaussian_whole, periodized_sech_whole, xi_abs_whole
 
 #: grids far below the real threshold, which the tests lower to 2 points
 SPLIT_GRIDS = [(2, 10), (2, 18), (3, 10)]
@@ -108,7 +107,8 @@ def test_split_data_builds_are_bit_identical(d, N, slab, monkeypatch):
     # partial slab at the end of each half, and one slab of the serial
     # build that straddles the cut
     if slab is not None:
-        monkeypatch.setattr(data, "_SLAB", 7 if slab == 7 else 5 * N ** (d - 1))
+        monkeypatch.setattr(_kernels, "_SLAB",
+                            7 if slab == 7 else 5 * N ** (d - 1))
     g = FourierGrid(d=d, N=N, L=7.3)
     for build, whole, args in ((gaussian, gaussian_whole, (0.9, 1.7)),
                                (periodized_sech, periodized_sech_whole,
@@ -117,6 +117,10 @@ def test_split_data_builds_are_bit_identical(d, N, slab, monkeypatch):
                                           lambda: build(g, *args).values)
         assert np.array_equal(serial, split)
         assert split.tobytes() == whole(g, *args).values.tobytes()
+    # |xi| of a fresh grid each time: the grid caches it
+    serial, split = _serial_and_split(
+        monkeypatch, lambda: FourierGrid(d=d, N=N, L=7.3).xi_abs)
+    assert serial.tobytes() == split.tobytes() == xi_abs_whole(g).tobytes()
 
 
 def test_periodized_sech_builds_without_full_grid_temporaries(monkeypatch):
@@ -134,6 +138,25 @@ def test_periodized_sech_builds_without_full_grid_temporaries(monkeypatch):
     # formula peaks at 3.56 complex grids
     for p in _serial_and_split(monkeypatch, peak):
         assert p < 1.25 * 16 * g.N ** 3
+
+
+def test_xi_abs_holds_its_output_and_one_slab_per_half(monkeypatch):
+    def peak():
+        FourierGrid(d=3, N=128, L=20.0).xi_abs  # first-call set-up
+        g = FourierGrid(d=3, N=128, L=20.0)
+        tracemalloc.start()
+        try:
+            g.xi_abs
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the real output and, on each thread, at most one real slab buffer and
+    # the buffer numpy's ufuncs take to add a broadcast axis, besides the
+    # per-axis squares and a few small objects
+    per_thread = 8 * (_kernels._SLAB + np.getbufsize())
+    for p in _serial_and_split(monkeypatch, peak):
+        assert p < 8 * 128 ** 3 + 2 * per_thread + 32768
 
 
 def _evolve_peak(u0, cfg, on_snapshot=None) -> int:
@@ -266,6 +289,10 @@ def test_every_wrapped_call_runs_on_the_calling_thread(monkeypatch):
     main = threading.get_ident()
     traj = integrator.evolve(u0, SolverConfig(dt=0.02, t_end=0.06))
     norm_report(traj.snapshots[-1][1], 0.2)
+    # the one slab pass of the per-axis squares, on a fresh grid
+    g = FourierGrid(d=3, N=10, L=5.0)
+    g.xi_abs
+    _kernels._phase_table(-0.01j, g.xi_axis, g.d)
     # the quadrature's ifftn calls, seen inside the recorder's wrapper
     ifftn, slabs = np.fft.ifftn, []
 

@@ -30,14 +30,16 @@ def _public_definitions(tree):
 
 
 def _references(tree, skip):
-    """Names and attributes read anywhere in ``tree`` outside ``skip``."""
+    """Names and attributes read anywhere in ``tree`` outside ``skip``;
+    an attribute of numpy (``np.meshgrid``) calls no name of the package."""
     skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "np"):
             yield node.attr
 
 
@@ -63,6 +65,18 @@ def test_harness_steps_in_one_place():
                         and "evolve" in _references(call.func, None)
                         for call in ast.walk(node))]
     assert steppers == ["_track"]
+
+
+def test_the_split_stays_in_kernels():
+    # one module hands work to the helper thread and sizes the slabs; the
+    # solver builds its phase tables from the per-axis wavenumbers
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    assert [name for name, tree in trees.items()
+            if "_both" in _references(tree, None)] == ["_kernels"]
+    assert not any(isinstance(t, ast.Name) and t.id == "_SLAB"
+                   for node in ast.walk(trees["data"])
+                   if isinstance(node, ast.Assign) for t in node.targets)
+    assert "xi_abs" not in _references(trees["integrator"], None)
 
 
 @pytest.mark.parametrize("command", sorted(cli._commands()))
