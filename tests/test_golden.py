@@ -1,7 +1,7 @@
 """Golden output trees: every output of the 8 run subcommands on the small
-configs of tests/golden/*.cfg, at d = 1, 2 and 3, on one thread and with
-every pass split into two halves, against the sha256 hashes of
-tests/golden/manifest.json.
+configs of tests/golden/*.cfg, at d = 1, 2 and 3, plus the variant trees
+of ``VARIANTS``, on one thread and with every pass split into two halves,
+against the sha256 hashes of tests/golden/manifest.json.
 
 A change that alters any output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/golden/regenerate.py`` and names the changed
@@ -11,16 +11,18 @@ manifest records.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import platform
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gnls import _kernels, cli
+from gnls import _kernels, cli, integrator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
@@ -29,6 +31,20 @@ MANIFEST = GOLDEN / "manifest.json"
 COMMANDS = ("simulate", "radius", "sweep", "audit-multiplier", "audit-f",
             "audit-trilinear", "audit-gn", "bookkeeper")
 FLAGS = {"bookkeeper": ["--A0", "1.0", "--C", "1.0"]}
+
+#: trees beyond the 8 commands on every config, keyed as those are:
+#: (config under tests/golden, command, its extra flags, ExperimentConfig
+#: fields set on the parsed config, gnls.integrator attributes patched).
+#: A simulate run that saves its snapshots, which no key or flag reaches;
+#: ``radius --svg``; and a focusing run that trips the blow-up guard,
+#: lowered as tests/test_cli.py lowers it, and writes ``last_good.gnls``
+VARIANTS = {
+    "d1-n64/simulate-save-fields": ("d1-n64.cfg", "simulate", [],
+                                    {"save_fields": True}, {}),
+    "d1-n64/radius-svg": ("d1-n64.cfg", "radius", ["--svg"], {}, {}),
+    "focusing-d2-n18/simulate": ("focusing/d2-n18.cfg", "simulate", [], {},
+                                 {"BLOWUP_FACTOR": 1.2}),
+}
 
 #: ``_kernels._SPLIT_MIN`` and ``_kernels._TWO_CPUS`` of each mode: no pass
 #: split, and every pass of a d >= 2 grid and every ensemble of more than
@@ -62,13 +78,25 @@ def _csv_digest(text: str) -> dict:
                         for j, name in enumerate(names)}}
 
 
-def run_tree(config: Path, command: str, out: Path) -> dict:
-    """``gnls <command> --config <config> --out <out>`` in this process:
-    the exit code and the hashes of stdout, stderr and every file written."""
+def run_tree(config: Path, command: str, out: Path, flags=(), fields=None,
+             patches=None) -> dict:
+    """``gnls <command> --config <config> --out <out> <flags>`` in this
+    process, with ``fields`` set on the parsed config and ``patches`` on
+    gnls.integrator: the exit code and the hashes of stdout, stderr and
+    every file written."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main([command, "--config", str(config), "--out", str(out)]
-                        + FLAGS.get(command, []))
+    load = cli.load_config
+    with contextlib.ExitStack() as stack:
+        if fields:
+            stack.enter_context(mock.patch.object(
+                cli, "load_config", lambda path, kind=None:
+                dataclasses.replace(load(path, kind=kind), **fields)))
+        for name, value in (patches or {}).items():
+            stack.enter_context(mock.patch.object(integrator, name, value))
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        code = cli.main([command, "--config", str(config), "--out", str(out),
+                         *flags])
     files = {}
     for path in sorted(out.iterdir()) if out.exists() else ():
         files[path.name] = (_csv_digest(path.read_text())
@@ -80,10 +108,15 @@ def run_tree(config: Path, command: str, out: Path) -> dict:
 
 def run_trees(scratch: Path) -> dict:
     """:func:`run_tree` of every config and command, keyed
-    ``<config stem>/<command>``, with outputs under ``scratch``."""
-    return {f"{cfg.stem}/{command}":
-            run_tree(cfg, command, scratch / cfg.stem / command)
-            for cfg in sorted(GOLDEN.glob("*.cfg")) for command in COMMANDS}
+    ``<config stem>/<command>``, and of every variant, with outputs under
+    ``scratch``."""
+    trees = {f"{cfg.stem}/{command}":
+             run_tree(cfg, command, scratch / cfg.stem / command,
+                      FLAGS.get(command, []))
+             for cfg in sorted(GOLDEN.glob("*.cfg")) for command in COMMANDS}
+    for key, (cfg, command, *rest) in VARIANTS.items():
+        trees[key] = run_tree(GOLDEN / cfg, command, scratch / key, *rest)
+    return trees
 
 
 def differences(want: dict, got: dict) -> list:
