@@ -221,9 +221,9 @@ def dealiased_cubic(u: Field) -> Field:
     return inverse_transform(truncate_spectrum(prod, u.grid))
 
 
-#: lines along axis 0 per slab of the last synthesis in :func:`l4_norm`,
-#: on each thread: at 64^3 a thread's complex and real slab buffers take
-#: 393 KB
+#: lines along axis 0 per slab of the last pass of :func:`l4_norm` on each
+#: thread, and the points of as many lines per block of planes of its first
+#: pass: at 64^3 a thread's slab buffers take 393 KB
 _SLAB = 128
 
 
@@ -234,75 +234,96 @@ def l4_norm(u: Field) -> float:
     bandwidth; padding makes the quadrature exact up to truncation of the
     outer half of that band.
 
-    Axes d-1 ... 1 are synthesised as in :func:`_padded_samples`.  Axis 0,
-    the last, is synthesised ``_SLAB`` lines at a time, each slab embedded
-    transposed into a buffer where every line is a contiguous row (see
-    :func:`_quartics`), and each slab's |u|^4 is copied back transposed
-    into one real C-ordered array, so no padded complex grid is made.  On a
-    split grid each thread takes half of the lines, in slabs of its own
-    buffers.  Every line sees the transform it sees on
-    the whole grid, and every sample the ufuncs of the whole-array
-    quadrature in their order, so every value is bit-identical to it.
+    The one grid-sized array is the real C-ordered |u|^4 array of the
+    padded grid, seen as 2N rows of P = (2N)^(d-1) columns.  It first holds
+    the half-padded spectrum as split planes: each k0-plane of the
+    coefficients, synthesised along axes d-1 ... 1 (:func:`_planes`), puts
+    its real parts in row 2 k0 and its imaginary parts in row 2 k0 + 1.
+    Column c then holds the line along axis 0 at c in exactly the 2N
+    entries its |u|^4 fills, so the last pass (:func:`_columns`) runs in
+    place, ``_SLAB`` columns at a time.  On a split grid each pass runs as
+    two halves, of the planes and then of the columns.
 
-    The whole |u|^4 array is kept for the one ``np.sum``: numpy sums a
-    contiguous array as one pairwise tree (with numpy 2.4.6, the sum of a
-    128^3 float64 array is the pairwise combination of its aligned
-    8192-element chunk sums, not their running sum), so a slab-wise sum
-    would change the last bits wherever a slab boundary is not a node of
-    that tree, as at N = 10, 18 and 300.
+    Every line sees the transform it sees on the whole grid, and every
+    sample the ufuncs of the whole-array quadrature in their order, so the
+    array ends with the whole |u|^4 array's values in its C order and the
+    one ``np.sum`` adds them in the same tree: numpy sums a contiguous
+    array as one pairwise tree (with numpy 2.4.6, of aligned 8192-element
+    chunks), which a sum in pieces would change wherever a piece's edge is
+    not a node of it, as at N = 10, 18 and 300.  So the value is
+    bit-identical to the whole-array quadrature.
     """
     grid = u.grid.refined(2)
     coeffs = to_spectral(u).values
-    a = _synthesise(coeffs, range(grid.d - 1, 0, -1))
-    lines = a.reshape(a.shape[0], -1).T  # one row per line along axis 0
-    mag2 = np.empty(grid.shape)
-    quartics = mag2.reshape(grid.N, -1).T  # row k: |u|^4 of line k
+    quad = np.empty(grid.shape)
+    lines = quad.reshape(grid.N, -1).T  # column c of quad as row c
+    split, axes = _kernels._splits(coeffs), range(grid.d - 1, 0, -1)
+    block = max(_SLAB * grid.N // len(lines), 1)
+
+    # a piece's buffers, made here, and its transform: for n planes, one
+    # buffer per synthesised axis of a block; for n columns, a slab's
+    # complex and real buffers, where a one-line slab needs no real one
+    def planes(n, here):
+        return ([np.empty((min(block, n),) + coeffs.shape[1:axis]
+                          + grid.shape[axis:], np.complex128)
+                 for axis in axes], _IFFT[here])
+
+    def columns(n, here):
+        w = min(_SLAB, n)
+        return (np.empty((w, grid.N), np.complex128),
+                np.empty((w, grid.N)) if w > 1 else None, _IFFT[here])
+
+    _kernels._halves(_planes, _kernels._pieces(split, len(coeffs), planes),
+                     coeffs, quad.reshape(len(coeffs), 2, -1), axes)
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros, which |u|^4 drops
-    scale = 1.0 / _forward_factor(grid)
-
-    def ifftn(s, out):  # the calling thread's, as a tracer sees it
-        return np.fft.ifftn(s, axes=(1,), out=out)
-
-    def work(n, here):
-        """A piece of ``n`` lines: its complex and real slab buffers (slabs
-        of one line need no real buffer, see :func:`_quartics`) and its
-        transform."""
-        w = min(_SLAB, n)
-        return (np.empty((w, grid.N), np.complex128),
-                np.empty((w, grid.N)) if w > 1 else None,
-                ifftn if here else np.fft.ifft)
-
-    _kernels._halves(_quartics, _kernels._pieces(_kernels._splits(coeffs),
-                                                 len(lines), work),
-                     lines, quartics, scale)
+    _kernels._halves(_columns, _kernels._pieces(split, len(lines), columns),
+                     lines, 1.0 / _forward_factor(grid))
     q = (grid.L / grid.N) ** grid.d
-    return float((np.sum(mag2) * q) ** 0.25)
+    return float((np.sum(quad) * q) ** 0.25)
 
 
-def _quartics(lines, quartics, scale, buf, quart, ifft):
-    """|u|^4 of the rows of ``lines``, each synthesised along its length
-    and multiplied by ``scale``, into the rows of ``quartics``, as many
-    rows at a time as ``buf`` holds.
+#: the in-place transform ``(a, axis) -> a`` of one axis, for a piece on the
+#: helper thread and on the calling one, where a tracer sees np.fft.ifftn
+_IFFT = {False: lambda a, axis: np.fft.ifft(a, axis=axis, out=a),
+         True: lambda a, axis: np.fft.ifftn(a, axes=(axis,), out=a)}
 
-    A slab is embedded into ``buf`` by :func:`_embed_band` and transformed
-    in place along its contiguous rows by ``ifft``: ``np.fft.ifftn`` over
-    axis 1 on the calling thread, ``np.fft.ifft`` on the helper.  Its |u|^4
-    is formed in the real ``quart`` with the ufuncs of the whole-array
-    quadrature in their order (times scale, square, re^2 + im^2, square)
-    and then copied into ``quartics``, a transposed view.  Without
-    ``quart`` each slab is one line and is formed straight in
-    ``quartics``: at d = 1 the one line is contiguous there.
+
+def _planes(coeffs, rows, axes, bufs, ifft):
+    """The planes of ``coeffs`` along axis 0, synthesised along ``axes``,
+    into ``rows``, a (planes, 2, P) view of the |u|^4 array: real parts
+    into rows[k, 0], imaginary parts into rows[k, 1].  As many planes at a
+    time as ``bufs``, one buffer per axis, hold are embedded along each
+    axis by :func:`_embed_band` and transformed by ``ifft``, as in
+    :func:`_synthesise`; at d = 1, with no axis, the one block is a copy.
     """
-    width = len(buf)
-    for lo in range(0, len(lines), width):
-        s = _embed_band(lines[lo:lo + width], 1, buf[:len(lines) - lo])
-        ifft(s, out=s)
-        parts = s.view(np.float64)  # re, im, re, im, ... along each row
-        parts *= scale
+    width = len(bufs[0]) if bufs else len(coeffs)
+    for lo in range(0, len(coeffs), width):
+        a = coeffs[lo:lo + width]
+        for axis, buf in zip(axes, bufs):
+            a = ifft(_embed_band(a, axis, buf[:len(a)]), axis)
+        flat, block = a.reshape(len(a), -1), rows[lo:lo + len(a)]
+        block[:, 0], block[:, 1] = flat.real, flat.imag
+
+
+def _columns(lines, scale, buf, quart, ifft):
+    """|u|^4 of the lines whose split planes are the rows of ``lines``,
+    each synthesised and multiplied by ``scale``, over those rows, as many
+    at a time as ``buf`` holds.  A row is the re, im pairs of N
+    coefficients, so :func:`_embed_band` embeds it into ``buf``'s real
+    view as it would the complex band (N is even).  The ufuncs are those
+    of the whole-array quadrature in their order (times scale, square,
+    re^2 + im^2, square), into ``quart`` and then over the slab's rows, or
+    straight into them when a slab is one line (at d = 1 it is contiguous).
+    """
+    for lo in range(0, len(lines), len(buf)):
+        rows = lines[lo:lo + len(buf)]
+        s = buf[:len(rows)]
+        parts = _embed_band(rows, 1, s.view(np.float64))
+        ifft(s, 1)
+        parts *= scale  # re, im, re, im, ... along each row
         parts *= parts
-        rows = quartics[lo:lo + width]
         m = rows if quart is None else quart[:len(s)]
         np.add(parts[:, 0::2], parts[:, 1::2], out=m)
         m *= m

@@ -237,6 +237,40 @@ def test_norm_report_peak_is_bounded(monkeypatch):
         assert peak < bound * field_grid
 
 
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak of a second call of ``fn``, in bytes: any
+    first-call set-up stays out of it."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N,l4_bound,report_bound",
+                         [(64, 4.6, 5.6), (32, 5.0, 6.0)],
+                         ids=["d3-n64", "d3-n32"])
+def test_the_quadrature_holds_one_padded_real_array(N, l4_bound,
+                                                    report_bound, monkeypatch):
+    # the padded grid's real |u|^4 array, 4 field grids, is the one
+    # grid-sized array of a quadrature: the half-padded spectrum lives in it
+    # as split planes, and only slab buffers come on top; norm_report adds
+    # its weighted field.  A quadrature that also holds the complex
+    # half-padded array, 4 more grids, peaked at 8.09 (64^3) and 8.38
+    # (32^3) field grids on one thread, 8.19 and 8.77 as two halves
+    g = FourierGrid(d=3, N=N, L=8.0)
+    uh = spectral.to_spectral(periodized_sech(g, A=1.02))
+    field_grid = g.N ** 3 * 16
+    for split_min in (float("inf"), 2):
+        monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
+        assert _traced_peak(lambda: spectral.l4_norm(uh)) < (
+            l4_bound * field_grid)
+        assert _traced_peak(lambda: norm_report(uh, 0.2)) < (
+            report_bound * field_grid)
+
+
 def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 64)
     assert not _kernels._splits(np.empty(1 << 20))
