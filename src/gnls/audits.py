@@ -179,7 +179,7 @@ def sigma_halving_ratio(v: Field, sigma: float, *, num=None) -> float:
 # Trilinear product estimates
 # ---------------------------------------------------------------------------
 
-#: energy fraction beyond the padded band above which a member is rejected
+#: energy fraction beyond the coarse band above which a member is rejected
 LEAK_TOLERANCE = 1e-8
 
 
@@ -230,7 +230,7 @@ def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
     Members are seeded independently and merged by index, so the report is
     identical whether they run sequentially or across threads.  Members
     whose product leaks more than ``LEAK_TOLERANCE`` of its energy beyond
-    the padded band are rejected and counted, not asserted on; when all
+    the coarse band are rejected and counted, not asserted on; when all
     are, there is nothing to report and a ValueError is raised.
 
     The tables that depend on the lattice alone, the dispersive weights of
@@ -268,7 +268,7 @@ def audit_trilinear(kind: int, grid: FourierGrid, M: int, T_win: float,
     if not ratios:
         raise ValueError(f"trilinear-{kind}: all {rejected} members rejected, "
                          f"each leaked more than {LEAK_TOLERANCE:g} of its "
-                         f"energy beyond the padded band")
+                         f"energy beyond the coarse band")
     ratios = np.array(ratios)
     return AuditReport(kind=f"trilinear-{kind}",
                        lhs=float(ratios[0]), rhs=1.0, ratio=float(ratios[0]),

@@ -88,9 +88,10 @@ def xsb_norm(w: SpaceTimeSpectrum, sigma: float, s: float, b: float, *,
 
 def _decay_envelope(grid: FourierGrid, M: int) -> tuple:
     """``(mask, damp)`` of :func:`random_decaying` on the lattice of ``M``
-    time modes over ``grid``: the band |k| <= N/6, |m| <= M/6 and the
-    damping e^{-(|k| + |m|)/2}."""
-    k_band, m_band = grid.N // 6, M // 6
+    time modes over ``grid``: the band |k| < N/6, |m| < M/6 and the
+    damping e^{-(|k| + |m|)/2}.  At |k| = N/6 a cubic product would reach
+    N/2, which the coarse band [-N/2, N/2) holds only as -N/2."""
+    k_band, m_band = (grid.N - 1) // 6, (M - 1) // 6
     m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
     mask = (grid.k_max <= k_band)[np.newaxis, ...] & \
         (m_idx <= m_band).reshape((M,) + (1,) * grid.d)
@@ -102,8 +103,8 @@ def _decay_envelope(grid: FourierGrid, M: int) -> tuple:
 def random_decaying(grid: FourierGrid, M: int, T_win: float, rng, *,
                     envelope: tuple = None) -> SpaceTimeSpectrum:
     """Random coefficients damped by e^{-(|k| + |m|)/2}, with |k| the
-    largest spatial mode index over the axes, restricted to |k| <= N/6 and
-    |m| <= M/6 so that cubic products stay inside the 2x-padded band.
+    largest spatial mode index over the axes, restricted to |k| < N/6 and
+    |m| < M/6 so that cubic products stay inside the coarse band.
 
     ``envelope``, when given, is ``_decay_envelope(grid, M)``, made once for
     many draws; otherwise it is made here.
@@ -125,7 +126,7 @@ def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
     fields, dealiased by 2x padding.
 
     Returns (product spectrum on the common lattice, leaked energy fraction
-    beyond the padded band).
+    beyond the coarse band).
     """
     if not (w1.grid == w2.grid == w3.grid and w1.M == w2.M == w3.M
             and w1.T_win == w2.T_win == w3.T_win):

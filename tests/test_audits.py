@@ -270,6 +270,15 @@ def test_trilinear_ensemble_stability(kind):
     assert rep.max_ratio / rep.median_ratio < 10
 
 
+def test_trilinear_keeps_every_member_when_6_divides_N():
+    # the draws' band stops short of N/6, so no product leaks past the
+    # coarse band: at N = 18 every member was rejected
+    grid = FourierGrid(d=1, N=18, L=10.0)
+    for kind in (1, 2, 3):
+        assert audit_trilinear(kind, grid, 16, 1.0, n_members=3,
+                               seed=7).rejected == 0
+
+
 def test_trilinear_rejects_an_empty_ensemble():
     grid = FourierGrid(d=1, N=32, L=5.0)
     with pytest.raises(ValueError, match="n_members"):

@@ -142,6 +142,24 @@ def test_random_decaying_band_restriction(st_lattice):
     assert np.all(w.coeffs[outside] == 0.0)
 
 
+@pytest.mark.parametrize("d,N,M", [(1, 18, 16), (2, 18, 16), (1, 24, 18),
+                                   (3, 12, 12)])
+def test_products_of_draws_stay_in_the_coarse_band_when_6_divides_it(d, N, M):
+    # with |k| <= N/6 a cubic product of draws reaches +N/2, which the
+    # coarse band [-N/2, N/2) holds only as -N/2: three draws at d = 1,
+    # N = 18, M = 16 leaked 2e-4 of their energy; only round-off is left
+    grid = FourierGrid(d=d, N=N, L=5.0)
+    rng = np.random.default_rng(N + M)
+    for _ in range(4):
+        ws = [random_decaying(grid, M, 1.0, rng) for _ in range(3)]
+        assert st_triple_product(*ws)[1] < 1e-15
+    # the band is strictly inside N/6 and M/6 on every axis
+    mask, _ = _decay_envelope(grid, M)
+    m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
+    assert 6 * m_idx[np.any(mask.reshape(M, -1), axis=1)].max() < M
+    assert 6 * grid.k_max[mask[0]].max() < N
+
+
 def _st_product_reference(ws, conjugate):
     """The seed formula: fftshift-pad, full ifftn, product, forward
     transform checked as a spectrum on the fine lattice, fftshift-truncate."""
