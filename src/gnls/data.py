@@ -32,7 +32,7 @@ def periodized_sech(grid: FourierGrid, A: float = 1.0, a: float = 1.0) -> Field:
     d >= 2 it is not the sum over the lattice Z^d: the profile's normal
     derivative jumps on the faces of the box, so its spectrum stops
     decaying far above round-off and its radius is not pi*a/2 (ROADMAP
-    item 1 measured sigma_hat = 0.407 at d = 2, N = 128, L = 20).
+    item 2 measured sigma_hat = 0.407 at d = 2, N = 128, L = 20).
 
     Image j adds at most 2 exp(-(|j| L - r_max) / a), with r_max =
     sqrt(d) L / 2 the largest distance from the centre, while every sample
