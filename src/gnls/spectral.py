@@ -137,6 +137,12 @@ def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+#: the in-place transform ``(a, axis) -> a`` of one axis, for a piece on the
+#: helper thread and on the calling one, where a tracer sees np.fft.ifftn
+_IFFT = {False: lambda a, axis: np.fft.ifft(a, axis=axis, out=a),
+         True: lambda a, axis: np.fft.ifftn(a, axes=(axis,), out=a)}
+
+
 def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
     """Inverse-transform ``coeffs`` along each of ``axes`` in turn, each
     axis embedded into its doubled length by :func:`_embed_band` just before
@@ -155,16 +161,13 @@ def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
         shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
         emb = np.empty(shape, dtype=np.complex128)
 
-        def here(band, out):
-            _embed_band(band, axis, out)
-            return np.fft.ifftn(out, axes=(axis,), out=out)
-
-        def there(band, out):  # the helper thread's half
-            _embed_band(band, axis, out)
-            return np.fft.ifft(out, axis=axis, out=out)
+        def here(band, out, ifft=_IFFT[True]):
+            return ifft(_embed_band(band, axis, out), axis)
 
         if split:
-            _kernels._split(int(axis == 0), here, there, a, emb)
+            _kernels._split(int(axis == 0), here,
+                            lambda band, out: here(band, out, _IFFT[False]),
+                            a, emb)
         else:
             here(a, emb)
         a = emb
@@ -282,12 +285,6 @@ def l4_norm(u: Field) -> float:
                      lines, 1.0 / _forward_factor(grid))
     q = (grid.L / grid.N) ** grid.d
     return float((np.sum(quad) * q) ** 0.25)
-
-
-#: the in-place transform ``(a, axis) -> a`` of one axis, for a piece on the
-#: helper thread and on the calling one, where a tracer sees np.fft.ifftn
-_IFFT = {False: lambda a, axis: np.fft.ifft(a, axis=axis, out=a),
-         True: lambda a, axis: np.fft.ifftn(a, axes=(axis,), out=a)}
 
 
 def _planes(coeffs, rows, axes, bufs, ifft):
