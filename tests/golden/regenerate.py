@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Runs every config and run subcommand once on one thread and once with
-every pass split (see tests/test_golden.py), refuses to write when the two
-differ, and prints which trees changed against the old manifest.
+Runs every config and run subcommand, and every variant tree, once on one
+thread and once with every pass split (see tests/test_golden.py), refuses
+to write when the two differ, and prints which trees changed against the
+old manifest.
 """
 
 import json
