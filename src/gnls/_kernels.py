@@ -265,12 +265,15 @@ def shell_envelope(mag, shell, n_shells):
 # uses, and every ufunc here is pointwise or an exact maximum.  So every
 # output is bit-identical to the one-thread pass.
 #
-# The calling thread runs its half through np.fft.fftn/ifftn.  The helper
-# thread calls only ufuncs, np.fft.fft/ifft, random fills and private
+# Every FFT of the package goes through :func:`_fft`, which makes one
+# np.fft.fftn/ifftn call on the calling thread and np.fft.fft/ifft calls on
+# the helper.  The helper calls only those, ufuncs, random fills and private
 # functions, never a public gnls function or np.fft.fftn/ifftn, so whatever
 # wraps those (a profiler, a tracer) sees every call on the calling thread.
 # The helper is never handed work that hands off again: one helper would
 # wait on itself.  Both halves' buffers are made on the calling thread.
+# Whether a pass splits is decided here too (:func:`_splits`, through
+# :func:`_halves` and :func:`_pieces`), never by a caller.
 
 def _cpus() -> int:
     try:
@@ -294,9 +297,11 @@ def _splits(a: np.ndarray) -> bool:
 
 _helper = None  # the helper thread's task queue, made on first use
 _helper_lock = threading.Lock()
+_on_helper = threading.local()  # ``marked`` is set on the helper thread only
 
 
 def _serve(tasks):
+    _on_helper.marked = True
     while True:
         fn, box, done = tasks.get()
         try:
@@ -350,19 +355,6 @@ def _both(left, right):
     return here, box[0]
 
 
-def _split(axis, left, right, *args):
-    """``left`` on the first half and ``right`` on the second half of every
-    array in ``args``, cut along ``axis`` at the same index, on two threads;
-    other arguments go whole to both.  Returns both results."""
-    h = args[0].shape[axis] // 2
-    head = (slice(None),) * axis
-    lo = [a[head + (slice(None, h),)] if isinstance(a, np.ndarray) else a
-          for a in args]
-    hi = [a[head + (slice(h, None),)] if isinstance(a, np.ndarray) else a
-          for a in args]
-    return _both(lambda: left(*lo), lambda: right(*hi))
-
-
 #: grid points per slab of the rotation, the guard and :func:`_radial`: a
 #: slab's real buffer takes 256 KB and its complex one 512 KB
 _SLAB = 1 << 15
@@ -392,26 +384,36 @@ def _mesh_sum(sq, lo, out):
     return out
 
 
-def _halves(run, work, *args):
+def _halves(run, work, *args, axis=0):
     """``run(*args, *buffers)`` with the one buffer tuple of ``work``, or,
-    with a tuple per half, :func:`_split` along axis 0 with each half's
-    tuple; returns the results, one per piece."""
+    with a tuple per half, ``run`` on the first half of every array in
+    ``args`` with the first tuple here and on the second half with the
+    second on the helper thread, all cut along ``axis`` at the same index;
+    other arguments go whole to both.  ``work`` None is a pass with no
+    buffers, split as a pass over ``args[0]`` splits (:func:`_splits`).
+    Returns the results, one per piece."""
+    if work is None:
+        work = ((), ()) if _splits(args[0]) else ((),)
     if len(work) == 1:
         return (run(*args, *work[0]),)
+    h = args[0].shape[axis] // 2
+    head = (slice(None),) * axis
+    lo, hi = ([a[head + (cut,)] if isinstance(a, np.ndarray) else a
+               for a in args] for cut in (slice(None, h), slice(h, None)))
     left, right = work
-    return _split(0, lambda *a: run(*a, *left), lambda *a: run(*a, *right),
-                  *args)
+    return _both(lambda: run(*lo, *left), lambda: run(*hi, *right))
 
 
-def _pieces(split: bool, n: int, make) -> tuple:
-    """The ``work`` of :func:`_halves` for a pass over ``n`` rows along axis
-    0: ``make(n, True)``, or, when ``split``, ``make(n // 2, True)`` for the
-    calling thread's half and ``make(n - n // 2, False)`` for the helper's;
-    each ``make(rows, here)`` is a tuple of buffers (and whatever else the
-    piece takes), all made here on the calling thread."""
-    if not split:
-        return (make(n, True),)
-    return make(n // 2, True), make(n - n // 2, False)
+def _pieces(a, make, n=None) -> tuple:
+    """The ``work`` of :func:`_halves` for a pass over ``a`` of ``n`` rows
+    along axis 0, ``len(a)`` unless given: ``(make(n),)``, or, on a split
+    grid, ``make(n // 2)`` for the calling thread's half and
+    ``make(n - n // 2)`` for the helper's; each ``make(rows)`` is a tuple
+    of buffers, all made here on the calling thread."""
+    n = len(a) if n is None else n
+    if not _splits(a):
+        return (make(n),)
+    return make(n // 2), make(n - n // 2)
 
 
 def _radial(sq, out, fill, n_work, *params):
@@ -429,7 +431,7 @@ def _radial(sq, out, fill, n_work, *params):
     one slab's buffers of its own.  Returns ``out``.
     """
     rows = max(_SLAB * out.shape[0] // out.size, 1)
-    work = _pieces(_splits(out), out.shape[0], lambda n, _: (
+    work = _pieces(out, lambda n: (
         np.empty((n_work + 1, min(rows, n)) + out.shape[1:]),))
     _halves(_radial_slabs, work, out, sq[0], sq[1:], fill, params)
     return out
@@ -445,42 +447,34 @@ def _radial_slabs(out, sq0, sq_rest, fill, params, work):
         fill(r2, out[lo:lo + m], *[w[:m] for w in work[1:]], *params)
 
 
-def _transform(a, out, nd, line):
-    """``nd(a, out=out)`` for ``nd`` np.fft.fftn or ifftn, as two passes:
-    axes d-1 ... 1 over the halves along axis 0, then axis 0 over the
-    halves along axis 1.  The helper's halves go one axis at a time through
-    ``line``, np.fft.fft or ifft, in the axis order of ``nd``."""
-    inner = tuple(range(1, a.ndim))
+def _fft(a, out, axes, inverse=False):
+    """``np.fft.fftn(a, axes=axes, out=out)``, or ifftn when ``inverse``, as
+    that one call on the calling thread and as one np.fft.fft or ifft call
+    per axis on the helper thread, in the axis order of fftn: the last of
+    ``axes``, all of a's when None, first.  Every line sees the same
+    transform either way."""
+    if not getattr(_on_helper, "marked", False):
+        return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes,
+                                                          out=out)
+    line = np.fft.ifft if inverse else np.fft.fft
+    for axis in reversed(range(a.ndim) if axes is None else axes):
+        a = line(a, axis=axis, out=out)
+    return a
 
-    def lines(x, o):
-        for axis in reversed(inner):
-            line(x, axis=axis, out=o)
-            x = o
 
-    _split(0, lambda x, o: nd(x, axes=inner, out=o), lines, a, out)
-    _split(1, lambda o: nd(o, axes=(0,), out=o),
-           lambda o: line(o, axis=0, out=o), out)
+def _fftn(a, out, inverse=False):
+    """``np.fft.fftn(a, out=out)``, or ifftn when ``inverse``; on a split
+    grid as two passes of :func:`_fft`: axes d-1 ... 1 over the halves along
+    axis 0, then axis 0 over the halves along axis 1."""
+    if not _splits(a):
+        return _fft(a, out, None, inverse)
+    _halves(_fft, None, a, out, tuple(range(1, a.ndim)), inverse)
+    _halves(_fft, None, out, out, (0,), inverse, axis=1)
     return out
-
-
-def _fftn(a, out):
-    """``np.fft.fftn(a, out=out)``, in two halves per axis pass on a split grid."""
-    if not _splits(a):
-        return np.fft.fftn(a, out=out)
-    return _transform(a, out, np.fft.fftn, np.fft.fft)
-
-
-def _ifftn(a, out):
-    """``np.fft.ifftn(a, out=out)``, in two halves per axis pass on a split grid."""
-    if not _splits(a):
-        return np.fft.ifftn(a, out=out)
-    return _transform(a, out, np.fft.ifftn, np.fft.ifft)
 
 
 def _multiply(a, b, out):
     """``np.multiply(a, b, out=out)``, in two halves along axis 0 on a split
     grid; ``b`` is a scalar."""
-    if not _splits(a):
-        return np.multiply(a, b, out=out)
-    _split(0, np.multiply, np.multiply, a, b, out)
+    _halves(np.multiply, None, a, b, out)
     return out

@@ -8,7 +8,6 @@ the recorded seed.
 from __future__ import annotations
 
 import configparser
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -72,7 +71,6 @@ class ExperimentConfig:
     T_win: float = 1.0
     out_dir: Path = None
     svg: bool = False
-    save_fields: bool = False
 
     def grid(self) -> FourierGrid:
         return FourierGrid(self.d, self.N, self.L)
@@ -302,18 +300,8 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
     """Evolve the configured data and record NormReport rows per snapshot."""
     u0 = cfg.initial_data()
     sigma = cfg.sigma0
-    save = cfg.save_fields and cfg.out_dir is not None
-    if save:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    saved = itertools.count()
-
-    def row_of(t, u):
-        row = _norm_row(t, u, sigma)
-        if save:
-            write_field(Path(cfg.out_dir) / f"snapshot_{next(saved):05d}.gnls", u)
-        return row
-
-    rows, abort = _track(u0, cfg.solver(), row_of)
+    rows, abort = _track(u0, cfg.solver(),
+                         lambda t, u: _norm_row(t, u, sigma))
     m0, e0 = rows[0].mass, rows[0].energy
     mass_drift = max(abs(r.mass - m0) for r in rows) / m0 if m0 > 0 else 0.0
     energy_drift = max(abs(r.energy - e0) for r in rows)

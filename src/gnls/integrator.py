@@ -93,13 +93,6 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     if n_steps == 0:
         return Trajectory(snapshots=snapshots)
 
-    # decided once per run: a split grid runs every pass as two
-    # bit-identical halves on two threads (gnls._kernels); any other binds
-    # the plain numpy calls, so a 1-D step makes no extra call
-    split = _kernels._splits(u.values)
-    fftn = _kernels._fftn if split else np.fft.fftn
-    ifftn = _kernels._ifftn if split else np.fft.ifftn
-
     # the slab buffers of the rotation and the guard, made once: no pass of
     # the loop makes a temporary of the grid
     work = _kernels._workspace(u.values)
@@ -125,10 +118,10 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     full = (None if full_table is None
             else _kernels._phase_product(coeff, full_table))
     del half_table, full_table  # held by the products, freed with them
-    coeff = fftn(u.values, out=coeff)
+    coeff = _kernels._fftn(u.values, coeff)
     half()
     for step in range(1, n_steps + 1):
-        vals = ifftn(coeff, out=coeff)
+        vals = _kernels._fftn(coeff, coeff, inverse=True)
         if cfg.linear_only:
             peak = float(_kernels._guard(vals, work))
         else:
@@ -142,7 +135,7 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 f"blow-up guard tripped at step {step}: max|u| grew "
                 f"{peak / peak0:.3g}x", step=step, last_good=snapshots[-1])
         record = step % cfg.snapshot_stride == 0 or step == n_steps
-        coeff = fftn(vals, out=vals)
+        coeff = _kernels._fftn(vals, vals)
         if record:
             half()
             last = step == n_steps
@@ -150,7 +143,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
                 # the last snapshot is the step array: the tables and the
                 # slab buffers go before its callback runs
                 half = full = work = None
-            snap = ifftn(coeff, out=coeff if last else np.empty_like(coeff))
+            snap = _kernels._fftn(
+                coeff, coeff if last else np.empty_like(coeff), inverse=True)
             snap.flags.writeable = False  # owned here: Field keeps it uncopied
             u = Field(u.grid, snap, rep=PHYSICAL, t=step * cfg.dt, _check=False)
             if on_snapshot is None:

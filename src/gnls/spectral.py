@@ -41,7 +41,8 @@ def inverse_transform(f: Field) -> Field:
     """Unitary spectral coefficients -> physical samples."""
     if not f.is_spectral:
         raise ValueError("inverse_transform expects a spectral-space field")
-    values = _kernels._ifftn(f.values, np.empty(f.grid.shape, np.complex128))
+    values = _kernels._fftn(f.values, np.empty(f.grid.shape, np.complex128),
+                            inverse=True)
     # scaled on the real view, as _padded_samples scales: equal to the
     # complex division by the factor up to the sign of zeros, at a fifth of
     # its cost
@@ -137,10 +138,10 @@ def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-#: the in-place transform ``(a, axis) -> a`` of one axis, for a piece on the
-#: helper thread and on the calling one, where a tracer sees np.fft.ifftn
-_IFFT = {False: lambda a, axis: np.fft.ifft(a, axis=axis, out=a),
-         True: lambda a, axis: np.fft.ifftn(a, axes=(axis,), out=a)}
+def _embed_ifft(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """``band`` embedded into ``out`` by :func:`_embed_band` and inverse
+    transformed along ``axis`` in place there.  Returns ``out``."""
+    return _kernels._fft(_embed_band(band, axis, out), out, (axis,), True)
 
 
 def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
@@ -151,25 +152,14 @@ def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
     A line of zeros transforms to zeros, so only the lines that hold
     coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
     cube, with every sample equal to the full ``np.fft.ifftn``.  On a
-    split grid (``_kernels._splits(coeffs)``) each axis is embedded and
-    transformed as two halves on two threads, cut along axis 0, or along
-    axis 1 for axis 0.
+    split grid each axis is embedded and transformed as two halves
+    (``_kernels._halves``), cut along axis 0, or along axis 1 for axis 0.
     """
-    split = _kernels._splits(coeffs)
     a = coeffs
     for axis in axes:
         shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
         emb = np.empty(shape, dtype=np.complex128)
-
-        def here(band, out, ifft=_IFFT[True]):
-            return ifft(_embed_band(band, axis, out), axis)
-
-        if split:
-            _kernels._split(int(axis == 0), here,
-                            lambda band, out: here(band, out, _IFFT[False]),
-                            a, emb)
-        else:
-            here(a, emb)
+        _kernels._halves(_embed_ifft, None, a, axis, emb, axis=int(axis == 0))
         a = emb
     return a
 
@@ -260,51 +250,52 @@ def l4_norm(u: Field) -> float:
     coeffs = to_spectral(u).values
     quad = np.empty(grid.shape)
     lines = quad.reshape(grid.N, -1).T  # column c of quad as row c
-    split, axes = _kernels._splits(coeffs), range(grid.d - 1, 0, -1)
+    axes = range(grid.d - 1, 0, -1)
     block = max(_SLAB * grid.N // len(lines), 1)
 
-    # a piece's buffers, made here, and its transform: for n planes, one
-    # buffer per synthesised axis of a block; for n columns, a slab's
-    # complex and real buffers, where a one-line slab needs no real one
-    def planes(n, here):
+    # a piece's buffers, made here: for n planes, one buffer per
+    # synthesised axis of a block; for n columns, a slab's complex and real
+    # buffers, where a one-line slab needs no real one.  Both passes split
+    # as a pass over the coefficients does
+    def planes(n):
         return ([np.empty((min(block, n),) + coeffs.shape[1:axis]
                           + grid.shape[axis:], np.complex128)
-                 for axis in axes], _IFFT[here])
+                 for axis in axes],)
 
-    def columns(n, here):
+    def columns(n):
         w = min(_SLAB, n)
         return (np.empty((w, grid.N), np.complex128),
-                np.empty((w, grid.N)) if w > 1 else None, _IFFT[here])
+                np.empty((w, grid.N)) if w > 1 else None)
 
-    _kernels._halves(_planes, _kernels._pieces(split, len(coeffs), planes),
+    _kernels._halves(_planes, _kernels._pieces(coeffs, planes),
                      coeffs, quad.reshape(len(coeffs), 2, -1), axes)
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros, which |u|^4 drops
-    _kernels._halves(_columns, _kernels._pieces(split, len(lines), columns),
+    _kernels._halves(_columns, _kernels._pieces(coeffs, columns, len(lines)),
                      lines, 1.0 / _forward_factor(grid))
     q = (grid.L / grid.N) ** grid.d
     return float((np.sum(quad) * q) ** 0.25)
 
 
-def _planes(coeffs, rows, axes, bufs, ifft):
+def _planes(coeffs, rows, axes, bufs):
     """The planes of ``coeffs`` along axis 0, synthesised along ``axes``,
     into ``rows``, a (planes, 2, P) view of the |u|^4 array: real parts
     into rows[k, 0], imaginary parts into rows[k, 1].  As many planes at a
-    time as ``bufs``, one buffer per axis, hold are embedded along each
-    axis by :func:`_embed_band` and transformed by ``ifft``, as in
+    time as ``bufs``, one buffer per axis, hold are embedded and
+    transformed along each axis by :func:`_embed_ifft`, as in
     :func:`_synthesise`; at d = 1, with no axis, the one block is a copy.
     """
     width = len(bufs[0]) if bufs else len(coeffs)
     for lo in range(0, len(coeffs), width):
         a = coeffs[lo:lo + width]
         for axis, buf in zip(axes, bufs):
-            a = ifft(_embed_band(a, axis, buf[:len(a)]), axis)
+            a = _embed_ifft(a, axis, buf[:len(a)])
         flat, block = a.reshape(len(a), -1), rows[lo:lo + len(a)]
         block[:, 0], block[:, 1] = flat.real, flat.imag
 
 
-def _columns(lines, scale, buf, quart, ifft):
+def _columns(lines, scale, buf, quart):
     """|u|^4 of the lines whose split planes are the rows of ``lines``,
     each synthesised and multiplied by ``scale``, over those rows, as many
     at a time as ``buf`` holds.  A row is the re, im pairs of N
@@ -318,7 +309,7 @@ def _columns(lines, scale, buf, quart, ifft):
         rows = lines[lo:lo + len(buf)]
         s = buf[:len(rows)]
         parts = _embed_band(rows, 1, s.view(np.float64))
-        ifft(s, 1)
+        _kernels._fft(s, s, (1,), True)
         parts *= scale  # re, im, re, im, ... along each row
         parts *= parts
         m = rows if quart is None else quart[:len(s)]

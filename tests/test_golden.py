@@ -11,7 +11,6 @@ manifest records.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -33,16 +32,13 @@ COMMANDS = ("simulate", "radius", "sweep", "audit-multiplier", "audit-f",
 FLAGS = {"bookkeeper": ["--A0", "1.0", "--C", "1.0"]}
 
 #: trees beyond the 8 commands on every config, keyed as those are:
-#: (config under tests/golden, command, its extra flags, ExperimentConfig
-#: fields set on the parsed config, gnls.integrator attributes patched).
-#: A simulate run that saves its snapshots, which no key or flag reaches;
-#: ``radius --svg``; and a focusing run that trips the blow-up guard,
-#: lowered as tests/test_cli.py lowers it, and writes ``last_good.gnls``
+#: (config under tests/golden, command, its extra flags, gnls.integrator
+#: attributes patched): ``radius --svg``, and a focusing run that trips the
+#: blow-up guard, lowered as tests/test_cli.py lowers it, and writes
+#: ``last_good.gnls``
 VARIANTS = {
-    "d1-n64/simulate-save-fields": ("d1-n64.cfg", "simulate", [],
-                                    {"save_fields": True}, {}),
-    "d1-n64/radius-svg": ("d1-n64.cfg", "radius", ["--svg"], {}, {}),
-    "focusing-d2-n18/simulate": ("focusing/d2-n18.cfg", "simulate", [], {},
+    "d1-n64/radius-svg": ("d1-n64.cfg", "radius", ["--svg"], {}),
+    "focusing-d2-n18/simulate": ("focusing/d2-n18.cfg", "simulate", [],
                                  {"BLOWUP_FACTOR": 1.2}),
 }
 
@@ -78,19 +74,13 @@ def _csv_digest(text: str) -> dict:
                         for j, name in enumerate(names)}}
 
 
-def run_tree(config: Path, command: str, out: Path, flags=(), fields=None,
+def run_tree(config: Path, command: str, out: Path, flags=(),
              patches=None) -> dict:
     """``gnls <command> --config <config> --out <out> <flags>`` in this
-    process, with ``fields`` set on the parsed config and ``patches`` on
-    gnls.integrator: the exit code and the hashes of stdout, stderr and
-    every file written."""
+    process, with ``patches`` on gnls.integrator: the exit code and the
+    hashes of stdout, stderr and every file written."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    load = cli.load_config
     with contextlib.ExitStack() as stack:
-        if fields:
-            stack.enter_context(mock.patch.object(
-                cli, "load_config", lambda path, kind=None:
-                dataclasses.replace(load(path, kind=kind), **fields)))
         for name, value in (patches or {}).items():
             stack.enter_context(mock.patch.object(integrator, name, value))
         stack.enter_context(contextlib.redirect_stdout(stdout))

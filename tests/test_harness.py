@@ -202,25 +202,6 @@ def test_run_simulate_deterministic_output(tmp_path):
     assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
 
 
-def test_run_simulate_save_fields_into_new_out_dir(tmp_path):
-    out = tmp_path / "new" / "run"
-    cfg = ExperimentConfig(kind="simulate", N=64, L=10.0, dt=0.05, t_end=0.1,
-                           snapshot_stride=1, out_dir=out, save_fields=True)
-    run_simulate(cfg)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "norms.csv", "run.meta", "snapshot_00000.gnls", "snapshot_00001.gnls",
-        "snapshot_00002.gnls"]
-
-
-def test_run_simulate_save_fields(tmp_path):
-    cfg = ExperimentConfig(kind="simulate", N=64, L=10.0, dt=0.05, t_end=0.1,
-                           snapshot_stride=1, out_dir=tmp_path,
-                           save_fields=True)
-    run_simulate(cfg)
-    assert sorted(p.name for p in tmp_path.glob("*.gnls")) == \
-        ["snapshot_00000.gnls", "snapshot_00001.gnls", "snapshot_00002.gnls"]
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -67,12 +67,28 @@ def test_harness_steps_in_one_place():
     assert steppers == ["_track"]
 
 
+def _fft_calls(tree):
+    """The transforms of ``np.fft`` named anywhere in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("fft", "ifft", "fftn", "ifftn")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "np"):
+            yield node.attr
+
+
 def test_the_split_stays_in_kernels():
-    # one module hands work to the helper thread and sizes the slabs; the
+    # one module decides which passes split, hands work to the helper
+    # thread, picks the FFT each thread calls and sizes the slabs; the
     # solver builds its phase tables from the per-axis wavenumbers
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
-    assert [name for name, tree in trees.items()
-            if "_both" in _references(tree, None)] == ["_kernels"]
+    for name in ("_splits", "_both", "threading"):
+        assert [module for module, tree in trees.items()
+                if name in _references(tree, None)] == ["_kernels"], name
+    assert [module for module, tree in trees.items()
+            if any(_fft_calls(tree))] == ["_kernels"]
     assert not any(isinstance(t, ast.Name) and t.id == "_SLAB"
                    for node in ast.walk(trees["data"])
                    if isinstance(node, ast.Assign) for t in node.targets)
