@@ -3,9 +3,9 @@
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Runs every config and run subcommand, and every variant tree, once on one
-thread and once with every pass split (see tests/test_golden.py), refuses
-to write when the two differ, and prints which trees changed against the
-old manifest.
+thread and once with every pass split, each in the pinned child
+interpreter of tests/test_golden.py, refuses to write when the two differ,
+and prints which trees changed against the old manifest.
 """
 
 import json
@@ -15,17 +15,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from gnls import _kernels  # noqa: E402
-from test_golden import (MANIFEST, SPLITS, differences, run_trees,  # noqa: E402
-                         versions)
+from test_golden import (MANIFEST, SPLITS, differences,  # noqa: E402
+                         pinned_trees, versions)
 
 
 def main() -> int:
     trees = {}
-    for mode, (split_min, two_cpus) in SPLITS.items():
-        _kernels._SPLIT_MIN, _kernels._TWO_CPUS = split_min, two_cpus
+    for mode in SPLITS:
         with tempfile.TemporaryDirectory() as scratch:
-            trees[mode] = run_trees(Path(scratch))
+            trees[mode] = pinned_trees(mode, Path(scratch))
     split = differences(trees["serial"], trees["split"])
     if split:
         print("the split runs differ from the serial ones:", *split, sep="\n")

@@ -5,22 +5,36 @@ against the sha256 hashes of tests/golden/manifest.json.
 
 A change that alters any output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/golden/regenerate.py`` and names the changed
-files; a change that claims to alter none leaves it as it is.  The hashes
-depend on numpy's pocketfft and on the C library's libm, whose versions the
-manifest records.
+files; a change that claims to alter none leaves it as it is.
+
+The hashes depend on numpy's pocketfft and on the C library's libm, and
+also on which SIMD code each picks at run time: numpy dispatches its loops
+to AVX2 or AVX-512 variants, and glibc's libm resolves exp, sin and cos to
+FMA variants, each rounding differently.  So the trees run in a child
+interpreter pinned to numpy's baseline loops and libm's generic variants
+(:func:`pinned_trees`), and the manifest records the versions, the machine
+and that pin (:func:`versions`).  Run as a script, this module is that
+child: ``test_golden.py <mode> <scratch>`` prints the trees of one mode of
+``SPLITS`` as JSON.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                           __cpu_features__)
 import pytest
 
+import gnls
 from gnls import _kernels, cli, integrator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -53,10 +67,18 @@ def _sha(data) -> str:
                           else data.encode()).hexdigest()
 
 
+#: the glibc hardware capabilities the child masks, so that libm resolves
+#: its functions to the variants without FMA, FMA4, AVX or AVX2
+GLIBC_TUNABLES = "glibc.cpu.hwcaps=-AVX,-AVX2,-FMA,-FMA4"
+
+
 def versions() -> dict:
     """What the hashes depend on beyond the tree."""
     return {"numpy": np.__version__, "libc": " ".join(platform.libc_ver()),
-            "python": platform.python_version()}
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "numpy_simd": "baseline " + " ".join(__cpu_baseline__),
+            "glibc_tunables": GLIBC_TUNABLES}
 
 
 def _csv_digest(text: str) -> dict:
@@ -139,14 +161,38 @@ def differences(want: dict, got: dict) -> list:
     return lines
 
 
+def pinned_trees(mode: str, scratch: Path) -> dict:
+    """:func:`run_trees` in ``mode`` of ``SPLITS``, run by this module as a
+    child interpreter with every numpy dispatch target turned off and
+    glibc's capabilities masked by ``GLIBC_TUNABLES``."""
+    env = {**os.environ,
+           "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+           "GLIBC_TUNABLES": GLIBC_TUNABLES,
+           "PYTHONPATH": str(Path(gnls.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, __file__, mode, str(scratch)],
+                           env=env, capture_output=True, text=True)
+    if child.returncode != 0:
+        raise RuntimeError(f"the pinned {mode} run failed:\n{child.stderr}")
+    return json.loads(child.stdout)
+
+
+def _child(mode: str, scratch: str) -> None:
+    on = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+    if on:
+        sys.exit(f"numpy still dispatches to {on}")
+    _kernels._SPLIT_MIN, _kernels._TWO_CPUS = SPLITS[mode]
+    json.dump(run_trees(Path(scratch)), sys.stdout)
+
+
 @pytest.mark.parametrize("mode", list(SPLITS))
-def test_run_outputs_match_the_golden_manifest(mode, tmp_path, monkeypatch):
-    split_min, two_cpus = SPLITS[mode]
-    monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
-    monkeypatch.setattr(_kernels, "_TWO_CPUS", two_cpus)
+def test_run_outputs_match_the_golden_manifest(mode, tmp_path):
     manifest = json.loads(MANIFEST.read_text())
-    changed = differences(manifest["trees"], run_trees(tmp_path))
+    changed = differences(manifest["trees"], pinned_trees(mode, tmp_path))
     assert not changed, (
         f"{mode} outputs differ from {MANIFEST.name} (made with "
         f"{manifest['versions']}; this run has {versions()}):\n"
         + "\n".join(changed))
+
+
+if __name__ == "__main__":
+    _child(*sys.argv[1:])
