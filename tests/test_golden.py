@@ -1,7 +1,8 @@
 """Golden output trees: every output of the 8 run subcommands on the small
 configs of tests/golden/*.cfg, at d = 1, 2 and 3, plus the variant trees
-of ``VARIANTS``, on one thread and with every pass split into two halves,
-against the sha256 hashes of tests/golden/manifest.json.
+of ``VARIANTS`` and the ``gnls norms`` trees of ``SNAPSHOT_VARIANTS``, on
+one thread and with every pass split into two halves, against the sha256
+hashes of tests/golden/manifest.json.
 
 A change that alters any output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/golden/regenerate.py`` and names the changed
@@ -56,6 +57,12 @@ VARIANTS = {
                                  {"BLOWUP_FACTOR": 1.2}),
 }
 
+#: ``gnls norms`` trees: (the tree whose ``last_good.gnls`` it reads, its
+#: flags)
+SNAPSHOT_VARIANTS = {
+    "focusing-d2-n18/norms": ("focusing-d2-n18/simulate", ["--sigma", "0.1"]),
+}
+
 #: ``_kernels._SPLIT_MIN`` and ``_kernels._TWO_CPUS`` of each mode: no pass
 #: split, and every pass of a d >= 2 grid and every ensemble of more than
 #: one block split, as tests/test_split.py forces it
@@ -96,19 +103,17 @@ def _csv_digest(text: str) -> dict:
                         for j, name in enumerate(names)}}
 
 
-def run_tree(config: Path, command: str, out: Path, flags=(),
-             patches=None) -> dict:
-    """``gnls <command> --config <config> --out <out> <flags>`` in this
-    process, with ``patches`` on gnls.integrator: the exit code and the
-    hashes of stdout, stderr and every file written."""
+def run_tree(argv, out: Path, patches=None) -> dict:
+    """``gnls <argv>`` in this process, with ``patches`` on
+    gnls.integrator: the exit code and the hashes of stdout, stderr and
+    every file written under ``out``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         for name, value in (patches or {}).items():
             stack.enter_context(mock.patch.object(integrator, name, value))
         stack.enter_context(contextlib.redirect_stdout(stdout))
         stack.enter_context(contextlib.redirect_stderr(stderr))
-        code = cli.main([command, "--config", str(config), "--out", str(out),
-                         *flags])
+        code = cli.main([str(arg) for arg in argv])
     files = {}
     for path in sorted(out.iterdir()) if out.exists() else ():
         files[path.name] = (_csv_digest(path.read_text())
@@ -118,16 +123,28 @@ def run_tree(config: Path, command: str, out: Path, flags=(),
             "stderr": _sha(stderr.getvalue()), "files": files}
 
 
+def _run_config(config: Path, command: str, out: Path, flags=(),
+                patches=None) -> dict:
+    """:func:`run_tree` of ``gnls <command> --config <config> --out <out>
+    <flags>``."""
+    return run_tree([command, "--config", config, "--out", out, *flags], out,
+                    patches)
+
+
 def run_trees(scratch: Path) -> dict:
     """:func:`run_tree` of every config and command, keyed
     ``<config stem>/<command>``, and of every variant, with outputs under
     ``scratch``."""
     trees = {f"{cfg.stem}/{command}":
-             run_tree(cfg, command, scratch / cfg.stem / command,
-                      FLAGS.get(command, []))
+             _run_config(cfg, command, scratch / cfg.stem / command,
+                         FLAGS.get(command, []))
              for cfg in sorted(GOLDEN.glob("*.cfg")) for command in COMMANDS}
     for key, (cfg, command, *rest) in VARIANTS.items():
-        trees[key] = run_tree(GOLDEN / cfg, command, scratch / key, *rest)
+        trees[key] = _run_config(GOLDEN / cfg, command, scratch / key, *rest)
+    for key, (tree, flags) in SNAPSHOT_VARIANTS.items():
+        trees[key] = run_tree(
+            ["norms", scratch / tree / "last_good.gnls", *flags],
+            scratch / key)
     return trees
 
 
