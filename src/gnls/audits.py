@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import EmptySpectrumError
 from .grid import Field, FourierGrid
-from .norms import gevrey_norm, GevreyParams, gradient_sq, mass
+from .norms import gevrey_norm, gradient_sq, mass
 from .spacetime import (_decay_envelope, dispersive_weight, random_decaying,
                         st_triple_product, xsb_norm)
 from .spectral import (apply_exp_gevrey, dealiased_cubic, l4_norm,
@@ -148,7 +148,7 @@ def audit_f_estimate(fields, sigma: float) -> AuditReport:
     for u in fields:
         fv = f_of_v(u, sigma)
         lhs = float(np.sqrt(mass(fv)))
-        h1 = gevrey_norm(u, GevreyParams(0.0, 1.0))
+        h1 = gevrey_norm(u, 0.0)
         rhs = sigma * h1 ** 3
         sides.append((lhs, rhs))
         ratios.append(0.0 if rhs == 0.0 else lhs / rhs)

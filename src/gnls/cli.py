@@ -113,11 +113,9 @@ def _experiment(runner):
 
 
 def cmd_norms(args) -> int:
-    u = read_field(args.snapshot)
-    rep = norm_report(u, args.sigma)
-    for key in ("t", "sigma", "mass", "energy", "gevrey_s1_sq", "l4_gevrey",
-                "a_sigma"):
-        print(f"{key} = {getattr(rep, key)}")
+    rep = norm_report(read_field(args.snapshot), args.sigma)
+    for key, value in rep._asdict().items():
+        print(f"{key} = {value}")
     return EXIT_OK
 
 

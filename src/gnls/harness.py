@@ -21,18 +21,18 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
 from .data import KINDS, make_initial_data, random_bandlimited
-from .errors import EmptySpectrumError, FitError, SimulationAbort
+from .errors import FitError, SimulationAbort
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
-from .norms import a_sigma, mass, norm_report, radius_estimate
+from .norms import a_sigma, norm_report, NormReport, radius_estimate
 from .spectral import to_spectral
 from .storage import write_csv, write_field, write_sidecar
 
 
-#: one row type per CSV; its fields are the CSV's column line
-NormRow = namedtuple("NormRow", "t sigma mass energy gevrey_s1_sq l4_gevrey "
-                                "a_sigma sigma_hat entire_flag floor_flag")
-RadiusRow = namedtuple("RadiusRow", NormRow._fields + ("sigma_floor", "verdict"))
+#: one row type per CSV; its fields are the CSV's column line (the
+#: simulate CSV's is :class:`gnls.norms.NormReport`)
+RadiusRow = namedtuple("RadiusRow", NormReport._fields + ("sigma_floor",
+                                                          "verdict"))
 SweepRow = namedtuple("SweepRow", "sigma growth growth_above_floor")
 AuditRow = namedtuple("AuditRow", "kind seed member lhs rhs ratio")
 BookkeeperRow = namedtuple("BookkeeperRow", "k bound_k ok_k")
@@ -266,12 +266,12 @@ def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
 
 
 def _track(u0: Field, solver: SolverConfig, row_of) -> tuple:
-    """The one place a run steps: ``evolve`` from ``u0`` with ``row_of(t, u)``
+    """The one place a run steps: ``evolve`` from ``u0`` with ``row_of(u)``
     kept for each snapshot.  Returns ``(rows, abort)``: the rows computed,
     and the :class:`SimulationAbort` that stopped the run, or None."""
     rows = []
     try:
-        evolve(u0, solver, on_snapshot=lambda t, u: rows.append(row_of(t, u)))
+        evolve(u0, solver, on_snapshot=lambda t, u: rows.append(row_of(u)))
     except SimulationAbort as abort:
         return rows, abort
     return rows, None
@@ -281,27 +281,11 @@ def _track(u0: Field, solver: SolverConfig, row_of) -> tuple:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _norm_row(t, u, sigma) -> NormRow:
-    # one forward transform serves the report and the radius fit; the mass
-    # column stays the quadrature of the physical samples (the report of uh
-    # sums the coefficients, which differs in the last bits)
-    uh = to_spectral(u)
-    rep = norm_report(uh, sigma)
-    try:
-        rad = radius_estimate(uh)
-        sig_hat, ent, flo = rad.sigma_hat, rad.entire_flag, rad.floor_flag
-    except EmptySpectrumError:
-        sig_hat, ent, flo = 0.0, False, True
-    return NormRow(t, sigma, mass(u), rep.energy, rep.gevrey_s1_sq,
-                   rep.l4_gevrey, rep.a_sigma, sig_hat, ent, flo)
-
-
 def run_simulate(cfg: ExperimentConfig) -> RunRecord:
     """Evolve the configured data and record NormReport rows per snapshot."""
     u0 = cfg.initial_data()
     sigma = cfg.sigma0
-    rows, abort = _track(u0, cfg.solver(),
-                         lambda t, u: _norm_row(t, u, sigma))
+    rows, abort = _track(u0, cfg.solver(), lambda u: norm_report(u, sigma))
     m0, e0 = rows[0].mass, rows[0].energy
     mass_drift = max(abs(r.mass - m0) for r in rows) / m0 if m0 > 0 else 0.0
     energy_drift = max(abs(r.energy - e0) for r in rows)
@@ -312,7 +296,8 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
                "t_end": cfg.t_end, "seed": cfg.seed,
                "data_kind": cfg.data_kind,
                "data_params": record.config["data_params"]}
-    _write_outputs(cfg, record, "norms", NormRow, sidecar, "run.meta", abort)
+    _write_outputs(cfg, record, "norms", NormReport, sidecar, "run.meta",
+                   abort)
     if abort is not None:
         raise abort
     return record
@@ -343,7 +328,7 @@ def fit_conservation_constant(cfg: ExperimentConfig, u0: Field) -> dict:
 
     sigmas = [0.0] + sigma_grid
 
-    def a_sigmas(t, u):
+    def a_sigmas(u):
         uh = to_spectral(u)
         return [a_sigma(uh, s) for s in sigmas]
 
@@ -436,9 +421,9 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     params = BookkeeperParams(sigma0=sigma0, A0=A0, c0=cfg.c0, C=C_fit,
                               eps=cfg.eps, T=max(cfg.t_end, cfg.dt))
 
-    def row_of(t, u):
-        row = _norm_row(t, u, sigma0)
-        floor = radius_floor(t, params)
+    def row_of(u):
+        row = norm_report(u, sigma0)
+        floor = radius_floor(row.t, params)
         verdict = ("entire" if row.entire_flag
                    else "ok" if row.sigma_hat >= floor else "fail")
         return RadiusRow(*row, floor, verdict)

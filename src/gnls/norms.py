@@ -8,6 +8,7 @@ slices in parallel is safe.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,29 +19,11 @@ from .grid import Field
 from .spectral import apply_exp_gevrey, exp_weight, l4_norm, to_spectral
 
 
-@dataclass(frozen=True)
-class GevreyParams:
-    """Strip half-width sigma >= 0 and Sobolev index s."""
-
-    sigma: float
-    s: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Bundle of the per-snapshot scalar diagnostics at one (t, sigma)."""
-
-    t: float
-    sigma: float
-    mass: float
-    energy: float
-    gevrey_s1_sq: float
-    l4_gevrey: float
-    a_sigma: float
+#: the row of one slice at one sigma: the CSV columns of ``gnls simulate``
+#: (and the first of ``gnls radius``) and the lines of ``gnls norms``
+NormReport = namedtuple("NormReport", "t sigma mass energy gevrey_s1_sq "
+                                      "l4_gevrey a_sigma sigma_hat "
+                                      "entire_flag floor_flag")
 
 
 @dataclass(frozen=True)
@@ -79,11 +62,14 @@ def energy(u: Field) -> float:
     return gradient_sq(u) + 0.5 * l4_norm(u) ** 4
 
 
-def gevrey_norm(u: Field, p: GevreyParams) -> float:
-    """|| e^{sigma|D|} <D>^s u ||_{L2}; reduces to the H^s norm at sigma=0."""
+def gevrey_norm(u: Field, sigma: float, s: float = 1.0) -> float:
+    """|| e^{sigma|D|} <D>^s u ||_{L2} for a strip half-width sigma >= 0;
+    reduces to the H^s norm at sigma=0."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     uh = to_spectral(u)
     xi = uh.grid.xi_abs
-    w2 = exp_weight(2.0 * p.sigma, uh.grid) * (1.0 + xi * xi) ** p.s
+    w2 = exp_weight(2.0 * sigma, uh.grid) * (1.0 + xi * xi) ** s
     return float(np.sqrt(np.sum(w2 * np.abs(uh.values) ** 2)))
 
 
@@ -98,30 +84,30 @@ def a_sigma(u: Field, sigma: float) -> float:
     At sigma = 0 this is exactly mass + energy.
     """
     uh = to_spectral(u)
-    g = gevrey_norm(uh, GevreyParams(sigma, 1.0))
+    g = gevrey_norm(uh, sigma)
     l4 = l4_gevrey(uh, sigma)
     return g * g + 0.5 * l4 ** 4
 
 
 def norm_report(u: Field, sigma: float) -> NormReport:
-    """All scalar diagnostics of one slice at one sigma.
+    """All scalar diagnostics of one slice at one sigma, and its radius fit.
 
-    The slice is transformed once; the Gevrey norm, the L4 norm and the
-    energy read the same coefficients, and the mass is taken from ``u`` in
-    the representation it was given.
+    The slice is transformed once; the Gevrey norm, the two L4 quadratures
+    (weighted, and the energy's) and the radius fit read the same
+    coefficients, and the mass is taken from ``u`` in the representation it
+    was given.  An identically zero slice has no radius to fit and is
+    floor-flagged.
     """
     uh = to_spectral(u)
-    g1 = gevrey_norm(uh, GevreyParams(sigma, 1.0))
+    g1 = gevrey_norm(uh, sigma)
     l4 = l4_gevrey(uh, sigma)
-    return NormReport(
-        t=u.t,
-        sigma=sigma,
-        mass=mass(u),
-        energy=energy(uh),
-        gevrey_s1_sq=g1 * g1,
-        l4_gevrey=l4,
-        a_sigma=g1 * g1 + 0.5 * l4 ** 4,
-    )
+    try:
+        rad = radius_estimate(uh)
+        fit = rad.sigma_hat, rad.entire_flag, rad.floor_flag
+    except EmptySpectrumError:
+        fit = 0.0, False, True
+    return NormReport(u.t, sigma, mass(u), energy(uh), g1 * g1, l4,
+                      g1 * g1 + 0.5 * l4 ** 4, *fit)
 
 
 # ---------------------------------------------------------------------------

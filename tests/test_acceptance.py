@@ -19,8 +19,7 @@ from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.harness import ExperimentConfig, fit_conservation_constant, \
     run_radius_tracking
 from gnls.integrator import SolverConfig, evolve
-from gnls.norms import (GevreyParams, a_sigma, energy, gevrey_norm, mass,
-                        radius_estimate)
+from gnls.norms import a_sigma, energy, gevrey_norm, mass, radius_estimate
 from gnls.spectral import to_physical
 
 from oracles import single_mode, trilinear_single_mode_oracle
@@ -82,7 +81,7 @@ def test_criterion_04_sigma_zero_collapse():
     worst = 0.0
     for seed in range(100):
         u = random_field(g, seed=seed)
-        gn = gevrey_norm(u, GevreyParams(0.0, 0.0))
+        gn = gevrey_norm(u, 0.0, 0.0)
         m = mass(u)
         asig = a_sigma(u, 0.0)
         me = m + energy(u)
@@ -104,8 +103,8 @@ def test_criterion_05_embedding_monotonicity():
             s_hi = rng.uniform(-2.0, 2.0)
             sigma_lo = rng.uniform(0.0, sigma_hi)
             s_lo = s_hi - rng.uniform(0.0, 2.0)
-            lo = gevrey_norm(u, GevreyParams(sigma_lo, s_lo))
-            hi = gevrey_norm(u, GevreyParams(sigma_hi, s_hi))
+            lo = gevrey_norm(u, sigma_lo, s_lo)
+            hi = gevrey_norm(u, sigma_hi, s_hi)
             if lo > hi * (1 + 1e-12):
                 violations += 1
     check(5, "embedding monotonicity, 100 fields x 10 pairs", violations == 0,

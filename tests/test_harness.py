@@ -322,20 +322,22 @@ def test_run_bookkeeper_defaults(tmp_path):
 
 def test_norm_row_empty_spectrum_sets_floor_flag():
     from gnls.grid import FourierGrid
-    from gnls.harness import _norm_row
+    from gnls.norms import norm_report
     from oracles import zero_field
 
-    row = _norm_row(0.0, zero_field(FourierGrid(1, 64, 10.0)), 0.1)
+    row = norm_report(zero_field(FourierGrid(1, 64, 10.0)), 0.1)
     assert (row.sigma_hat, row.entire_flag, row.floor_flag) == (0.0, False, True)
 
 
 def test_norm_row_transforms_a_physical_slice_once(monkeypatch):
     from gnls.data import periodized_sech
     from gnls.grid import FourierGrid
-    from gnls.harness import _norm_row
+    from gnls.norms import mass, norm_report
 
     u = periodized_sech(FourierGrid(3, 16, 8.0))
-    expected = _norm_row(0.5, u, 0.1)
+    expected = norm_report(u, 0.1)
+    # the mass column is the quadrature of the physical samples
+    assert expected.mass == mass(u)
     calls = []
     fftn = np.fft.fftn
 
@@ -344,7 +346,7 @@ def test_norm_row_transforms_a_physical_slice_once(monkeypatch):
         return fftn(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fftn", counting_fftn)
-    assert _norm_row(0.5, u, 0.1) == expected
+    assert norm_report(u, 0.1) == expected
     assert len(calls) == 1
 
 
@@ -377,12 +379,12 @@ def test_run_audit_f_evaluates_f_of_v_once_per_field_and_sigma(monkeypatch, tmp_
 
 
 def test_norm_row_propagates_other_radius_errors(monkeypatch):
-    import gnls.harness as harness
+    import gnls.norms as norms
 
     def broken(u):
         raise RuntimeError("radius fit broke")
 
-    monkeypatch.setattr(harness, "radius_estimate", broken)
+    monkeypatch.setattr(norms, "radius_estimate", broken)
     cfg = ExperimentConfig(kind="simulate", N=64, L=10.0, dt=0.05, t_end=0.1,
                            snapshot_stride=1)
     with pytest.raises(RuntimeError, match="radius fit broke"):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gnls.data import gaussian, periodized_sech
 from gnls.errors import EmptySpectrumError, MultiplierOverflowError
 from gnls.grid import Field, FourierGrid, SPECTRAL
-from gnls.norms import (GevreyParams, a_sigma, energy, gevrey_norm, l4_gevrey,
-                        mass, norm_report, radius_estimate)
+from gnls.norms import (a_sigma, energy, gevrey_norm, l4_gevrey, mass,
+                        norm_report, radius_estimate)
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, single_mode_field
@@ -67,15 +67,15 @@ def test_energy_gaussian_fine_grid_oracle():
 # Gevrey norms
 # ---------------------------------------------------------------------------
 
-def test_gevrey_params_reject_negative_sigma():
-    with pytest.raises(ValueError):
-        GevreyParams(-0.1, 1.0)
+def test_gevrey_params_reject_negative_sigma(grid1d):
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        gevrey_norm(random_field(grid1d), -0.1, 1.0)
 
 
 def test_gevrey_collapse_to_mass(grid1d):
     for seed in range(20):
         u = random_field(grid1d, seed=seed)
-        g = gevrey_norm(u, GevreyParams(0.0, 0.0))
+        g = gevrey_norm(u, 0.0, 0.0)
         assert abs(g - np.sqrt(mass(u))) <= 1e-12 * max(g, 1.0)
 
 
@@ -84,7 +84,7 @@ def test_gevrey_plane_wave_closed_form(grid1d):
     u = single_mode_field(grid1d, k, amplitude=A)
     xi = abs(float(grid1d.xi_axis[k]))
     expect = A * np.sqrt(grid1d.L) * np.exp(sigma * xi) * (1 + xi * xi) ** (s / 2)
-    assert gevrey_norm(u, GevreyParams(sigma, s)) == pytest.approx(expect, rel=1e-12)
+    assert gevrey_norm(u, sigma, s) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gevrey_sech_refined_grid_oracle():
@@ -108,7 +108,7 @@ def test_gevrey_overflow_error_names_quantities():
     g = FourierGrid(d=1, N=1024, L=1.0)
     u = Field(g, np.ones(g.shape, dtype=complex))
     with pytest.raises(MultiplierOverflowError, match="multiplier overflow"):
-        gevrey_norm(u, GevreyParams(5.0, 1.0))
+        gevrey_norm(u, 5.0, 1.0)
 
 
 def test_a_sigma_overflow_bound_is_on_twice_sigma():
@@ -118,7 +118,7 @@ def test_a_sigma_overflow_bound_is_on_twice_sigma():
     u = random_field(g, seed=1)
     edge = 300.0 / g.xi_max
     assert np.isfinite(a_sigma(u, edge * (1 - 1e-9)))
-    for f in (a_sigma, lambda v, s: gevrey_norm(v, GevreyParams(s, 1.0))):
+    for f in (a_sigma, lambda v, s: gevrey_norm(v, s, 1.0)):
         with pytest.raises(MultiplierOverflowError, match="multiplier overflow"):
             f(u, edge * (1 + 1e-9))
 
@@ -130,8 +130,8 @@ def test_a_sigma_overflow_bound_is_on_twice_sigma():
 def test_embedding_monotonicity(seed, sigma, dsigma, s, ds):
     g = FourierGrid(d=1, N=64, L=2 * np.pi)
     u = random_field(g, seed=seed)
-    lo = gevrey_norm(u, GevreyParams(sigma, s))
-    hi = gevrey_norm(u, GevreyParams(sigma + dsigma, s + ds))
+    lo = gevrey_norm(u, sigma, s)
+    hi = gevrey_norm(u, sigma + dsigma, s + ds)
     assert lo <= hi * (1 + 1e-12)
 
 
@@ -178,7 +178,7 @@ def test_norm_report_consistency(grid1d):
 def test_translation_invariance(grid1d):
     u = to_physical(random_field(grid1d, seed=5))
     shifted = Field(grid1d, np.roll(u.values, 13))
-    for fn in (mass, energy, lambda v: gevrey_norm(v, GevreyParams(0.2, 1.0)),
+    for fn in (mass, energy, lambda v: gevrey_norm(v, 0.2, 1.0),
                lambda v: a_sigma(v, 0.2)):
         assert fn(shifted) == pytest.approx(fn(u), rel=1e-12)
 

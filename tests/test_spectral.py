@@ -7,7 +7,7 @@ from gnls import _kernels
 from gnls.errors import MultiplierOverflowError, NonFiniteFieldError
 from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.integrator import SolverConfig, evolve
-from gnls.norms import GevreyParams, gevrey_norm
+from gnls.norms import gevrey_norm
 from gnls.spectral import (apply_exp_gevrey, dealiased_cubic, exp_weight,
                            forward_transform, inverse_transform, l4_norm,
                            truncate_spectrum, to_physical, to_spectral)
@@ -271,7 +271,7 @@ def test_bracket_on_plane_wave(grid1d):
     k, s = 4, 1.7
     f = to_spectral(single_mode_field(grid1d, k))
     scale = (1.0 + float(grid1d.xi_axis[k]) ** 2) ** (s / 2.0)
-    norm = gevrey_norm(f, GevreyParams(0.0, s))
+    norm = gevrey_norm(f, 0.0, s)
     assert abs(norm / abs(f.values[k]) - scale) < 1e-13 * scale
 
 

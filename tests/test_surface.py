@@ -131,3 +131,18 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in MODULES + sorted(tests.glob("*.py"))
               for name in _unread_imports(ast.parse(path.read_text()))]
     assert unread == []
+
+
+def test_only_norms_builds_the_snapshot_row():
+    # the row of simulate, radius and norms is computed in one place, so a
+    # column added to it lands there alone; harness writes what it is given
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    builders = [module for module, tree in trees.items()
+                if any(isinstance(node, ast.Call)
+                       and "NormReport" in _references(node.func, None)
+                       for node in ast.walk(tree))]
+    assert builders == ["norms"]
+    assert "EmptySpectrumError" not in _references(trees["harness"], None)
+    assert "mass" not in [alias.name for node in ast.walk(trees["harness"])
+                          if isinstance(node, ast.ImportFrom)
+                          for alias in node.names]
