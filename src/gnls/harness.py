@@ -509,7 +509,7 @@ def run_audit_f(cfg: ExperimentConfig) -> RunRecord:
     sigma = cfg.audit_sigma
     rows = []
     ensemble = [random_bandlimited(grid, seed=cfg.seed + i)
-                for i in range(min(cfg.n_members, 100))]
+                for i in range(cfg.n_members)]
     rep = audit_f_estimate(ensemble, sigma)
     for i, r in enumerate(rep.members):
         rows.append(AuditRow("f-estimate", cfg.seed, i, r, 1.0, r))

@@ -534,6 +534,18 @@ def test_empty_audit_ensemble_is_validation_error(command, key, tmp_path, capsys
     assert not out.exists()
 
 
+def test_audit_f_runs_every_member_its_config_asks_for(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG.replace("N = 64", "N = 8")
+                   .replace("members = 2", "members = 101"))
+    out = tmp_path / "out"
+    assert main(["audit-f", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    lines = [line for line in (out / "audit_f.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert len(lines) - 1 == 101
+
+
 def test_audit_trilinear_with_every_member_rejected_writes_nothing(
         tmp_path, capsys, monkeypatch):
     import gnls.audits as audits
