@@ -48,6 +48,7 @@ def inverse_transform(f: Field) -> Field:
     # its cost
     parts = values.view(np.float64)
     _kernels._multiply(parts, 1.0 / _forward_factor(f.grid), parts)
+    values.flags.writeable = False  # Field checks it without a copy
     return Field(f.grid, values, rep=PHYSICAL, t=f.t)
 
 

@@ -206,6 +206,23 @@ def test_exp_gevrey_inverse_pair(grid1d):
     assert rel_err(out.values, f.values) < 1e-12
 
 
+def test_inverse_transform_keeps_its_samples_without_a_copy():
+    import tracemalloc
+
+    g = FourierGrid(d=3, N=64, L=8.0)
+    f = to_spectral(random_field(g, seed=5))
+    inverse_transform(f)  # any first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        out = inverse_transform(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.values.flags.writeable
+    # the one array the transform writes; a copy of it makes two grids
+    assert peak < 1.1 * 16 * g.N ** 3
+
+
 def test_multiplier_composition_law(grid1d):
     f = to_spectral(random_field(grid1d, seed=3))
     two_step = apply_exp_gevrey(apply_exp_gevrey(f, 0.2), 0.15)
