@@ -29,10 +29,8 @@ from .spectral import to_spectral
 from .storage import write_csv, write_field, write_sidecar
 
 
-#: one row type per CSV; its fields are the CSV's column line (the
-#: simulate CSV's is :class:`gnls.norms.NormReport`)
-RadiusRow = namedtuple("RadiusRow", NormReport._fields + ("sigma_floor",
-                                                          "verdict"))
+#: one row type per CSV; its fields are the CSV's column line
+RadiusRow = namedtuple("RadiusRow", NormReport._fields + ("sigma_floor", "verdict"))
 SweepRow = namedtuple("SweepRow", "sigma growth growth_above_floor")
 AuditRow = namedtuple("AuditRow", "kind seed member lhs rhs ratio")
 BookkeeperRow = namedtuple("BookkeeperRow", "k bound_k ok_k")
@@ -296,8 +294,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunRecord:
                "t_end": cfg.t_end, "seed": cfg.seed,
                "data_kind": cfg.data_kind,
                "data_params": record.config["data_params"]}
-    _write_outputs(cfg, record, "norms", NormReport, sidecar, "run.meta",
-                   abort)
+    _write_outputs(cfg, record, "norms", NormReport, sidecar, "run.meta", abort)
     if abort is not None:
         raise abort
     return record

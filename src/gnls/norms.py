@@ -101,12 +101,15 @@ def norm_report(u: Field, sigma: float) -> NormReport:
     uh = to_spectral(u)
     g1 = gevrey_norm(uh, sigma)
     l4 = l4_gevrey(uh, sigma)
+    # the fit's grid-sized temporaries follow both quadratures: between
+    # them, glibc's heap kept up to 7 MB more of a 64^3 simulate pass
+    e = energy(uh)
     try:
         rad = radius_estimate(uh)
         fit = rad.sigma_hat, rad.entire_flag, rad.floor_flag
     except EmptySpectrumError:
         fit = 0.0, False, True
-    return NormReport(u.t, sigma, mass(u), energy(uh), g1 * g1, l4,
+    return NormReport(u.t, sigma, mass(u), e, g1 * g1, l4,
                       g1 * g1 + 0.5 * l4 ** 4, *fit)
 
 
