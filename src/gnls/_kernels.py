@@ -16,6 +16,7 @@ triple-frequency check runs its ensemble as two halves on the same two
 threads.  No other module hands work to the helper thread.
 """
 
+import _thread
 import os
 import threading
 from functools import partial, reduce
@@ -270,10 +271,9 @@ def shell_envelope(mag, shell, n_shells):
 # the helper.  The helper calls only those, ufuncs, random fills and private
 # functions, never a public gnls function or np.fft.fftn/ifftn, so whatever
 # wraps those (a profiler, a tracer) sees every call on the calling thread.
-# The helper is never handed work that hands off again: one helper would
-# wait on itself.  Both halves' buffers are made on the calling thread.
-# Whether a pass splits is decided here too (:func:`_splits`, through
-# :func:`_halves` and :func:`_pieces`), never by a caller.
+# Both halves' buffers are made on the calling thread.  Whether a pass
+# splits is decided here too (:func:`_splits`, through :func:`_halves` and
+# :func:`_pieces`), never by a caller.
 
 def _cpus() -> int:
     try:
@@ -283,7 +283,7 @@ def _cpus() -> int:
 
 
 #: whether this process may run on more than one CPU; without, no pass
-#: runs as two halves and the helper thread is never started
+#: runs as two halves and no helper thread is started
 _TWO_CPUS = _cpus() > 1
 
 #: grid points from which a pass over a d >= 2 grid runs as two halves
@@ -295,57 +295,32 @@ def _splits(a: np.ndarray) -> bool:
     return a.ndim > 1 and a.size >= _SPLIT_MIN
 
 
-_helper = None  # the helper thread's task queue, made on first use
-_helper_lock = threading.Lock()
-_on_helper = threading.local()  # ``marked`` is set on the helper thread only
-
-
-def _serve(tasks):
-    _on_helper.marked = True
-    while True:
-        fn, box, done = tasks.get()
-        try:
-            box[0] = fn()
-        except BaseException as exc:
-            box[1] = exc
-        # hold no array of the task past its hand-off: it would outlive
-        # the caller's last use and change what the heap reuses
-        fn = box = None
-        done.release()
-
-
-def _start_helper():
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            import queue
-            tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(tasks,), name="gnls-half",
-                             daemon=True).start()
-            _helper = tasks
-        return _helper
-
-
-def _forget_helper():
-    """A forked child has no helper thread; it starts its own on first use."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+_on_helper = threading.local()  # ``marked`` is set on helper threads only
 
 
 def _both(left, right):
-    """``(left(), right())``, with ``right`` run on the helper thread.
+    """``(left(), right())``, with ``right`` run on a helper thread of its
+    own.
 
     Both have finished before a failure in either is raised here.
     """
-    tasks = _helper if _helper is not None else _start_helper()
     done = threading.Lock()
     done.acquire()
     box = [None, None]  # right's result, right's exception
-    tasks.put((right, box, done))
+
+    def helper():
+        nonlocal right
+        _on_helper.marked = True
+        try:
+            box[0] = right()
+        except BaseException as exc:
+            box[1] = exc
+        # hold no array of the half past its hand-off: it would outlive
+        # the caller's last use and change what the heap reuses
+        right = None
+        done.release()
+
+    _thread.start_new_thread(helper, ())
     try:
         here = left()
     finally:

@@ -273,13 +273,14 @@ def test_triple_gap_ratios_equals_oneshot_at_block_edges(d, n):
     _assert_equals_oneshot(_edged_ensemble(n, d), n)
 
 
-def _record_runs(monkeypatch) -> set:
-    """The threads that check a run of members of ``triple_gap_ratios``."""
-    threads = set()
+def _record_runs(monkeypatch) -> list:
+    """The threads that check a run of members of ``triple_gap_ratios``,
+    one entry per run."""
+    threads = []
     run = _kernels._gap_run
 
     def recorded(*args):
-        threads.add(threading.get_ident())
+        threads.append(threading.get_ident())
         return run(*args)
     monkeypatch.setattr(_kernels, "_gap_run", recorded)
     return threads
@@ -305,7 +306,9 @@ def test_split_triple_gap_ratios_equals_oneshot(n, d, halves, monkeypatch):
     monkeypatch.setattr(_kernels, "_TWO_CPUS", halves)
     threads = _record_runs(monkeypatch)
     _assert_equals_oneshot(_edged_ensemble(n, d), n)
-    assert len(threads) == (2 if halves else 1)
+    # two calls, each one run or two halves, one of them on the caller
+    assert len(threads) == (4 if halves else 2)
+    assert threads.count(threading.get_ident()) == 2
 
 
 def test_split_triple_gap_ratios_counts_violations_in_both_halves(monkeypatch):
@@ -319,18 +322,17 @@ def test_split_triple_gap_ratios_counts_violations_in_both_halves(monkeypatch):
 
 
 def test_one_cpu_never_starts_the_helper(monkeypatch):
-    def refuse():
+    def refuse(left, right):
         raise AssertionError("helper started with one CPU")
 
     monkeypatch.setattr(_kernels, "_TWO_CPUS", False)
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", float("inf"))
-    monkeypatch.setattr(_kernels, "_helper", None)
-    monkeypatch.setattr(_kernels, "_start_helper", refuse)
+    monkeypatch.setattr(_kernels, "_both", refuse)
     threads = _record_runs(monkeypatch)
     slab_threads = _record_slabs(monkeypatch)
     rep = audit_multiplier_inequality(0.1, 3 * B + 7, 3,
                                       np.random.default_rng(0))
-    assert rep.violations == 0 and threads == {threading.get_ident()}
+    assert rep.violations == 0 and threads == [threading.get_ident()]
     # a data build on a grid that two CPUs would split, and the build and
     # the phase table of a run
     data.gaussian(FourierGrid(d=2, N=256, L=5.0))
@@ -340,8 +342,8 @@ def test_one_cpu_never_starts_the_helper(monkeypatch):
 
 
 def test_concurrent_split_audits_are_each_bit_identical(monkeypatch):
-    # more calling threads than cores, each handing its second half to the
-    # one helper
+    # more calling threads than cores, each handing its second half to a
+    # helper of its own
     monkeypatch.setattr(_kernels, "_TWO_CPUS", True)
     seeds = range(5)
 
@@ -391,9 +393,10 @@ def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
     evolve(data.periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
            SolverConfig(dt=0.02, t_end=0.06))
     main = threading.get_ident()
-    assert len(runs) == 2  # the audit ran as two halves
+    # the audit ran as two halves, one on the calling thread
+    assert len(runs) == 2 and runs.count(main) == 1
     # each build and the run's phase table, as two halves
-    assert len(slab_threads) == 6 and len(set(slab_threads)) == 2
+    assert len(slab_threads) == 6 and slab_threads.count(main) == 3
     assert {name for name, _ in calls} == {"triple_gap_ratios", "fftn", "ifftn",
                                            "periodized_sech", "gaussian"}
     assert [name for name, _ in calls].count("triple_gap_ratios") == 1

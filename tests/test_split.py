@@ -373,7 +373,7 @@ def test_helper_failure_is_raised_after_both_halves():
     with pytest.raises(KeyError, match="left half"):
         _kernels._both(failing_left, slow_right)
     assert finished == ["left", "right"]
-    # the helper serves the next hand-off as before
+    # the next hand-off runs as before
     assert _kernels._both(lambda: 1, lambda: 2) == (1, 2)
 
 
@@ -388,7 +388,8 @@ def test_import_starts_no_thread():
 
 
 def test_concurrent_callers_each_get_their_own_halves():
-    # more calling threads than cores, all handing off to the one helper
+    # more calling threads than cores, each handing off to helpers of its
+    # own
     results, errors = {}, []
 
     def caller(k):
@@ -415,8 +416,8 @@ def test_concurrent_callers_each_get_their_own_halves():
 
 def test_forked_child_starts_its_own_helper():
     src = str(Path(gnls.__file__).resolve().parents[1])
-    # the parent's helper thread does not survive a fork; without a new
-    # one the child's first hand-off would wait for ever
+    # no thread of the parent survives a fork: the child's hand-off starts
+    # a helper of its own
     probe = ("import multiprocessing as mp\n"
              "from gnls import _kernels\n"
              "assert _kernels._both(lambda: 1, lambda: 2) == (1, 2)\n"

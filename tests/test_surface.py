@@ -84,9 +84,12 @@ def test_the_split_stays_in_kernels():
     # thread, picks the FFT each thread calls and sizes the slabs; the
     # solver builds its phase tables from the per-axis wavenumbers
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
-    for name in ("_splits", "_both", "threading"):
+    for name in ("_splits", "_both", "threading", "_thread"):
         assert [module for module, tree in trees.items()
                 if name in _references(tree, None)] == ["_kernels"], name
+    # a hand-off starts its own helper, so no thread needs minding at fork
+    assert not any("register_at_fork" in _references(tree, None)
+                   for tree in trees.values())
     assert [module for module, tree in trees.items()
             if any(_fft_calls(tree))] == ["_kernels"]
     assert not any(isinstance(t, ast.Name) and t.id == "_SLAB"
