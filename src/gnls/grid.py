@@ -47,8 +47,8 @@ class FourierGrid:
             raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {self.N}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
 
     @property
     def shape(self) -> tuple:

@@ -46,10 +46,7 @@ def write_field(path, f: Field) -> None:
     try:
         with tmp.open("wb") as fh:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, g.d, g.N, g.L, u.t))
-            inter = np.empty(u.values.shape + (2,))
-            inter[..., 0] = u.values.real
-            inter[..., 1] = u.values.imag
-            inter.astype("<f8").tofile(fh)
+            np.asarray(u.values, dtype="<c16").tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -57,7 +54,11 @@ def write_field(path, f: Field) -> None:
 
 
 def read_field(path) -> Field:
-    """Read one GNLS snapshot back into a physical-space field."""
+    """Read one GNLS snapshot back into a physical-space field.
+
+    Raises ValueError, naming the file, unless the header is a snapshot's
+    (finite t, a valid grid) and exactly N^d samples follow it.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
@@ -69,16 +70,22 @@ def read_field(path) -> Field:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        grid = FourierGrid(d=d, N=N, L=L)
-        count = 2 * N ** d
+        if not np.isfinite(t):
+            raise ValueError(f"{path}: non-finite time t = {t}")
+        try:
+            grid = FourierGrid(d=d, N=N, L=L)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        count = N ** d
         # checked before reading, so a corrupt header cannot size an allocation
-        available = (path.stat().st_size - _HEADER.size) // 8
-        if available < count:
-            raise ValueError(f"{path}: truncated payload "
-                             f"({available} of {count} floats)")
-        raw = np.fromfile(fh, dtype="<f8", count=count)
-    raw = raw.reshape(grid.shape + (2,))
-    return Field(grid, raw[..., 0] + 1j * raw[..., 1], rep=PHYSICAL, t=t)
+        size, expected = path.stat().st_size - _HEADER.size, 16 * count
+        if size != expected:
+            raise ValueError(
+                f"{path}: {'truncated' if size < expected else 'oversized'} "
+                f"payload ({size} of {expected} bytes)")
+        values = np.fromfile(fh, dtype="<c16", count=count)
+    values.flags.writeable = False  # Field keeps it without a copy
+    return Field(grid, values.reshape(grid.shape), rep=PHYSICAL, t=t)
 
 
 def write_sidecar(path, entries: dict) -> None:

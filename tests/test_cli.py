@@ -399,6 +399,24 @@ def test_norms_oversized_header_is_clean_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L,t,tail", [(1.0, float("nan"), b""),
+                                      (float("inf"), 0.0, b""),
+                                      (1.0, 0.0, bytes(16))],
+                         ids=["nan-t", "inf-L", "trailing-bytes"])
+def test_norms_rejects_a_header_no_snapshot_has(tmp_path, capsys, L, t, tail):
+    from gnls.storage import FORMAT_VERSION, MAGIC, _HEADER
+
+    snap = tmp_path / "odd.gnls"
+    snap.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 1, 8, L, t)
+                     + np.ones(8, "<c16").tobytes() + tail)
+    code = main(["norms", str(snap)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "odd.gnls" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unreachable_t_end_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nd = 1\nN = 64\nL = 10.0\n"

@@ -35,6 +35,15 @@ def test_field_round_trip_2d(tmp_path):
     assert np.array_equal(read_field(path).values, u.values)
 
 
+def test_field_round_trip_keeps_signed_zeros(tmp_path):
+    g = FourierGrid(d=1, N=8, L=1.0)
+    parts = np.array([-0.0, 1.0, 2.0, -0.0, -0.0, -0.0, 0.0, 0.0] * 2)
+    u = Field(g, parts.view(np.complex128))
+    path = tmp_path / "zeros.gnls"
+    write_field(path, u)
+    assert read_field(path).values.tobytes() == u.values.tobytes()
+
+
 def test_header_layout(tmp_path):
     g = FourierGrid(d=1, N=8, L=1.0)
     path = tmp_path / "h.gnls"
@@ -125,7 +134,7 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
 
     # the payload write fails after the header is out
     monkeypatch.setattr(storage, "np", SimpleNamespace(
-        empty=lambda *a, **k: np.empty(*a, **k).view(_FailingArray)))
+        asarray=lambda *a, **k: np.asarray(*a, **k).view(_FailingArray)))
     with pytest.raises(OSError, match="disk full"):
         write_field(tmp_path / "snap.gnls", zero_field(FourierGrid(d=1, N=8, L=1.0)))
     assert list(tmp_path.iterdir()) == []
