@@ -218,6 +218,21 @@ def test_focusing_simulate_trips_the_blowup_guard_and_keeps_its_rows(
             == (tmp_path / "spelt-out" / "norms.csv").read_bytes())
 
 
+def test_sweep_that_trips_the_blowup_guard_is_runtime_abort(
+        tmp_path, capsys, monkeypatch):
+    import gnls.integrator as integrator
+    from pathlib import Path
+
+    # a guard below 1 trips on the first step of the sweep's run
+    monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 0.5)
+    cfg = Path(__file__).resolve().parent / "golden" / "d1-n64.cfg"
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("runtime abort: blow-up guard tripped at step 1:")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command,fit", [("radius", "[fit]\nC = 1.0\n"),
                                          ("sweep", "")])
