@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptySpectrumError
-from .grid import Field, FourierGrid
+from .grid import Field, FourierGrid, SPECTRAL
 from .norms import gevrey_norm, gradient_sq, mass
 from .spacetime import (_decay_envelope, dispersive_weight, random_decaying,
                         st_triple_product, xsb_norm)
@@ -49,14 +49,16 @@ def f_of_v(v: Field, sigma: float) -> Field:
 
         f(v) = -( |v|^2 v - e^{sigma|D|} ( |e^{-sigma|D|} v|^2 e^{-sigma|D|} v ) )
 
-    computed with dealiased cubic products of the one transform of v;
+    computed with dealiased cubic products of the one transform of v,
+    lifted and subtracted in coefficient space and transformed back once;
     identically zero at sigma = 0.  Physical-space output on v's grid.
     """
     vh = to_spectral(v)
     direct = dealiased_cubic(vh)
-    inner = dealiased_cubic(apply_exp_gevrey(vh, -sigma))
-    lifted = to_physical(apply_exp_gevrey(to_spectral(inner), sigma))
-    return Field(v.grid, -(direct.values - lifted.values), rep="physical", t=v.t)
+    lifted = apply_exp_gevrey(dealiased_cubic(apply_exp_gevrey(vh, -sigma)),
+                              sigma)
+    return to_physical(Field(v.grid, -(direct.values - lifted.values),
+                             rep=SPECTRAL, t=v.t))
 
 
 #: the multiplier audit draws each frequency component in [-XI_MAX, XI_MAX]

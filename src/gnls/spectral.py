@@ -196,7 +196,7 @@ def _cubic_product(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def dealiased_cubic(u: Field) -> Field:
-    """|u|^2 u with 2x zero-padding per axis, in physical space.
+    """|u|^2 u with 2x zero-padding per axis, as coefficients on u's grid.
 
     ``u`` is synthesised once on the doubled grid; the product is formed
     there and truncated back, which reproduces the exact spectral
@@ -211,8 +211,7 @@ def dealiased_cubic(u: Field) -> Field:
     coeffs = _cubic_product(s, c, s, factor)
     del s, c
     coeffs.flags.writeable = False  # Field checks it without a copy
-    prod = Field(fine, coeffs, rep=SPECTRAL, t=u.t)
-    return inverse_transform(truncate_spectrum(prod, u.grid))
+    return truncate_spectrum(Field(fine, coeffs, rep=SPECTRAL, t=u.t), u.grid)
 
 
 #: lines along axis 0 per slab of the last pass of :func:`l4_norm` on each

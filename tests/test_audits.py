@@ -83,12 +83,13 @@ def test_f_of_v_transforms_and_synthesises_each_factor_once(monkeypatch):
             return _transform(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     f_of_v(v, 0.05)
-    # two padded syntheses, one per cubic product, of one call per axis
+    # two padded syntheses, one per cubic product, of one call per axis,
+    # and the one transform back of f(v)
     assert sum(axes is not None for _, axes in calls["ifftn"]) == 4
-    assert len(calls["ifftn"]) == 7
-    # v is transformed once; each product and the lift transform once more
+    assert len(calls["ifftn"]) == 5
+    # v is transformed once; each product transforms once more
     assert sum(a is v.values for a, _ in calls["fftn"]) == 1
-    assert len(calls["fftn"]) == 4
+    assert len(calls["fftn"]) == 3
 
 
 def test_f_norm_nondecreasing_in_sigma(grid1d):

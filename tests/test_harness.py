@@ -371,7 +371,7 @@ def test_run_audit_f_evaluates_f_of_v_once_per_field_and_sigma(monkeypatch, tmp_
     monkeypatch.setattr(audits, "f_of_v", counting_f_of_v)
     monkeypatch.setattr(np.fft, "fftn", counting_fftn)
     record = run_audit_f(cfg)
-    assert calls == {"f_of_v": 5, "fftn": 15}
+    assert calls == {"f_of_v": 5, "fftn": 10}
     monkeypatch.undo()
     v0 = random_bandlimited(cfg.grid(), seed=cfg.seed)
     assert record.fits["halving_ratio"] == audits.sigma_halving_ratio(
