@@ -42,6 +42,30 @@ def _guard(values: np.ndarray, work) -> np.ndarray:
     return reduce(np.maximum, _halves(_slabs, work, values, None))
 
 
+def _abs_range(values: np.ndarray) -> tuple:
+    """``(min |u|, max |u|)`` over ``values``, one slab of about ``_SLAB``
+    points of rows along axis 0 at a time in a real buffer made here, so
+    no temporary of the grid is made; on a split grid each half along
+    axis 0 runs on its own thread, in half a slab, as in :func:`_workspace`."""
+    halves = 2 if _splits(values) else 1
+    rows = max(_SLAB // halves * values.shape[0] // values.size, 1)
+    work = _pieces(values, lambda n: (
+        np.empty((min(rows, n),) + values.shape[1:]),))
+    parts = _halves(_abs_range_slabs, work, values)
+    return min(lo for lo, _ in parts), max(hi for _, hi in parts)
+
+
+def _abs_range_slabs(values, buf):
+    """:func:`_abs_range` on the rows of ``values``, as many at a time as
+    ``buf`` holds."""
+    lo, hi = np.inf, 0.0
+    for start in range(0, len(values), len(buf)):
+        v = values[start:start + len(buf)]
+        mag = np.abs(v, out=buf[:len(v)])
+        lo, hi = min(lo, float(mag.min())), max(hi, float(mag.max()))
+    return lo, hi
+
+
 def _slabs(values, rotation, phase, rot):
     """max|u| over ``values``, as many rows along axis 0 at a time as the
     real ``phase`` and complex ``rot`` buffers hold; unless ``rotation`` is

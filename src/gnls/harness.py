@@ -21,11 +21,11 @@ from .audits import (audit_f_estimate, audit_gagliardo_nirenberg,
 from .bookkeeper import (BookkeeperParams, local_delta, radius_floor,
                          run_induction, sigma_for_T)
 from .data import KINDS, make_initial_data, random_bandlimited
-from .errors import FitError, SimulationAbort
+from .errors import FitError, MultiplierOverflowError, SimulationAbort
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
-from .norms import a_sigma, norm_report, NormReport, radius_estimate
-from .spectral import to_spectral
+from .norms import (a_sigma, norm_report, NormReport, radius_estimate,
+                    resolved_spectrum)
 from .storage import write_csv, write_field, write_sidecar
 
 
@@ -266,10 +266,26 @@ def _write_outputs(cfg: ExperimentConfig, record: RunRecord, stem: str,
 def _track(u0: Field, solver: SolverConfig, row_of) -> tuple:
     """The one place a run steps: ``evolve`` from ``u0`` with ``row_of(u)``
     kept for each snapshot.  Returns ``(rows, abort)``: the rows computed,
-    and the :class:`SimulationAbort` that stopped the run, or None."""
+    and the :class:`SimulationAbort` that stopped the run, or None.
+
+    A weight that overflows on the data (step 0) is a validation error and
+    is raised; one that overflows later, as the resolved band widens, stops
+    the run as an abort whose last good snapshot is the slice whose row it
+    refused."""
     rows = []
+
+    def keep(t, u):
+        try:
+            rows.append(row_of(u))
+        except MultiplierOverflowError as exc:
+            if not rows:
+                raise
+            step = round(t / solver.dt)
+            raise SimulationAbort(f"{exc} at step {step} (t={t:g})",
+                                  step=step, last_good=(t, u)) from exc
+
     try:
-        evolve(u0, solver, on_snapshot=lambda t, u: rows.append(row_of(u)))
+        evolve(u0, solver, on_snapshot=keep)
     except SimulationAbort as abort:
         return rows, abort
     return rows, None
@@ -313,9 +329,9 @@ def fit_conservation_constant(cfg: ExperimentConfig, u0: Field) -> dict:
     drift in mass + energy and is reported as the noise floor.
     """
     sigma_grid = list(cfg.sigma_grid or _sigma_grid({}))
-    # measured before any step: the overflow guard depends only on sigma
-    # and the grid, so a grid sigma it rejects stops the sweep here
-    A_top = a_sigma(u0, max(sigma_grid))
+    # measured before any step, on the data's resolved band: a grid sigma
+    # the overflow guard rejects there stops the sweep here
+    A_top = a_sigma(resolved_spectrum(u0), max(sigma_grid))
     delta = local_delta(A_top, cfg.c0, cfg.eps)
     n_steps = max(int(np.ceil(delta / cfg.dt)), 10)
     dt = delta / n_steps
@@ -326,8 +342,8 @@ def fit_conservation_constant(cfg: ExperimentConfig, u0: Field) -> dict:
     sigmas = [0.0] + sigma_grid
 
     def a_sigmas(u):
-        uh = to_spectral(u)
-        return [a_sigma(uh, s) for s in sigmas]
+        resolved = resolved_spectrum(u)
+        return [a_sigma(resolved, s) for s in sigmas]
 
     rows, abort = _track(u0, solver, a_sigmas)
     if abort is not None:
@@ -380,18 +396,6 @@ def run_almost_conservation_sweep(cfg: ExperimentConfig) -> RunRecord:
     return record
 
 
-def _measured_a_sigma(u: Field, sigma: float) -> float:
-    """A_sigma of the data with the spectral round-off floor masked.
-
-    Coefficients below 1e-14 of the peak are numerical noise; under
-    e^{sigma|xi|} they would otherwise dominate the measurement.
-    """
-    uh = to_spectral(u)
-    mag = np.abs(uh.values)
-    clean = np.where(mag > 1e-14 * mag.max(), uh.values, 0.0)
-    return a_sigma(Field(uh.grid, clean, rep="spectral", t=uh.t), sigma)
-
-
 def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     """Track sigma_hat(t) against the iteration floor sigma_floor(t).
 
@@ -403,9 +407,7 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
     """
     u0 = cfg.initial_data()
     rad0 = radius_estimate(u0)
-    # Any sigma0 below the data's radius is admissible for the floor; keep
-    # it moderate so the A_{sigma0}(0) measurement is not dominated by
-    # round-off modes amplified by e^{sigma0 |xi|}.
+    # Any sigma0 below the data's radius is admissible for the floor.
     if not (rad0.entire_flag or rad0.floor_flag):
         sigma0 = min(cfg.sigma0, rad0.sigma_hat)
     else:
@@ -414,7 +416,8 @@ def run_radius_tracking(cfg: ExperimentConfig) -> RunRecord:
         C_fit = cfg.C
     else:
         C_fit = _fitted_constant(fit_conservation_constant(cfg, u0))
-    A0 = cfg.A0 if cfg.A0 is not None else _measured_a_sigma(u0, sigma0)
+    A0 = (cfg.A0 if cfg.A0 is not None
+          else a_sigma(resolved_spectrum(u0), sigma0))
     params = BookkeeperParams(sigma0=sigma0, A0=A0, c0=cfg.c0, C=C_fit,
                               eps=cfg.eps, T=max(cfg.t_end, cfg.dt))
 

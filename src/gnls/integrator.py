@@ -83,7 +83,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     freed before its ``on_snapshot`` runs.
     """
     u = to_physical(u0)
-    u = Field(u.grid, u.values, rep=PHYSICAL, t=0.0)
+    # a Field's values were checked finite when it was built
+    u = Field(u.grid, u.values, rep=PHYSICAL, t=0.0, _check=False)
     snapshots = [(0.0, u)]
     if on_snapshot is not None:
         on_snapshot(0.0, u)

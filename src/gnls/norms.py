@@ -15,8 +15,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptySpectrumError
-from .grid import Field
-from .spectral import apply_exp_gevrey, exp_weight, l4_norm, to_spectral
+from .grid import Field, FourierGrid, SPECTRAL
+from .spectral import (apply_exp_gevrey, exp_weight, l4_norm, to_spectral,
+                       truncate_spectrum)
 
 
 #: the row of one slice at one sigma: the CSV columns of ``gnls simulate``
@@ -89,18 +90,58 @@ def a_sigma(u: Field, sigma: float) -> float:
     return g * g + 0.5 * l4 ** 4
 
 
+def resolved_spectrum(u: Field) -> Field:
+    """The coefficients of ``u`` above the round-off floor, on the smallest
+    grid that holds them: the slice every weighted functional reads.
+
+    e^{sigma|xi|} weighs the round-off plateau of a resolved spectrum (about
+    1e-16 of the peak) as much as the modes above it, and at the lattice's
+    edge far more (Boyd, Chebyshev and Fourier Spectral Methods, 2001).  So
+    every coefficient at or below 1e-14 of the peak |u^| is zeroed, and the
+    slice is cut by :func:`~gnls.spectral.truncate_spectrum` to the smallest
+    power-of-two grid, never finer than u's, whose lattice holds the cube
+    band max_j |k_j| of the rest; the overflow guard of the weights then
+    checks that grid.  A slice with no coefficient at or below the floor,
+    or an identically zero one, comes back as it is, in its spectral form,
+    after one slab pass for the extremes of |u^|
+    (:func:`gnls._kernels._abs_range`).
+    """
+    uh = to_spectral(u)
+    lo, peak = _kernels._abs_range(uh.values)
+    floor = 1e-14 * peak
+    if peak == 0.0 or lo > floor:
+        return uh
+    grid = uh.grid
+    keep = np.abs(uh.values) > floor
+    k = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N))
+    # the largest |k_j| of a kept coefficient, over the axes j
+    band = max(int(k[keep.any(axis=tuple(set(range(grid.d)) - {j}))].max())
+               for j in range(grid.d))
+    n = 8
+    while n < 2 * band + 2:  # modes -n/2 ... n/2 - 1 hold |k| <= band
+        n *= 2
+    clean = np.where(keep, uh.values, 0.0)
+    clean.flags.writeable = False  # kept by Field without a copy
+    masked = Field(grid, clean, rep=SPECTRAL, t=uh.t, _check=False)
+    if n >= grid.N:
+        return masked
+    return truncate_spectrum(masked, FourierGrid(grid.d, n, grid.L))
+
+
 def norm_report(u: Field, sigma: float) -> NormReport:
     """All scalar diagnostics of one slice at one sigma, and its radius fit.
 
-    The slice is transformed once; the Gevrey norm, the two L4 quadratures
-    (weighted, and the energy's) and the radius fit read the same
-    coefficients, and the mass is taken from ``u`` in the representation it
-    was given.  An identically zero slice has no radius to fit and is
-    floor-flagged.
+    The slice is transformed once.  The weighted columns (``gevrey_s1_sq``,
+    ``l4_gevrey`` and ``a_sigma``) read its :func:`resolved_spectrum`; the
+    energy's L4 quadrature and the radius fit read every coefficient, and
+    the mass is taken from ``u`` in the representation it was given.  An
+    identically zero slice has no radius to fit and is floor-flagged.
     """
     uh = to_spectral(u)
-    g1 = gevrey_norm(uh, sigma)
-    l4 = l4_gevrey(uh, sigma)
+    resolved = resolved_spectrum(uh)
+    g1 = gevrey_norm(resolved, sigma)
+    l4 = l4_gevrey(resolved, sigma)
+    del resolved  # a masked copy of the whole grid goes before the energy's
     # the fit's grid-sized temporaries follow both quadratures: between
     # them, glibc's heap kept up to 7 MB more of a 64^3 simulate pass
     e = energy(uh)

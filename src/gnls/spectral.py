@@ -13,6 +13,8 @@ index embedding.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import _kernels
@@ -116,14 +118,29 @@ def _centred_band(coeffs: np.ndarray, shape) -> tuple:
 
 
 def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
-    """Restrict spectral coefficients to the band of a coarser grid."""
+    """Restrict spectral coefficients to the band of a coarser grid.
+
+    The band's modes -n/2 ... n/2 - 1 along each axis sit, in FFT order,
+    in the first n/2 and the last n/2 entries of that axis on both
+    lattices, so the band is the 2^d corners of the fine array, copied
+    into one read-only array that the field keeps without a copy: no
+    shifted copy of the fine array is made.
+    """
     if not f.is_spectral:
         raise ValueError("truncate_spectrum expects a spectral-space field")
     big = f.grid
     if big.L != grid.L or big.d != grid.d or big.N < grid.N:
         raise ValueError("target grid must share the torus and be coarser")
-    _, band = _centred_band(f.values, grid.shape)
-    return Field(grid, np.fft.ifftshift(band), rep=SPECTRAL, t=f.t)
+    half = grid.N // 2
+    # per axis, the band's head and tail: (band slice, fine slice)
+    ends = ((slice(0, half), slice(0, half)),
+            (slice(half, grid.N), slice(big.N - half, big.N)))
+    band = np.empty(grid.shape, np.complex128)
+    for corner in itertools.product(ends, repeat=grid.d):
+        band[tuple(c for c, _ in corner)] = f.values[tuple(c for _, c in corner)]
+    band.flags.writeable = False
+    # the corners of a field's values are finite: no second check
+    return Field(grid, band, rep=SPECTRAL, t=f.t, _check=False)
 
 
 def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:

@@ -253,9 +253,9 @@ def test_non_finite_measured_A_is_validation_error(command, fit, tmp_path,
 @pytest.mark.parametrize("command", ["sweep", "radius"])
 def test_sweep_whose_top_sigma_overflows_exits_before_stepping(
         command, tmp_path, capsys, monkeypatch):
-    # A_sigma at the top of the grid is measured before evolve runs, and the
-    # overflow guard depends only on sigma and the grid, so no sigma can
-    # overflow in the middle of a sweep
+    # A_sigma at the top of the grid is measured on the data before evolve
+    # runs, so a sigma the guard refuses on the data's band stops the run
+    # before its first step
     def no_step(*args, **kwargs):
         raise AssertionError("evolve ran")
 
@@ -269,6 +269,41 @@ def test_sweep_whose_top_sigma_overflows_exits_before_stepping(
     assert code == EXIT_VALIDATION
     assert "validation error: multiplier overflow" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+#: modes |k| <= 2 at t = 0, a band grid of 8 points, where sigma = 40 is
+#: finite; the first step fills the lattice above the round-off floor, and
+#: 2 sigma |xi|_max there is 804 > 600
+WIDENING = ("[grid]\nd = 1\nN = 64\nL = 20.0\n"
+            "[data]\nkind = random_bandlimited\nband = 2\n"
+            "[solver]\ndt = 0.01\nt_end = 0.05\nsnapshot_stride = 1\n"
+            "[fit]\nsigma0 = 40\n")
+
+
+@pytest.mark.parametrize("command,stem,summary,fit", [
+    ("simulate", "norms", "run.meta", ""),
+    ("radius", "radius", "radius.summary", "C = 1.0\n"),
+])
+def test_weight_that_overflows_mid_run_is_runtime_abort(command, stem, summary,
+                                                        fit, tmp_path, capsys):
+    from gnls.storage import read_field
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(WIDENING + fit)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("runtime abort: multiplier overflow: e^(80|xi|)")
+    assert "at step 1 (t=0.01)" in err
+    rows = [line for line in (out / f"{stem}.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 2 and rows[1].startswith("0.0,")  # columns, t = 0
+    kept = dict(line.split(" = ", 1)
+                for line in (out / summary).read_text().splitlines())
+    assert kept["abort_step"] == "1"
+    assert kept["abort_reason"].startswith("multiplier overflow")
+    assert read_field(out / "last_good.gnls").t == 0.01
 
 
 @pytest.mark.parametrize("body,key,raw", [

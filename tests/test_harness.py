@@ -244,6 +244,75 @@ def test_sweep_plane_wave_growth_at_round_off():
         assert growth < 1e-9 * a0
 
 
+def _sech_config(kind, N, **kw):
+    return ExperimentConfig(kind=kind, N=N, L=40.0, dt=0.01,
+                            data_kind="periodized_sech",
+                            data_params={"A": 1.0, "a": 1.0}, **kw)
+
+
+def test_sweep_C_fit_is_independent_of_N():
+    # the sweep's A_sigma reads the resolved band: unmasked, N = 4096 fitted
+    # C = 1.548e-12 from A_top = 18.97 where N = 1024 fits 1.313e-7
+    configs = _sech_config("sweep", 1024), _sech_config("sweep", 4096)
+    fits = [fit_conservation_constant(cfg, cfg.initial_data())
+            for cfg in configs]
+    assert fits[1]["C_fit"] == pytest.approx(fits[0]["C_fit"], rel=1e-3)
+    assert fits[0]["C_fit"] == pytest.approx(1.313e-7, rel=1e-3)
+    assert fits[1]["A0"] == pytest.approx(3.86725307526898, rel=1e-12)
+
+
+def test_radius_A0_reads_the_resolved_band():
+    cfg = _sech_config("radius", 4096, t_end=0.02, sigma0=0.5, C=1.0)
+    assert run_radius_tracking(cfg).fits["A0"] == pytest.approx(
+        8.40835151134639, rel=1e-12)
+
+
+def _random_field_1d():
+    from conftest import random_field
+    from gnls.grid import FourierGrid
+
+    return random_field(FourierGrid(1, 32, 10.0), seed=2)
+
+
+def _overflowing_from(call):
+    """A row function that refuses its ``call``-th slice as the overflow
+    guard would, and returns t otherwise."""
+    from gnls.errors import MultiplierOverflowError
+
+    seen = []
+
+    def row_of(u):
+        seen.append(u.t)
+        if len(seen) == call:
+            raise MultiplierOverflowError("multiplier overflow: test")
+        return u.t
+    return row_of
+
+
+def test_track_refuses_a_weight_that_overflows_on_the_data():
+    from gnls.errors import MultiplierOverflowError
+    from gnls.integrator import SolverConfig
+
+    u0 = _random_field_1d()
+    with pytest.raises(MultiplierOverflowError):
+        harness._track(u0, SolverConfig(dt=0.01, t_end=0.05),
+                       _overflowing_from(1))
+
+
+def test_track_stops_at_a_weight_that_overflows_mid_run():
+    from gnls.errors import MultiplierOverflowError
+    from gnls.integrator import SolverConfig
+
+    solver = SolverConfig(dt=0.01, t_end=0.05, snapshot_stride=2)
+    rows, abort = harness._track(_random_field_1d(), solver,
+                                 _overflowing_from(3))
+    assert rows == [0.0, 0.02]
+    assert abort.step == 4 and abort.last_good[0] == 0.04
+    assert abort.last_good[1].t == 0.04
+    assert str(abort).startswith("multiplier overflow: test at step 4")
+    assert isinstance(abort.__cause__, MultiplierOverflowError)
+
+
 # ---------------------------------------------------------------------------
 # radius tracking
 # ---------------------------------------------------------------------------

@@ -336,3 +336,20 @@ def test_split_handed_out_arrays_are_never_written_again(run, d, N, monkeypatch)
     # every pass as two halves on two threads (gnls._kernels)
     monkeypatch.setattr(integrator._kernels, "_SPLIT_MIN", 2)
     test_handed_out_arrays_are_never_written_again(run, d, N, monkeypatch)
+
+
+def test_evolve_does_not_rescan_its_input(monkeypatch):
+    # a Field was checked finite when it was built: evolve's re-wrap of its
+    # input at t = 0 scans no grid again
+    g = FourierGrid(d=3, N=16, L=8.0)
+    u0 = periodized_sech(g)
+    sizes = []
+    isfinite = np.isfinite
+
+    def recording(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording)
+    evolve(u0, SolverConfig(dt=0.01, t_end=0.02))
+    assert sizes and g.N ** 3 not in sizes

@@ -8,7 +8,7 @@ from gnls.data import gaussian, periodized_sech
 from gnls.errors import EmptySpectrumError, MultiplierOverflowError
 from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.norms import (a_sigma, energy, gevrey_norm, l4_gevrey, mass,
-                        norm_report, radius_estimate)
+                        norm_report, radius_estimate, resolved_spectrum)
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, single_mode_field
@@ -187,6 +187,109 @@ def test_l4_gevrey_reduces_to_l4(grid1d):
     from gnls.spectral import l4_norm
     u = random_field(grid1d, seed=6)
     assert l4_gevrey(u, 0.0) == pytest.approx(l4_norm(u), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the resolved spectrum
+# ---------------------------------------------------------------------------
+
+#: A_sigma of the d = 1 sech (A = 1, a = 1, L = 40) on its resolved band
+SECH_A_SIGMA = {0.1: 3.86725307526898, 0.5: 8.40835151134639}
+
+
+def _sech(N):
+    return periodized_sech(FourierGrid(d=1, N=N, L=40.0), A=1.0, a=1.0)
+
+
+@pytest.mark.parametrize("sigma", sorted(SECH_A_SIGMA))
+def test_a_sigma_of_the_resolved_sech_is_independent_of_N(sigma):
+    # unmasked, e^{sigma|xi|} lifts the round-off plateau: at sigma = 0.1
+    # the column read 18.97 at N = 4096 and 4.2e46 at N = 8192
+    values = [norm_report(_sech(N), sigma).a_sigma
+              for N in (1024, 2048, 4096, 8192)]
+    assert max(values) - min(values) <= 1e-12 * min(values)
+    assert values[0] == pytest.approx(SECH_A_SIGMA[sigma], rel=1e-12)
+
+
+def test_overflow_guard_checks_the_resolved_band():
+    # refused on both whole lattices, where 2 sigma |xi|_max = 643 > 600,
+    # and finite on the band
+    assert a_sigma(resolved_spectrum(_sech(8192)), 0.5) == pytest.approx(
+        SECH_A_SIGMA[0.5], rel=1e-12)
+    assert a_sigma(resolved_spectrum(_sech(4096)), 1.0) == pytest.approx(
+        49.2988, rel=1e-5)
+    with pytest.raises(MultiplierOverflowError):
+        a_sigma(_sech(4096), 1.0)
+
+
+def test_resolved_spectrum_cuts_to_the_smallest_power_of_two_band():
+    g = FourierGrid(d=1, N=4096, L=40.0)
+    u = to_spectral(_sech(4096))
+    r = resolved_spectrum(u)
+    assert r.is_spectral and r.grid == FourierGrid(d=1, N=512, L=40.0)
+    mag = np.abs(u.values)
+    kept = mag > 1e-14 * mag.max()
+    k = np.fft.fftfreq(g.N, d=1.0 / g.N)
+    assert np.abs(k[kept]).max() < 256
+    # the band's modes, in FFT order, are the kept coefficients and zeros
+    band = np.r_[0:256, g.N - 256:g.N]
+    assert np.array_equal(r.values, np.where(kept, u.values, 0.0)[band])
+
+
+@pytest.mark.parametrize("N,k,band_N", [
+    (64, 3, 8), (64, 4, 16), (64, -4, 16), (64, 15, 32), (64, 31, 64),
+    (64, -32, 64), (18, 5, 16), (18, 7, 16), (18, 8, 18)])
+def test_resolved_band_of_one_mode(N, k, band_N):
+    # modes -n/2 ... n/2 - 1 of the band grid must hold |k|; n >= 8 and
+    # never above N, which need not be a power of two
+    g = FourierGrid(d=2, N=N, L=5.0)
+    u = single_mode_field(g, (k, 1), amplitude=0.5)
+    r = resolved_spectrum(u)
+    assert r.grid == FourierGrid(d=2, N=band_N, L=5.0)
+    assert np.count_nonzero(r.values) == 1
+    assert r.values[k % band_N, 1] == u.values[k % N, 1]
+    assert norm_report(u, 0.3).a_sigma == pytest.approx(a_sigma(u, 0.3),
+                                                        rel=1e-13)
+
+
+def test_resolved_spectrum_passes_a_resolved_or_zero_slice_through():
+    u = to_spectral(periodized_sech(FourierGrid(d=2, N=32, L=20.0)))
+    assert resolved_spectrum(u) is u
+    z = to_spectral(zero_field(FourierGrid(d=1, N=64, L=10.0)))
+    assert resolved_spectrum(z) is z
+    phys = to_physical(u)
+    assert np.array_equal(resolved_spectrum(phys).values,
+                          to_spectral(phys).values)
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resolved_slice_is_scanned_without_grid_temporaries():
+    g = FourierGrid(d=3, N=64, L=20.0)
+    uh = to_spectral(periodized_sech(g))
+    grid_bytes = 16 * g.N ** 3
+    # one slab buffer: |u^| of the grid would take half a grid
+    assert _traced_peak(lambda: resolved_spectrum(uh)) < 0.1 * grid_bytes
+
+
+def test_norm_report_of_a_resolved_slice_keeps_its_memory_peak():
+    # nothing of the 64^3 sech is below the floor: building |u^|, the mask
+    # or a grid of mode indices would only add to the peak, 6.19 grids
+    g = FourierGrid(d=3, N=64, L=20.0)
+    u = periodized_sech(g)
+    g.xi_abs
+    norm_report(u, 0.1)
+    assert _traced_peak(lambda: norm_report(u, 0.1)) < 6.2 * 16 * g.N ** 3
 
 
 # ---------------------------------------------------------------------------
