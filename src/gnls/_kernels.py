@@ -6,14 +6,13 @@ blow-up guard's peak fused into it, the Monte-Carlo triple-frequency
 inequality check, and the shell envelope reduction used by the radius
 estimator.  The rotation and the guard go over the grid in cache-sized
 slabs of rows along axis 0, in buffers the caller makes once
-(:func:`_workspace`); the linear phase tables are kept on the
-mirror-symmetric half lattice and multiplied into the grid block by block.
-The private section at the end runs a full-grid pass (an FFT, a pointwise
-product, the slabs of the rotation, the blocks of a phase product, the one
-slab pass of a function of the per-axis squares that fills |xi|, the phase
-tables and the radial initial data) as two halves on two threads; the
-triple-frequency check runs its ensemble as two halves on the same two
-threads.  No other module hands work to the helper thread.
+(:func:`_workspace`); the linear step's phase is the product of its
+per-axis factors, formed slab by slab in the same buffers.  The private
+section at the end runs a full-grid pass (an FFT, a pointwise product, the
+slabs of the rotation or of a phase product, the one slab pass of a
+function of the per-axis squares that fills |xi| and the radial initial
+data) as two halves on two threads; the triple-frequency check runs its
+ensemble as two halves on the same two threads.  No other module hands work to the helper thread.
 """
 
 import _thread
@@ -97,80 +96,48 @@ def _slabs(values, rotation, phase, rot):
     return peak
 
 
-def _phase_table(scale: complex, xi_axis: np.ndarray, d: int) -> np.ndarray:
-    """``np.exp(scale * xi_abs**2)``, the linear step's phase table, on the
-    half lattice of the d-dimensional lattice of wavenumbers ``xi_axis``:
-    the block [0, N/2] of every axis but the last, which stays whole.
-
-    Along an axis, wavenumber N - k is exactly minus wavenumber k, so every
-    entry the block leaves out repeats one it keeps, bit for bit; the block
-    is a quarter of the grid at d = 3 and all of it at d = 1 (see
-    :func:`_phase_product`).  It is built by :func:`_radial` from the
-    block's per-axis squares, so its |xi| is ``FourierGrid.xi_abs``'s.
-    """
-    sq = xi_axis ** 2
-    head = sq[:len(sq) // 2 + 1]
-    mesh = np.meshgrid(*[head] * (d - 1), sq, indexing="ij", sparse=True)
-    table = np.empty((len(head),) * (d - 1) + (len(sq),), np.complex128)
-    return _radial(mesh, table, _table_fill, 0, scale)
-
-
-def _table_fill(r2, table, scale):
-    """exp(scale * |xi|^2) into ``table`` at the squared wavenumbers ``r2``,
-    in place: |xi| = sqrt(r2), its square into the real parts and +0 into
-    the imaginary parts, which is numpy's cast of |xi|^2 to complex, then
-    the product with ``scale`` and its exponential, the order of the
-    whole-grid formula, so the bits are the same.  The product reads no
-    cast, so numpy makes it without a buffer."""
-    x = np.sqrt(r2, out=r2)
-    np.multiply(x, x, out=table.real)
-    table.imag = 0.0
-    np.multiply(scale, table, out=table)
-    np.exp(table, out=table)
-
-
-def _phase_product(values: np.ndarray, table: np.ndarray):
+def _phase_product(values: np.ndarray, scale: complex, xi_axis: np.ndarray,
+                   work):
     """A function of no arguments that multiplies ``values`` in place by the
-    whole-lattice phase table whose half lattice is ``table``
-    (:func:`_phase_table`).
+    linear step's phase exp(scale |xi|^2) on the d-dimensional lattice of
+    wavenumbers ``xi_axis``, as the product of its per-axis factors
+    exp(scale xi_j^2).
 
-    Along every axis but the last, indices [0, N/2] take the table's rows
-    in order and indices (N/2, N) take rows N/2 - 1 ... 1, a reversed view.
-    The product runs as blocks of the planes over the last two axes (see
-    :func:`_blocks`); each block of ``values`` is contiguous, so numpy
-    multiplies it without buffering, and the last axis stays whole and
-    contiguous in every operand, so each sample sees the multiply of the
-    whole-grid product ``values * table``, in its operand order: numpy
-    rounds a complex a * b and b * a differently.  At d = 1 the table is
-    the whole table and the function is one ``np.multiply``.  On a split
-    grid (see :func:`_splits`) the first half of the blocks, the head half
-    of the planes at d = 3, runs on the calling thread and the second half
-    on the helper.
+    The one-axis factor e gets xi * xi in its real parts and +0 in its
+    imaginary parts, numpy's cast of xi^2 to complex, then the product with
+    ``scale`` and its exponential, the ufuncs of the whole-grid formula
+    ``np.exp(scale * xi_abs**2)``; so at d = 1 e is that formula bit for
+    bit and the function is one ``np.multiply``.  At d >= 2 it also holds
+    the outer product of the last d - 1 axes' factors, N^(d-1) entries, and
+    :func:`_phase_slabs` multiplies each slab of rows along axis 0 by
+    e_i * (e_j * e_k), formed in the complex buffer of ``work``
+    (:func:`_workspace` of ``values``); on a split grid (see
+    :func:`_splits`) each half along axis 0 runs on its own thread.
     """
+    e = np.empty(len(xi_axis), np.complex128)
+    np.multiply(xi_axis, xi_axis, out=e.real)
+    e.imag = 0.0
+    np.multiply(scale, e, out=e)
+    np.exp(e, out=e)
     if values.ndim == 1:
-        return partial(np.multiply, values, table, out=values)
-    planes = values.reshape((-1,) + values.shape[-2:])
-    rows = table.reshape((-1,) + table.shape[-2:])
-    n = 2 * len(planes)
-    if not _splits(values):
-        return partial(_blocks, planes, rows, 0, n)
-    return partial(_both, partial(_blocks, planes, rows, 0, n // 2),
-                   partial(_blocks, planes, rows, n // 2, n))
+        return partial(np.multiply, values, e, out=values)
+    rest = reduce(np.multiply, np.meshgrid(*[e] * (values.ndim - 1),
+                                           indexing="ij", sparse=True))
+    return partial(_halves, partial(_phase_slabs, rest.reshape(-1)), work,
+                   values, e)
 
 
-def _blocks(planes, table, lo, hi):
-    """Blocks ``lo`` ... ``hi - 1`` of :func:`_phase_product` on the stack
-    of ``planes``: block k is rows [0, N/2] of plane k // 2 when k is even,
-    rows (N/2, N) when k is odd, times the table's plane of the mirrored
-    index, its rows reversed for the second block."""
-    h = planes.shape[1] // 2 + 1
-    for k in range(lo, hi):
-        i = k // 2
-        v, t = planes[i], table[min(i, len(planes) - i)]
-        if k % 2:
-            v, t = v[h:], t[h - 2:0:-1]
-        else:
-            v = v[:h]
+def _phase_slabs(rest, values, e, _, buf):
+    """:func:`_phase_product` on the rows of ``values``, whose axis-0
+    factors are ``e``, as many rows at a time as the complex ``buf`` holds:
+    each slab's factors e_i * rest, ``rest`` the flat outer product of the
+    other axes' factors, go into ``buf``, which then multiplies the slab,
+    in the operand order of ``values * (e_i * rest)``."""
+    rows = buf.shape[0]
+    for lo in range(0, len(values), rows):
+        v = values[lo:lo + rows]
+        t = buf[:len(v)]
+        np.multiply(e[lo:lo + len(v), None], rest, out=t.reshape(len(v), -1))
         np.multiply(v, t, out=v)
 
 
@@ -354,17 +321,19 @@ def _both(left, right):
     return here, box[0]
 
 
-#: grid points per slab of the rotation, the guard and :func:`_radial`: a
-#: slab's real buffer takes 256 KB and its complex one 512 KB
+#: grid points per slab of the rotation, the guard, the phase product and
+#: :func:`_radial`: a slab's real buffer takes 256 KB and its complex one
+#: 512 KB
 _SLAB = 1 << 15
 
 
 def _workspace(values: np.ndarray) -> tuple:
-    """The slab buffers of :func:`phase_rotate` and :func:`_guard` on grids
-    of the shape of ``values``: a real and a complex array of one slab of
-    rows along axis 0, one pair for the whole grid or, on a split grid, one
-    pair of half a slab per half, so that both together hold one slab's
-    buffers; all made here on the calling thread."""
+    """The slab buffers of :func:`phase_rotate`, :func:`_guard` and
+    :func:`_phase_product` on grids of the shape of ``values``: a real and
+    a complex array of one slab of rows along axis 0, one pair for the
+    whole grid or, on a split grid, one pair of half a slab per half, so
+    that both together hold one slab's buffers; all made here on the
+    calling thread."""
     halves = 2 if _splits(values) else 1
     rows = max(_SLAB // halves * values.shape[0] // values.size, 1)
     shape = (min(rows, -(-values.shape[0] // halves)),) + values.shape[1:]
@@ -417,8 +386,8 @@ def _pieces(a, make, n=None) -> tuple:
 
 def _radial(sq, out, fill, n_work, *params):
     """``out``, filled with a function of the sum of the per-axis squares
-    ``sq``, a sparse mesh of out's shape: the one slab pass of |xi|, the
-    phase tables and the radial initial data.
+    ``sq``, a sparse mesh of out's shape: the one slab pass of |xi| and
+    the radial initial data.
 
     Each slab of rows along axis 0, about ``_SLAB`` points, is summed by
     :func:`_mesh_sum` into a real buffer, and ``fill(r2, slab, *scratch,

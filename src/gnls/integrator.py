@@ -74,13 +74,13 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     grow with the number of snapshots.  Non-finite or blown-up states abort
     with the step index and the last recorded snapshot attached.
 
-    Beyond its input a run holds the linear phase table on the half
-    lattice, (N/2 + 1)^(d-1) N entries (two tables when steps are fused),
-    the one step array that every transform, phase multiply and the
-    in-place rotation write, one array per snapshot it hands out and a few
-    slab buffers: no pass makes a temporary of the grid.  The last
-    snapshot is the step array itself, and the tables and slab buffers are
-    freed before its ``on_snapshot`` runs.
+    Beyond its input a run holds the one step array that every transform,
+    phase multiply and the in-place rotation write, one array per snapshot
+    it hands out, a few slab buffers and the linear step's per-axis phase
+    factors with the outer product of all but the first axis's, N^(d-1)
+    entries (two sets when steps are fused): no pass makes a temporary of
+    the grid.  The last snapshot is the step array itself, and the factors
+    and slab buffers are freed before its ``on_snapshot`` runs.
     """
     u = to_physical(u0)
     # a Field's values were checked finite when it was built
@@ -105,20 +105,15 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
     # Every transform, phase multiply and rotation writes the one step
     # array.  A snapshot before the last step takes a fresh array and the
     # last one takes the step array itself, so no array handed out is
-    # written again.  The linear steps multiply it by their phase tables
-    # on the half lattice, built from the per-axis wavenumbers
-    # (gnls._kernels._phase_table); a full linear step joins two half steps
-    # when the first records no snapshot.  The tables are built before the
-    # step array is made, so their builds' transient buffers do not add to it
-    xi, d = u.grid.xi_axis, u.grid.d
-    half_table = _kernels._phase_table(-0.5j * cfg.dt, xi, d)
-    full_table = (_kernels._phase_table(-1.0j * cfg.dt, xi, d)
-                  if cfg.snapshot_stride > 1 and n_steps > 1 else None)
+    # written again.  The linear steps multiply it by the product of their
+    # per-axis phase factors, slab by slab in the rotation's buffers
+    # (gnls._kernels._phase_product); a full linear step joins two half
+    # steps when the first records no snapshot
+    xi = u.grid.xi_axis
     coeff = np.empty(u.grid.shape, np.complex128)
-    half = _kernels._phase_product(coeff, half_table)
-    full = (None if full_table is None
-            else _kernels._phase_product(coeff, full_table))
-    del half_table, full_table  # held by the products, freed with them
+    half = _kernels._phase_product(coeff, -0.5j * cfg.dt, xi, work)
+    full = (_kernels._phase_product(coeff, -1.0j * cfg.dt, xi, work)
+            if cfg.snapshot_stride > 1 and n_steps > 1 else None)
     coeff = _kernels._fftn(u.values, coeff)
     half()
     for step in range(1, n_steps + 1):
@@ -141,8 +136,8 @@ def evolve(u0: Field, cfg: SolverConfig, on_snapshot=None) -> Trajectory:
             half()
             last = step == n_steps
             if last:
-                # the last snapshot is the step array: the tables and the
-                # slab buffers go before its callback runs
+                # the last snapshot is the step array: the phase factors
+                # and the slab buffers go before its callback runs
                 half = full = work = None
             snap = _kernels._fftn(
                 coeff, coeff if last else np.empty_like(coeff), inverse=True)

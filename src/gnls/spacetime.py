@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierGrid, frozen_complex
-from .spectral import (_centred_band, _cubic_product, _padded_samples,
-                       exp_weight)
+from .spectral import (_centred_band, _cubic_product, _forward_factor,
+                       _padded_samples, exp_weight)
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ def _check_lattice(M: int, T_win: float) -> None:
         raise ValueError(f"M must be even and >= 8, got {M}")
     if not T_win > 0:
         raise ValueError(f"T_win must be positive, got {T_win}")
-
-
-def _st_forward_factor(grid: FourierGrid, M: int, T_win: float) -> float:
-    return (np.sqrt(T_win) / M) * (np.sqrt(grid.L) / grid.N) ** grid.d
 
 
 def dispersive_weight(grid: FourierGrid, M: int, T_win: float, sigma: float,
@@ -133,7 +129,7 @@ def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
         raise ValueError("space-time product requires a common lattice")
     grid, M, T_win = w1.grid, w1.M, w1.T_win
     fine_grid = grid.refined(2)
-    factor = _st_forward_factor(fine_grid, 2 * M, T_win)
+    factor = (np.sqrt(T_win) / (2 * M)) * _forward_factor(fine_grid)
     s1, s2, s3 = (_padded_samples(w.coeffs, factor) for w in (w1, w2, w3))
     coeffs = _cubic_product(s1, np.conjugate(s2, out=s2),
                             np.conjugate(s3, out=s3), factor)

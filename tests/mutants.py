@@ -15,4 +15,15 @@ MUTANTS = (
     # every weighted column, which then depends on N
     ("norms.py", "1e-14 * peak", "1e-30 * peak",
      "tests/test_norms.py::test_a_sigma_of_the_resolved_sech_is_independent_of_N"),
+    # the law without its (1 + A0) factor: C_fit off by about 1 + A0
+    ("harness.py", "s * columns[s][0] ** 2 * (1.0 + columns[s][0])",
+     "s * columns[s][0] ** 2",
+     "tests/test_harness.py::test_sweep_C_fit_is_the_law_on_the_growth_column"),
+    # D(sigma) from the window's two endpoints, not the sup over it
+    ("harness.py", "max(max(col) - col[0], 0.0)", "max(col[-1] - col[0], 0.0)",
+     "tests/test_harness.py::test_sweep_growth_is_the_sup_over_every_snapshot"),
+    # every slab of rows takes the first slab's axis-0 phase factors
+    ("_kernels.py", "e[lo:lo + len(v), None]", "e[:len(v), None]",
+     "tests/test_integrator.py::"
+     "test_linear_only_plane_waves_along_every_axis_are_exact[3-64]"),
 )

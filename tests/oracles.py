@@ -1,8 +1,9 @@
 """Independent references the tests compare the package against.
 
 Nothing in ``src/gnls`` calls these: the solver runs its own fused loop
-and rotates in place slab by slab; ``xi_abs``, the phase tables and the
-radial data are filled by one slab pass over the per-axis squares
+and rotates in place slab by slab, and multiplies in its linear phase
+slab by slab from per-axis factors; ``xi_abs`` and the radial data are
+filled by one slab pass over the per-axis squares
 (``gnls._kernels._radial``) and no builder makes the whole coordinate mesh
 of :func:`meshgrid`; the products synthesise padded samples without
 building a padded field, the L4 quadrature synthesises its last axis slab
@@ -67,6 +68,16 @@ def rotate_whole(values, dt):
     np.sin(phase, out=out.imag)
     np.multiply(values, out, out=out)
     return out, np.maximum.reduce(np.abs(out, out=phase), axis=None)
+
+
+def phase_product_whole(values, scale, xi_axis):
+    """``_kernels._phase_product`` at d >= 2 as the whole-grid product it
+    runs slab by slab: ``values * (e_i * (e_j * e_k))`` for the per-axis
+    factors e = exp(scale * xi^2), written out of place."""
+    e = np.exp(scale * (xi_axis * xi_axis))
+    mesh = np.meshgrid(*[e] * values.ndim, indexing="ij", sparse=True)
+    rest = mesh[1] if values.ndim == 2 else mesh[1] * mesh[2]
+    return np.multiply(values, mesh[0] * rest)
 
 
 def xi_abs_whole(grid: FourierGrid) -> np.ndarray:

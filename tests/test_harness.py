@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gnls.harness as harness
+from gnls.norms import a_sigma, resolved_spectrum
 from gnls.harness import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                           SWEEP_DEFAULTS, finite_float,
                           fit_conservation_constant, load_config,
@@ -242,6 +243,57 @@ def test_sweep_plane_wave_growth_at_round_off():
     a0 = 0.25 * 2 * np.pi  # A^2 L, scale of A_sigma
     for sigma, growth in fit["growth"].items():
         assert growth < 1e-9 * a0
+
+
+def _windowed_sweep(tmp_path):
+    """A sweep of a small gaussian over a window (c0 = 50) long enough that
+    A_sigma(t) turns over inside it, with every A_sigma it computes recorded
+    per sigma: ``(cfg, record, columns)``."""
+    columns = {}
+
+    def recorded(u, sigma, _a_sigma=harness.a_sigma):
+        columns.setdefault(sigma, []).append(_a_sigma(u, sigma))
+        return columns[sigma][-1]
+
+    cfg = ExperimentConfig(kind="sweep", N=64, L=20.0, dt=1e-2, c0=50.0,
+                           data_params={"A": 0.5, "w": 1.0},
+                           sigma_grid=tuple(np.geomspace(1e-3, 1e-1, 6)),
+                           out_dir=tmp_path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "a_sigma", recorded)
+        record = run_almost_conservation_sweep(cfg)
+    # the top sigma's first value is A_top, measured before the run
+    columns[max(columns)].pop(0)
+    return cfg, record, columns
+
+
+def test_sweep_growth_is_the_sup_over_every_snapshot(tmp_path):
+    _, record, columns = _windowed_sweep(tmp_path)
+    interior = 0
+    for sigma, growth, _ in record.rows:
+        col = columns[sigma]
+        assert len(col) == 34
+        assert growth == max(max(col) - col[0], 0.0)
+        interior += max(col[1:-1]) > col[-1]
+    # most sigmas peak before the window's end: the endpoints alone
+    # would read a smaller growth
+    assert interior >= 6
+
+
+def test_sweep_C_fit_is_the_law_on_the_growth_column(tmp_path):
+    # D(sigma) = C sigma A_sigma(u0)^2 (1 + A_sigma(u0)), solved for C per
+    # sigma that grew above the sigma = 0 floor, and the median taken
+    cfg, record, _ = _windowed_sweep(tmp_path)
+    u0 = resolved_spectrum(cfg.initial_data())
+    floor = record.fits["noise_floor"]
+    c_values = []
+    for sigma, growth, _ in record.rows:
+        if sigma > 0 and growth > floor:
+            a0 = a_sigma(u0, sigma)
+            c_values.append(growth / (sigma * a0 * a0 * (1.0 + a0)))
+    assert len(c_values) == 6
+    assert record.fits["C_fit"] == pytest.approx(np.median(c_values),
+                                                 rel=1e-12)
 
 
 def _sech_config(kind, N, **kw):

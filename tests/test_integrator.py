@@ -144,6 +144,16 @@ def test_mass_conservation():
     assert max(drifts) < 1e-12
 
 
+def test_mass_conservation_in_three_dimensions():
+    g = FourierGrid(d=3, N=32, L=10.0)
+    u0 = periodized_sech(g)
+    m0 = mass(u0)
+    drifts = []
+    evolve(u0, SolverConfig(dt=5e-3, t_end=10.0, snapshot_stride=100),
+           lambda t, u: drifts.append(abs(mass(u) - m0) / m0))
+    assert len(drifts) == 21 and max(drifts) < 1e-12
+
+
 def test_energy_drift_second_order():
     g = FourierGrid(d=1, N=256, L=40.0)
     u0 = gaussian(g, A=1.0, w=1.0)
@@ -169,6 +179,39 @@ def test_linear_only_gaussian_free_evolution():
     exact = w / np.sqrt(denom) * np.exp(-x * x / denom)
     err = np.sqrt(mass(Field(g, traj.snapshots[-1][1].values - exact)))
     assert err < 1e-10
+
+
+#: (wavenumber, amplitude) of a plane wave along each axis: along axis 0
+#: it sits in the last slab of rows, so each slab must take its own rows'
+#: phase factors
+AXIS_WAVES = ((-13, 1.0), (-7, 0.7), (5, 0.3))
+
+
+def _axis_waves(grid, t):
+    """0.5 plus a plane wave along each axis of ``grid`` (L = 2 pi) at time
+    ``t`` of the free flow, which turns exp(i xi x_j) by exp(-i xi^2 t)."""
+    mesh = np.meshgrid(*[grid.x] * grid.d, indexing="ij", sparse=True)
+    out = np.full(grid.shape, 0.5 + 0j)
+    for x, (k, A) in zip(mesh, AXIS_WAVES):
+        out = out + A * np.exp(1j * (k * x - k * k * t))
+    return out
+
+
+@pytest.mark.parametrize("d,N", [(2, 512), (3, 64)])
+def test_linear_only_plane_waves_along_every_axis_are_exact(d, N):
+    # several slabs of rows along axis 0, as two halves with two CPUs
+    g = FourierGrid(d=d, N=N, L=2 * np.pi)
+    errors = []
+
+    def check(t, u):
+        exact = _axis_waves(g, t)
+        errors.append(np.max(np.abs(u.values - exact)) / np.max(np.abs(exact)))
+
+    # fused full steps between snapshots, and half steps at them
+    evolve(Field(g, _axis_waves(g, 0.0)),
+           SolverConfig(dt=0.01, t_end=0.1, snapshot_stride=4,
+                        linear_only=True), check)
+    assert len(errors) == 4 and max(errors) < 1e-13
 
 
 def test_snapshot_times_and_stride(grid1d):

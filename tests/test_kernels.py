@@ -13,7 +13,8 @@ from gnls.audits import audit_multiplier_inequality
 from gnls.errors import SimulationAbort
 from gnls.grid import FourierGrid
 from gnls.integrator import SolverConfig, evolve
-from oracles import rotate_whole, triple_gap_ratios_oneshot
+from oracles import (phase_product_whole, rotate_whole,
+                     triple_gap_ratios_oneshot)
 
 
 def _slices(xi):
@@ -64,14 +65,15 @@ SLAB_CASES = [(1, 258, False), (2, 18, False), (2, 18, True), (3, 10, False),
 #: on one thread, a slab across the cut of the two halves
 SLAB_ROWS = {"default-slab": None, "slab-7": 1, "slab-4-rows": 4}
 
+DEFAULT_SLAB = _kernels._SLAB
+
 
 def _slab_grid(monkeypatch, d, N, split, rows) -> FourierGrid:
     """The grid of ``d`` and ``N``, split into halves or not and cut into
     slabs of ``rows`` rows along axis 0 (7 points for one row)."""
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
-    if rows is not None:
-        monkeypatch.setattr(_kernels, "_SLAB",
-                            7 if rows == 1 else rows * N ** (d - 1))
+    monkeypatch.setattr(_kernels, "_SLAB", DEFAULT_SLAB if rows is None else
+                        7 if rows == 1 else rows * N ** (d - 1))
     return FourierGrid(d=d, N=N, L=7.3)
 
 
@@ -99,48 +101,49 @@ def test_phase_rotate_is_bytes_equal_to_the_whole_grid_rotation(
 
 
 #: the slab cases, and more grids of N = 10, 18 and 258, where fftfreq's
-#: 1/N is inexact: the table's mirror blocks must still repeat it exactly
+#: 1/N is inexact
 TABLE_CASES = SLAB_CASES + [(1, 10, False), (1, 18, False), (2, 10, True),
                             (2, 258, False), (2, 258, True), (3, 18, False),
                             (3, 18, True)]
 
-#: the scales of the half and the full linear step's tables
+#: the scales of the half and the full linear step's phase
 TABLE_SCALES = (-0.5j * 0.013, -1.0j * 0.013)
 
 
-def _whole_lattice(table, N):
-    """The half-lattice ``table`` expanded to the whole lattice: index k
-    along every axis but the last reads row min(k, N - k)."""
-    mirror = np.minimum(np.arange(N), N - np.arange(N))
-    return table[np.ix_(*[mirror] * (table.ndim - 1), np.arange(N))]
-
-
-@pytest.mark.parametrize("rows", list(SLAB_ROWS))
-@pytest.mark.parametrize("d,N,split", TABLE_CASES)
-def test_phase_tables_are_bytes_equal_to_the_whole_grid_formula(
-        d, N, split, rows, monkeypatch):
-    g = _slab_grid(monkeypatch, d, N, split, SLAB_ROWS[rows])
-    for scale in TABLE_SCALES:
-        want = np.exp(scale * np.multiply(g.xi_abs, g.xi_abs))
-        got = _kernels._phase_table(scale, g.xi_axis, d)
-        assert got.shape == (N // 2 + 1,) * (d - 1) + (N,)
-        assert _whole_lattice(got, N).tobytes() == want.tobytes()
+def _phase_product(vals, scale, g):
+    """``vals`` multiplied in place by the linear step's phase of ``g``."""
+    _kernels._phase_product(vals, scale, g.xi_axis,
+                            _kernels._workspace(vals))()
+    return vals
 
 
 @pytest.mark.parametrize("d,N,split", TABLE_CASES)
 def test_phase_products_are_bytes_equal_to_the_whole_grid_product(
         d, N, split, monkeypatch):
-    g = _slab_grid(monkeypatch, d, N, split, None)
+    for rows in SLAB_ROWS.values():
+        g = _slab_grid(monkeypatch, d, N, split, rows)
+        for scale in TABLE_SCALES:
+            vals = _samples(g.shape, seed=N + d)
+            if d == 1:
+                # values times the whole-grid formula, in the solver's
+                # operand order: numpy's complex multiply rounds a * b and
+                # b * a differently
+                want = np.multiply(vals, np.exp(scale * (g.xi_abs * g.xi_abs)))
+            else:
+                want = phase_product_whole(vals, scale, g.xi_axis)
+            assert _phase_product(vals, scale, g).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d,N,L", [(2, 10, 7.3), (2, 18, 7.3), (3, 10, 7.3),
+                                   (3, 18, 7.3), (3, 64, 20.0)])
+def test_the_factorised_phase_is_the_whole_grid_formula(d, N, L):
+    # phases up to a few radians: the factors' round-off and the formula's
+    # are both a few ulps of the phase
+    g = FourierGrid(d=d, N=N, L=L)
     for scale in TABLE_SCALES:
-        vals = _samples(g.shape, seed=N + d)
-        # values times table, in the solver's operand order: numpy's
-        # complex multiply rounds a * b and b * a differently, and
-        # ``vals * np.exp(...)`` may run as the second
-        want = np.multiply(vals, np.exp(scale * (g.xi_abs * g.xi_abs)))
-        product = _kernels._phase_product(
-            vals, _kernels._phase_table(scale, g.xi_axis, d))
-        product()
-        assert vals.tobytes() == want.tobytes()
+        got = _phase_product(np.ones(g.shape, np.complex128), scale, g)
+        want = np.exp(scale * g.xi_abs ** 2)
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 @pytest.mark.parametrize("N", [8, 10, 18, 64, 258])
@@ -286,16 +289,17 @@ def _record_runs(monkeypatch) -> list:
     return threads
 
 
-def _record_slabs(monkeypatch) -> list:
-    """The threads that fill a run of slabs of the pass of a function of the
-    per-axis squares: a radial data builder, |xi| or a phase table."""
+def _record_slabs(monkeypatch, name="_radial_slabs") -> list:
+    """The threads that run a run of slabs of the pass ``name``: by
+    default the pass of a function of the per-axis squares, a radial data
+    builder or |xi|."""
     threads = []
-    slabs = _kernels._radial_slabs
+    slabs = getattr(_kernels, name)
 
     def recorded(*args):
         threads.append(threading.get_ident())
         return slabs(*args)
-    monkeypatch.setattr(_kernels, "_radial_slabs", recorded)
+    monkeypatch.setattr(_kernels, name, recorded)
     return threads
 
 
@@ -330,15 +334,17 @@ def test_one_cpu_never_starts_the_helper(monkeypatch):
     monkeypatch.setattr(_kernels, "_both", refuse)
     threads = _record_runs(monkeypatch)
     slab_threads = _record_slabs(monkeypatch)
+    phase_threads = _record_slabs(monkeypatch, "_phase_slabs")
     rep = audit_multiplier_inequality(0.1, 3 * B + 7, 3,
                                       np.random.default_rng(0))
     assert rep.violations == 0 and threads == [threading.get_ident()]
-    # a data build on a grid that two CPUs would split, and the build and
-    # the phase table of a run
+    # a data build on a grid that two CPUs would split, and the data build
+    # and the four linear half steps of a two-step run
     data.gaussian(FourierGrid(d=2, N=256, L=5.0))
     evolve(data.periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
            SolverConfig(dt=0.02, t_end=0.04))
-    assert slab_threads == [threading.get_ident()] * 3
+    assert slab_threads == [threading.get_ident()] * 2
+    assert phase_threads == [threading.get_ident()] * 4
 
 
 def test_concurrent_split_audits_are_each_bit_identical(monkeypatch):
@@ -388,6 +394,7 @@ def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2)
     runs = _record_runs(monkeypatch)
     slab_threads = _record_slabs(monkeypatch)
+    phase_threads = _record_slabs(monkeypatch, "_phase_slabs")
     audit_multiplier_inequality(0.1, 1_000_000, 3, np.random.default_rng(0))
     data.gaussian(FourierGrid(d=2, N=16, L=5.0))
     evolve(data.periodized_sech(FourierGrid(d=3, N=10, L=5.0), A=1.02),
@@ -395,8 +402,9 @@ def test_wrapped_calls_stay_on_the_calling_thread(monkeypatch):
     main = threading.get_ident()
     # the audit ran as two halves, one on the calling thread
     assert len(runs) == 2 and runs.count(main) == 1
-    # each build and the run's phase table, as two halves
-    assert len(slab_threads) == 6 and slab_threads.count(main) == 3
+    # each build, and each of the run's six half steps, as two halves
+    assert len(slab_threads) == 4 and slab_threads.count(main) == 2
+    assert len(phase_threads) == 12 and phase_threads.count(main) == 6
     assert {name for name, _ in calls} == {"triple_gap_ratios", "fftn", "ifftn",
                                            "periodized_sech", "gaussian"}
     assert [name for name, _ in calls].count("triple_gap_ratios") == 1

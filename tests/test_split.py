@@ -179,21 +179,23 @@ def _sech_64():
 def test_an_evolve_step_makes_no_grid_temporaries(monkeypatch):
     u0, grid = _sech_64()
     cfg = SolverConfig(dt=0.01, t_end=0.01)
-    # the step array that becomes the snapshot, the phase table on the
-    # half lattice (0.27 grids) and one slab's buffers (0.19 grids); the
-    # whole-lattice table took 2.19 grids, and rotating out of place into
-    # a spare, with a real array for the phase and the guard, 3.5
+    # the step array that becomes the snapshot, one slab's buffers (0.19
+    # grids) and the phase factors, N^2 entries (0.016 grids); the phase
+    # table on the half lattice took 1.46 grids in all, the whole-lattice
+    # table 2.19, and rotating out of place into a spare, with a real array
+    # for the phase and the guard, 3.5
     for p in _serial_and_split(monkeypatch, lambda: _evolve_peak(u0, cfg)):
-        assert p < 1.5 * grid
+        assert p < 1.3 * grid
 
 
-def test_a_fused_run_holds_two_half_lattice_tables(monkeypatch):
+def test_a_fused_run_holds_no_phase_table(monkeypatch):
     u0, grid = _sech_64()
     cfg = SolverConfig(dt=0.01, t_end=0.03, snapshot_stride=3)
-    # one step array, the half- and the full-step table on the half
-    # lattice and one slab's buffers; two whole-lattice tables took 3.19
+    # one step array, one slab's buffers and the half- and the full-step
+    # phase factors; the two tables on the half lattice took 1.73 grids in
+    # all, two whole-lattice tables 3.19
     for p in _serial_and_split(monkeypatch, lambda: _evolve_peak(u0, cfg)):
-        assert p < 1.75 * grid
+        assert p < 1.3 * grid
 
 
 @pytest.mark.parametrize("stride", [1, 2], ids=["stride-1", "fused"])
@@ -208,8 +210,8 @@ def test_the_last_callback_sees_only_the_step_array(stride, monkeypatch):
             tracemalloc.get_traced_memory()[0]))
         return seen
 
-    # the tables and the slab buffers are freed before the last snapshot,
-    # the step array itself, is handed out: they held 1.19 grids there
+    # the phase factors and the slab buffers are freed before the last
+    # snapshot, the step array itself, is handed out
     for seen in _serial_and_split(monkeypatch, held):
         assert len(seen) == 1 + 4 // stride and seen[-1] < 1.05 * grid
 
@@ -324,9 +326,7 @@ def test_every_wrapped_call_runs_on_the_calling_thread(monkeypatch):
     traj = integrator.evolve(u0, SolverConfig(dt=0.02, t_end=0.06))
     norm_report(traj.snapshots[-1][1], 0.2)
     # the one slab pass of the per-axis squares, on a fresh grid
-    g = FourierGrid(d=3, N=10, L=5.0)
-    g.xi_abs
-    _kernels._phase_table(-0.01j, g.xi_axis, g.d)
+    FourierGrid(d=3, N=10, L=5.0).xi_abs
     # the quadrature's ifftn calls, seen inside the recorder's wrapper
     ifftn, slabs = np.fft.ifftn, []
 
