@@ -78,7 +78,7 @@ def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
     if band is None:
         band = grid.N // 6
     rng = np.random.default_rng(seed)
-    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    k = grid.k_axis
     # |k|^2 sums integer squares, exact in any order
     sq = np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True)
     # max_j |k_j| > band: any axis outside the band

@@ -24,6 +24,16 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 
+def mode_index(n: int) -> np.ndarray:
+    """The integer mode indices 0, 1, ..., n/2 - 1, -n/2, ..., -1 of an
+    axis of ``n`` points, n even, in FFT ordering: the values of
+    ``np.fft.fftfreq(n, d=1/n)`` as exact integers, which that formula
+    rounds off at some n (at n = 98 it gives 16.000000000000004 for 16)."""
+    k = np.arange(n)
+    k[n // 2:] -= n
+    return k
+
+
 @dataclass(frozen=True)
 class FourierGrid:
     """Uniform periodic grid on the d-torus.
@@ -64,9 +74,15 @@ class FourierGrid:
         return np.arange(self.N) * self.dx
 
     @cached_property
+    def k_axis(self) -> np.ndarray:
+        """Integer mode indices along one axis, FFT ordering
+        (:func:`mode_index`)."""
+        return mode_index(self.N)
+
+    @cached_property
     def xi_axis(self) -> np.ndarray:
         """Wavenumbers 2*pi*k/L along one axis, FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=1.0 / self.N) / self.L
+        return 2.0 * np.pi * self.k_axis / self.L
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
@@ -82,7 +98,7 @@ class FourierGrid:
     def k_max(self) -> np.ndarray:
         """max_j |k_j| on the full lattice: the largest integer mode index
         over the axes, FFT ordering."""
-        k = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
+        k = np.abs(self.k_axis)
         return reduce(np.maximum, np.meshgrid(*[k] * self.d, indexing="ij",
                                               sparse=True))
 

@@ -113,7 +113,7 @@ def resolved_spectrum(u: Field) -> Field:
         return uh
     grid = uh.grid
     keep = np.abs(uh.values) > floor
-    k = np.abs(np.fft.fftfreq(grid.N, d=1.0 / grid.N))
+    k = np.abs(grid.k_axis)
     # the largest |k_j| of a kept coefficient, over the axes j
     band = max(int(k[keep.any(axis=tuple(set(range(grid.d)) - {j}))].max())
                for j in range(grid.d))

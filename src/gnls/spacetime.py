@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FourierGrid, frozen_complex
+from .grid import FourierGrid, frozen_complex, mode_index
 from .spectral import (_centred_band, _cubic_product, _forward_factor,
                        _padded_samples, exp_weight)
 
@@ -55,7 +55,7 @@ def dispersive_weight(grid: FourierGrid, M: int, T_win: float, sigma: float,
     """e^{sigma|xi|} <xi>^s <tau + |xi|^2>^b on the (tau, xi) lattice of
     ``M`` time modes tau_m = 2*pi*m/T_win (FFT ordering) over ``grid``."""
     _check_lattice(M, T_win)
-    tau = 2.0 * np.pi * np.fft.fftfreq(M, d=1.0 / M) / T_win
+    tau = 2.0 * np.pi * mode_index(M) / T_win
     xi = grid.xi_abs
     mod = tau.reshape((M,) + (1,) * grid.d) + xi[np.newaxis, ...] ** 2
     weight = (1.0 + mod * mod) ** (b / 2.0)
@@ -88,7 +88,7 @@ def _decay_envelope(grid: FourierGrid, M: int) -> tuple:
     damping e^{-(|k| + |m|)/2}.  At |k| = N/6 a cubic product would reach
     N/2, which the coarse band [-N/2, N/2) holds only as -N/2."""
     k_band, m_band = (grid.N - 1) // 6, (M - 1) // 6
-    m_idx = np.abs(np.fft.fftfreq(M, d=1.0 / M))
+    m_idx = np.abs(mode_index(M))
     mask = (grid.k_max <= k_band)[np.newaxis, ...] & \
         (m_idx <= m_band).reshape((M,) + (1,) * grid.d)
     damp = np.exp(-0.5 * grid.k_max)[np.newaxis, ...] * \

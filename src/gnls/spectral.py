@@ -231,10 +231,14 @@ def dealiased_cubic(u: Field) -> Field:
     return truncate_spectrum(Field(fine, coeffs, rep=SPECTRAL, t=u.t), u.grid)
 
 
-#: lines along axis 0 per slab of the last pass of :func:`l4_norm` on each
-#: thread, and the points of as many lines per block of planes of its first
-#: pass: at 64^3 a thread's slab buffers take 393 KB
-_SLAB = 128
+#: points per block of x0-rows of the second pass of :func:`l4_norm` at
+#: d = 2, where a row is a line, over all its pieces.  At d = 3 a row is a
+#: plane of (2N)^2 points, and the blocks are sized by memory instead:
+#: their buffers, 24 bytes a point (the complex samples and the half-length
+#: complex buffer of axis 1, whose real view then holds |u|^4), take 5/8 of
+#: a field grid, or an eighth of this many points on grids below 28^3.  At
+#: d = 1 a row is one sample and there are no blocks
+_SLAB = 1 << 16
 
 
 def l4_norm(u: Field) -> float:
@@ -244,93 +248,87 @@ def l4_norm(u: Field) -> float:
     bandwidth; padding makes the quadrature exact up to truncation of the
     outer half of that band.
 
-    The one grid-sized array is the real C-ordered |u|^4 array of the
-    padded grid, seen as 2N rows of P = (2N)^(d-1) columns.  It first holds
-    the half-padded spectrum as split planes: each k0-plane of the
-    coefficients, synthesised along axes d-1 ... 1 (:func:`_planes`), puts
-    its real parts in row 2 k0 and its imaginary parts in row 2 k0 + 1.
-    Column c then holds the line along axis 0 at c in exactly the 2N
-    entries its |u|^4 fills, so the last pass (:func:`_columns`) runs in
-    place, ``_SLAB`` columns at a time.  On a split grid each pass runs as
-    two halves, of the planes and then of the columns.
+    Two passes.  The first embeds every coefficient line along axis 0 into
+    its doubled length and inverse-transforms it (:func:`_synthesise`), into
+    the one grid-sized array, 2N x N^(d-1) complex: 2 field grids.
+    The second streams blocks of that array's x0-rows (:func:`_rows`): a
+    block is embedded and transformed along axes 1 ... d-1 in buffers of
+    its own, scaled on the real view, and its |u|^4 summed row by row into
+    a vector of 2N row sums, whose one ``np.sum`` is the quadrature.  On a
+    split grid each pass runs as two halves: the first cut along axis 1,
+    the second along axis 0, each half with its own block buffers.
 
-    Every line sees the transform it sees on the whole grid, and every
-    sample the ufuncs of the whole-array quadrature in their order, so the
-    array ends with the whole |u|^4 array's values in its C order and the
-    one ``np.sum`` adds them in the same tree: numpy sums a contiguous
-    array as one pairwise tree (with numpy 2.4.6, of aligned 8192-element
-    chunks), which a sum in pieces would change wherever a piece's edge is
-    not a node of it, as at N = 10, 18 and 300.  So the value is
-    bit-identical to the whole-array quadrature.
+    The transforms run in the axis order of ``np.fft.ifftn(padded,
+    axes=(d-1, ..., 0))``, axis 0 first; every line sees the transform it
+    sees on the whole padded grid, every sample the ufuncs of the
+    whole-array quadrature in their order, and every row sum is the
+    ``np.sum`` of that row.  So the value is bit-identical, at every block
+    width and on one thread or two, to the plain form in tests/oracles.py:
+    that ``ifftn``, |u|^4, a sum per x0-row and a sum of the row sums.  At
+    d = 1 a row is one sample, and the value is the one ``np.sum`` of the
+    whole |u|^4 array.
     """
     grid = u.grid.refined(2)
     coeffs = to_spectral(u).values
-    quad = np.empty(grid.shape)
-    lines = quad.reshape(grid.N, -1).T  # column c of quad as row c
-    axes = range(grid.d - 1, 0, -1)
-    block = max(_SLAB * grid.N // len(lines), 1)
+    cols = _synthesise(coeffs, (0,))
+    row = grid.shape[1:]
+    # 5/8 of a field grid of 16-byte points, in 24-byte points
+    points = _SLAB if grid.d < 3 else max(10 * u.grid.N ** 3 // 24,
+                                          _SLAB // 8)
 
-    # a piece's buffers, made here: for n planes, one buffer per
-    # synthesised axis of a block; for n columns, a slab's complex and real
-    # buffers, where a one-line slab needs no real one.  Both passes split
-    # as a pass over the coefficients does
-    def planes(n):
-        return ([np.empty((min(block, n),) + coeffs.shape[1:axis]
-                          + grid.shape[axis:], np.complex128)
-                 for axis in axes],)
+    # a piece of n rows takes its share of ``points`` as blocks of w rows,
+    # and its buffers are made here: the last axis's complex block, at d = 3
+    # the half-length one of axis 1, and the real |u|^4 block, at d = 3 the
+    # real view of axis 1's buffer.  At d = 1 there are none
+    def blocks(n):
+        if not row:
+            return None, None, None
+        w = min(max(points * n // grid.N ** grid.d, 1), n)
+        last = np.empty((w,) + row, np.complex128)
+        mid = (np.empty((w, grid.N, u.grid.N), np.complex128)
+               if grid.d == 3 else None)
+        quart = np.empty((w,) + row) if mid is None else mid.view(np.float64)
+        return mid, last, quart
 
-    def columns(n):
-        w = min(_SLAB, n)
-        return (np.empty((w, grid.N), np.complex128),
-                np.empty((w, grid.N)) if w > 1 else None)
-
-    _kernels._halves(_planes, _kernels._pieces(coeffs, planes),
-                     coeffs, quad.reshape(len(coeffs), 2, -1), axes)
+    sums = np.empty(grid.N)
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros, which |u|^4 drops
-    _kernels._halves(_columns, _kernels._pieces(coeffs, columns, len(lines)),
-                     lines, 1.0 / _forward_factor(grid))
+    _kernels._halves(_rows, _kernels._pieces(coeffs, blocks, len(cols)),
+                     cols, sums, 1.0 / _forward_factor(grid))
     q = (grid.L / grid.N) ** grid.d
-    return float((np.sum(quad) * q) ** 0.25)
+    return float((np.sum(sums) * q) ** 0.25)
 
 
-def _planes(coeffs, rows, axes, bufs):
-    """The planes of ``coeffs`` along axis 0, synthesised along ``axes``,
-    into ``rows``, a (planes, 2, P) view of the |u|^4 array: real parts
-    into rows[k, 0], imaginary parts into rows[k, 1].  As many planes at a
-    time as ``bufs``, one buffer per axis, hold are embedded and
-    transformed along each axis by :func:`_embed_ifft`, as in
-    :func:`_synthesise`; at d = 1, with no axis, the one block is a copy.
+def _rows(rows, sums, scale, mid, last, quart):
+    """The row sums of |u|^4 over ``rows``, x0-rows of the padded samples
+    synthesised along axis 0 only, into ``sums``, as many rows at a time as
+    ``quart`` holds.  A block is embedded and inverse-transformed by
+    :func:`_embed_ifft` along axis 1 into ``mid`` (d = 3) and then along
+    the last axis into ``last``, whose lines are the rows of a 2-D view.
+    The ufuncs are those of the whole-array quadrature in their order
+    (times scale, square, re^2 + im^2, square), the last into ``quart``,
+    and each row of it is summed into ``sums`` by one ``np.sum`` along the
+    row.  At d = 1, with no buffers, ``rows`` are the samples, one block,
+    scaled in place, and each |u|^4 goes straight into ``sums``: a row is
+    one sample.
     """
-    width = len(bufs[0]) if bufs else len(coeffs)
-    for lo in range(0, len(coeffs), width):
-        a = coeffs[lo:lo + width]
-        for axis, buf in zip(axes, bufs):
-            a = _embed_ifft(a, axis, buf[:len(a)])
-        flat, block = a.reshape(len(a), -1), rows[lo:lo + len(a)]
-        block[:, 0], block[:, 1] = flat.real, flat.imag
-
-
-def _columns(lines, scale, buf, quart):
-    """|u|^4 of the lines whose split planes are the rows of ``lines``,
-    each synthesised and multiplied by ``scale``, over those rows, as many
-    at a time as ``buf`` holds.  A row is the re, im pairs of N
-    coefficients, so :func:`_embed_band` embeds it into ``buf``'s real
-    view as it would the complex band (N is even).  The ufuncs are those
-    of the whole-array quadrature in their order (times scale, square,
-    re^2 + im^2, square), into ``quart`` and then over the slab's rows, or
-    straight into them when a slab is one line (at d = 1 it is contiguous).
-    """
-    for lo in range(0, len(lines), len(buf)):
-        rows = lines[lo:lo + len(buf)]
-        s = buf[:len(rows)]
-        parts = _embed_band(rows, 1, s.view(np.float64))
-        _kernels._fft(s, s, (1,), True)
-        parts *= scale  # re, im, re, im, ... along each row
+    width = len(rows) if quart is None else len(quart)
+    for lo in range(0, len(rows), width):
+        a = rows[lo:lo + width]
+        n = len(a)
+        if mid is not None:
+            a = _embed_ifft(a, 1, mid[:n])
+        if last is not None:
+            s = last[:n]
+            _embed_ifft(a.reshape(-1, a.shape[-1]), 1,
+                        s.reshape(-1, s.shape[-1]))
+            a = s
+        parts = a.view(np.float64)  # re, im, re, im, ... along each row
+        parts *= scale
         parts *= parts
-        m = rows if quart is None else quart[:len(s)]
-        np.add(parts[:, 0::2], parts[:, 1::2], out=m)
+        m = sums[lo:lo + n] if quart is None else quart[:n]
+        np.add(parts[..., 0::2], parts[..., 1::2], out=m)
         m *= m
         if quart is not None:
-            rows[...] = m
+            np.sum(m.reshape(n, -1), axis=1, out=sums[lo:lo + n])

@@ -49,17 +49,20 @@ def single_mode_field(grid, k, amplitude=1.0):
     return Field(grid, coeffs, rep=SPECTRAL)
 
 
-#: ``slab`` parameters of the L4 quadrature's tests: the default width, 7
-#: lines (a partial last slab) and a width that straddles the two-thread
-#: cut
+#: ``slab`` parameters of the L4 quadrature's tests: the default blocks,
+#: blocks of 7 points (one row at d = 2, and at d = 3 below 32^3) and blocks
+#: that straddle the two-thread cut; at d = 1 there are no blocks
 L4_SLABS = dict(argvalues=[None, 7, "straddle"],
                 ids=["default-slab", "slab-7", "slab-straddles-cut"])
 
 
-def l4_slab_lines(slab, grid):
+def l4_slab_points(slab, grid):
     """``spectral._SLAB`` for an ``L4_SLABS`` parameter on ``grid``, None
-    for the default: "straddle" makes the first slab of the one-thread
-    pass cross the two-thread cut, at half of the lines, by three lines."""
+    for the default: "straddle" makes the first block of x0-rows of the
+    one-thread pass cross the two-thread cut, at half of the 2N rows, by
+    three rows, and leaves a partial block in each half of the split pass;
+    at d = 3 an eighth of ``_SLAB`` sets the blocks."""
     if slab == "straddle":
-        return (2 * grid.N) ** (grid.d - 1) // 2 + 3
+        points = (grid.N + 3) * (2 * grid.N) ** (grid.d - 1)
+        return 8 * points if grid.d == 3 else points
     return slab

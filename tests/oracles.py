@@ -6,8 +6,9 @@ slab by slab from per-axis factors; ``xi_abs`` and the radial data are
 filled by one slab pass over the per-axis squares
 (``gnls._kernels._radial``) and no builder makes the whole coordinate mesh
 of :func:`meshgrid`; the products synthesise padded samples without
-building a padded field, the L4 quadrature synthesises its last axis slab
-by slab, the other data builders fill their samples slab by slab or
+building a padded field, the L4 quadrature transforms axis 0 of the
+coefficient lines and streams blocks of x0-rows through the other axes,
+summing each row, the other data builders fill their samples slab by slab or
 broadcast a profile, the multiplier audit draws its ensemble block by
 block, and the runners only write sidecars.  They stay here, written out
 in the plainest form, as the oracles of the tests that use them.
@@ -20,8 +21,8 @@ from gnls.audits import XI_MAX, AuditReport
 from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 from gnls.integrator import SolverConfig
 from gnls.spacetime import SpaceTimeSpectrum
-from gnls.spectral import (_forward_factor, _padded_samples,
-                           forward_transform, inverse_transform, to_spectral)
+from gnls.spectral import (_forward_factor, forward_transform,
+                           inverse_transform, to_spectral)
 
 
 def meshgrid(grid: FourierGrid) -> tuple:
@@ -149,7 +150,7 @@ def random_bandlimited_whole(grid: FourierGrid, seed: int, band: int = None,
         band = grid.N // 6
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    k = np.fft.ifftshift(np.arange(-(grid.N // 2), grid.N // 2))
     k2 = sum(np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True))
     coeffs = np.where(grid.k_max <= band,
                       coeffs * np.exp(-decay * np.sqrt(k2)), 0.0)
@@ -174,15 +175,23 @@ def pad_spectrum(f: Field, factor: int = 2) -> Field:
 
 
 def l4_norm_whole(u: Field) -> float:
-    """``spectral.l4_norm`` on the whole padded grid at once: one padded
-    complex synthesis, |u|^4 of every sample, one sum."""
+    """``spectral.l4_norm`` in its plain form, in the order of its
+    arithmetic: the zero-padded spectrum inverse-transformed by one
+    ``np.fft.ifftn`` along axes d-1, ..., 0, which transforms axis 0 first
+    and the last axis last, scaled by 1/factor on the real view; |u|^4 of
+    every sample; one ``np.sum`` per x0-row; one ``np.sum`` of the row
+    sums."""
     grid = u.grid.refined(2)
-    vals = _padded_samples(to_spectral(u).values, _forward_factor(grid))
-    q = (grid.L / grid.N) ** grid.d
+    vals = np.fft.ifftn(pad_spectrum(to_spectral(u)).values,
+                        axes=tuple(reversed(range(grid.d))))
+    parts = vals.view(np.float64)
+    parts *= 1.0 / _forward_factor(grid)
     mag2 = vals.real ** 2
     mag2 += vals.imag ** 2
     mag2 *= mag2
-    return float((np.sum(mag2) * q) ** 0.25)
+    rows = np.array([np.sum(row) for row in mag2])
+    q = (grid.L / grid.N) ** grid.d
+    return float((np.sum(rows) * q) ** 0.25)
 
 
 def direct_convolution_cubic(u: Field) -> np.ndarray:

@@ -60,6 +60,19 @@ def test_random_bandlimited_band_and_determinism(grid):
     assert not np.array_equal(u1.values, u3.values)
 
 
+@pytest.mark.parametrize("d,N", [(1, 98), (2, 98), (1, 196), (1, 206)])
+def test_the_band_edge_is_kept_where_fftfreq_rounds_off(d, N):
+    # np.fft.fftfreq(98, d=1/98) gives 16.000000000000004 for k = 16, which
+    # made k_max non-integral and dropped the |k| = N // 6 edge of the band
+    g = FourierGrid(d=d, N=N, L=5.0)
+    assert g.k_max.max() == N // 2 and np.all(g.k_max == np.rint(g.k_max))
+    kept = random_bandlimited(g, seed=3, decay=0.01).values != 0
+    assert g.k_max[kept].max() == N // 6
+    assert np.count_nonzero(kept) == (2 * (N // 6) + 1) ** d
+    k = np.abs(np.arange(N) - N * (np.arange(N) >= N // 2))
+    assert np.array_equal(np.abs(g.k_axis), k)
+
+
 @pytest.mark.parametrize("d,N", [(1, 48), (2, 24), (3, 12)])
 def test_random_bandlimited_is_exactly_the_per_axis_formula(d, N):
     g = FourierGrid(d=d, N=N, L=5.0)

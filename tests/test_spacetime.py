@@ -160,6 +160,17 @@ def test_products_of_draws_stay_in_the_coarse_band_when_6_divides_it(d, N, M):
     assert 6 * grid.k_max[mask[0]].max() < N
 
 
+@pytest.mark.parametrize("N,M", [(98, 98), (98, 16), (32, 196)])
+def test_the_envelope_keeps_its_edge_where_fftfreq_rounds_off(N, M):
+    # fftfreq(98, d=1/98) gives 16.000000000000004 for 16 = (98 - 1) // 6,
+    # which dropped the edge of the band from the mask, in k and in m
+    grid = FourierGrid(d=1, N=N, L=5.0)
+    mask, damp = _decay_envelope(grid, M)
+    assert np.flatnonzero(mask[0]).size == 2 * ((N - 1) // 6) + 1
+    assert np.flatnonzero(mask[:, 0]).size == 2 * ((M - 1) // 6) + 1
+    assert damp[0, (N - 1) // 6] == np.exp(-0.5 * ((N - 1) // 6))
+
+
 def _st_product_reference(ws, conjugate):
     """The seed formula: fftshift-pad, full ifftn, product, forward
     transform checked as a spectrum on the fine lattice, fftshift-truncate."""

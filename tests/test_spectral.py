@@ -12,7 +12,7 @@ from gnls.spectral import (apply_exp_gevrey, dealiased_cubic, exp_weight,
                            forward_transform, inverse_transform, l4_norm,
                            truncate_spectrum, to_physical, to_spectral)
 
-from conftest import (L4_SLABS, l4_slab_lines, random_field, rel_err,
+from conftest import (L4_SLABS, l4_slab_points, random_field, rel_err,
                       single_mode_field)
 from oracles import (direct_convolution_cubic, l4_norm_whole, pad_spectrum,
                      xi_abs_whole, zero_field)
@@ -398,12 +398,17 @@ def test_l4_norm_padded_matches_fine_quadrature():
 
 
 def _padded_l4_reference(uh):
-    """The seed formula: pad_spectrum, one full ifftn, quadrature."""
+    """The quadrature's arithmetic in the order it runs: pad_spectrum, one
+    full ifftn along axes d-1, ..., 0 (axis 0 first), division by the
+    forward factor, |u|^4, one sum per x0-row, then one sum of the row
+    sums."""
     fine = pad_spectrum(uh)
     g = fine.grid
-    vals = np.fft.ifftn(fine.values) / (np.sqrt(g.L) / g.N) ** g.d
+    vals = np.fft.ifftn(fine.values, axes=tuple(reversed(range(g.d))))
+    vals = vals / (np.sqrt(g.L) / g.N) ** g.d
     mag2 = vals.real ** 2 + vals.imag ** 2
-    return float((np.sum(mag2 * mag2) * (g.L / g.N) ** g.d) ** 0.25)
+    rows = np.array([np.sum(row) for row in mag2 * mag2])
+    return float((np.sum(rows) * (g.L / g.N) ** g.d) ** 0.25)
 
 
 @pytest.mark.parametrize("d,N,L", [(1, 256, 40.0), (2, 64, 10.0), (3, 32, 8.0)])
@@ -426,6 +431,42 @@ def test_padded_l4_is_exactly_the_full_transform(d, N, L):
                 apply_exp_gevrey(uh, sigma))
 
 
+def _l4_long_double(uh, sigma=0.0):
+    """||e^{sigma|D|} u||_{L4} in long double: the weight, the zero-padded
+    spectrum and its one ifftn in np.clongdouble, |u|^4 and its one sum in
+    np.longdouble."""
+    g, fine = uh.grid, uh.grid.refined(2)
+    xi = g.xi_abs.astype(np.longdouble)
+    coeffs = uh.values.astype(np.clongdouble) * np.exp(sigma * xi)
+    big = np.zeros(fine.shape, np.clongdouble)
+    big[tuple(slice(n // 2, n // 2 + n) for n in g.shape)] = \
+        np.fft.fftshift(coeffs)
+    vals = np.fft.ifftn(np.fft.ifftshift(big))
+    vals /= (np.sqrt(np.longdouble(g.L)) / fine.N) ** g.d
+    mag2 = vals.real ** 2 + vals.imag ** 2
+    q = (np.longdouble(g.L) / fine.N) ** g.d
+    return (np.sum(mag2 * mag2) * q) ** np.longdouble(0.25)
+
+
+@pytest.mark.parametrize("d,N,L", [(1, 256, 40.0), (2, 64, 10.0), (3, 32, 8.0)])
+def test_l4_quadrature_is_within_1e_15_of_long_double(d, N, L):
+    from gnls.data import periodized_sech
+    from gnls.norms import l4_gevrey
+
+    g = FourierGrid(d=d, N=N, L=L)
+    # worst measured: 2.9e-16 relative, against 2.8e-16 for the quadrature
+    # of one pairwise sum over the whole padded |u|^4 array
+    for u in (random_field(g, seed=d, band=N // 2, decay=0.05),
+              periodized_sech(g, A=1.02)):
+        uh = to_spectral(u)
+        ref = _l4_long_double(uh)
+        assert ref.dtype == np.longdouble
+        assert abs(l4_norm(u) - ref) <= 1e-15 * ref
+        for sigma in (0.05, 0.3):
+            ref = _l4_long_double(uh, sigma)
+            assert abs(l4_gevrey(u, sigma) - ref) <= 1e-15 * ref
+
+
 @pytest.mark.parametrize("slab", **L4_SLABS)
 @pytest.mark.parametrize("d,N,L", [(1, 10, 3.0), (1, 4096, 40.0),
                                    (2, 10, 3.0), (2, 18, 5.0), (2, 300, 30.0),
@@ -436,7 +477,7 @@ def test_slab_l4_equals_the_whole_array_quadrature(d, N, L, slab, monkeypatch):
 
     g = FourierGrid(d=d, N=N, L=L)
     if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", l4_slab_lines(slab, g))
+        monkeypatch.setattr(spectral, "_SLAB", l4_slab_points(slab, g))
     for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
               periodized_sech(g, A=1.02)):
         assert l4_norm(u) == l4_norm_whole(u)
@@ -455,7 +496,7 @@ def test_slab_l4_on_the_benchmark_grids(d, N, L, slab, split, monkeypatch):
 
     g = FourierGrid(d=d, N=N, L=L)
     if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", l4_slab_lines(slab, g))
+        monkeypatch.setattr(spectral, "_SLAB", l4_slab_points(slab, g))
     # both grids reach the real threshold of 2^16 points; take each path
     monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
     for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
@@ -473,8 +514,8 @@ def test_slab_l4_makes_no_padded_complex_grid(monkeypatch):
 
     g = FourierGrid(d=3, N=32, L=8.0)
     u = to_spectral(periodized_sech(g, A=1.02))
-    padded_complex = (2 * g.N) ** 3 * 16
-    # one thread, then two halves, each with its own slab buffers
+    field_grid = g.N ** 3 * 16
+    # one thread, then two halves, each with its own block buffers
     for split_min in (float("inf"), 2):
         monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
         l4_norm(u)  # any first-call set-up stays out of the measurement
@@ -484,10 +525,11 @@ def test_slab_l4_makes_no_padded_complex_grid(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the half-padded synthesis and the real |u|^4 array are half a
-        # padded complex grid each, plus the slab buffers; the whole-array
-        # quadrature peaks at two grids
-        assert peak < 1.25 * padded_complex
+        # the first pass's 2N x N^2 complex array, 2 field grids, and the
+        # block buffers, at most 5/8 of one: 2.57 measured on one thread,
+        # 2.39 as two halves.  A padded complex grid is 8 field grids, the padded
+        # real |u|^4 array was 4, and the whole-array quadrature peaks at 16
+        assert peak < 2.7 * field_grid
 
 
 def _dealiased_cubic_reference(u):
