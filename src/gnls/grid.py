@@ -13,7 +13,7 @@ immutable snapshots: the backing array is marked read-only on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -110,6 +110,29 @@ class FourierGrid:
     def refined(self, factor: int) -> "FourierGrid":
         """Same torus, ``factor`` times as many points per axis."""
         return FourierGrid(self.d, self.N * factor, self.L)
+
+
+@lru_cache(maxsize=32)
+def shell_table(grid: FourierGrid) -> tuple:
+    """``(j, index)``, the shells of equal |k|^2 of ``grid``'s lattice: j,
+    the occupied integer values of |k|^2 in ascending order, and index, for
+    each point of the non-negative octant |k_i| in [0, N/2], the position
+    of its |k|^2 in j; (N/2 + 1)^d entries, both arrays read-only.
+
+    Every point k of the lattice has the |k|^2 of the octant point
+    (|k_0|, ..., |k_{d-1}|), so a sum or a maximum over shells reads the
+    octant a field is folded onto.  Built by one ``np.unique`` over the
+    octant, and cached on the grid's value, not on the instance: a grid made
+    afresh for every slice of a run (``norms.resolved_spectrum``) finds the
+    table of the first.
+    """
+    k = np.arange(grid.N // 2 + 1)
+    k2 = reduce(np.add, np.meshgrid(*[k * k] * grid.d, indexing="ij",
+                                    sparse=True))
+    j, index = np.unique(k2, return_inverse=True)
+    index = index.reshape(k2.shape)
+    j.flags.writeable = index.flags.writeable = False
+    return j, index
 
 
 def frozen_complex(values, shape: tuple, what: str) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptySpectrumError
-from .grid import Field, FourierGrid, SPECTRAL
-from .spectral import (apply_exp_gevrey, exp_weight, l4_norm, to_spectral,
+from .grid import Field, FourierGrid, SPECTRAL, shell_table
+from .spectral import (apply_exp_gevrey, guarded_exp, l4_norm, to_spectral,
                        truncate_spectrum)
 
 
@@ -52,10 +52,37 @@ def mass(u: Field) -> float:
     return float(np.sum(u.values.real ** 2 + u.values.imag ** 2) * q)
 
 
+def _fold(a: np.ndarray, ufunc) -> np.ndarray:
+    """``a``, a private array on a lattice in FFT ordering, folded onto its
+    non-negative octant |k_i| in [0, N/2] in place, one axis at a time: the
+    mode -k is combined into the mode k by ``ufunc`` (``np.add`` or
+    ``np.maximum``), and -N/2 stands as |k| = N/2.  Returns the octant, a
+    view into ``a``."""
+    n = a.shape[0]
+    h = n // 2
+    for axis in range(a.ndim):
+        head = (slice(None),) * axis
+        pos = a[head + (slice(1, h),)]
+        ufunc(pos, a[head + (slice(n - 1, h, -1),)], out=pos)
+        a = a[head + (slice(0, h + 1),)]
+    return a
+
+
+def _shell_sums(uh: Field) -> tuple:
+    """``(j, S)``: the |k|^2 of each shell of ``uh``'s lattice
+    (:func:`~gnls.grid.shell_table`) and S, the sum of |u^|^2 over it."""
+    j, index = shell_table(uh.grid)
+    power = np.abs(uh.values)
+    power *= power
+    octant = _fold(power, np.add)
+    return j, np.bincount(index.ravel(), weights=octant.ravel())
+
+
 def gradient_sq(u: Field) -> float:
-    """||grad u||^2 in L2, via the |xi|^2 spectral weight."""
+    """||grad u||^2 in L2: the sum of (2 pi/L)^2 j S_j over the shells."""
     uh = to_spectral(u)
-    return float(np.sum(uh.grid.xi_abs ** 2 * np.abs(uh.values) ** 2))
+    j, sums = _shell_sums(uh)
+    return float((2.0 * np.pi / uh.grid.L) ** 2 * np.dot(j, sums))
 
 
 def energy(u: Field) -> float:
@@ -65,13 +92,15 @@ def energy(u: Field) -> float:
 
 def gevrey_norm(u: Field, sigma: float, s: float = 1.0) -> float:
     """|| e^{sigma|D|} <D>^s u ||_{L2} for a strip half-width sigma >= 0;
-    reduces to the H^s norm at sigma=0."""
+    reduces to the H^s norm at sigma=0.  The weight
+    e^{2 sigma |xi|} (1 + |xi|^2)^s is taken once per shell."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     uh = to_spectral(u)
-    xi = uh.grid.xi_abs
-    w2 = exp_weight(2.0 * sigma, uh.grid) * (1.0 + xi * xi) ** s
-    return float(np.sqrt(np.sum(w2 * np.abs(uh.values) ** 2)))
+    j, sums = _shell_sums(uh)
+    xi = 2.0 * np.pi / uh.grid.L * np.sqrt(j)
+    w2 = guarded_exp(2.0 * sigma, xi, uh.grid.xi_max) * (1.0 + xi * xi) ** s
+    return float(np.sqrt(np.sum(w2 * sums)))
 
 
 def l4_gevrey(u: Field, sigma: float) -> float:
@@ -174,12 +203,14 @@ def spectral_shell_envelope(u: Field) -> tuple:
     """
     uh = to_spectral(u)
     grid = uh.grid
-    dxi = 2.0 * np.pi / grid.L
-    shell = np.rint(grid.xi_abs / dxi).astype(np.int64)
-    n_shells = int(shell.max()) + 1
-    mag = np.abs(uh.values)
-    env = _kernels.shell_envelope(mag.ravel(), shell.ravel(), n_shells)
-    radii = np.arange(n_shells) * dxi
+    j, index = shell_table(grid)
+    # each octant point's shell: the nearest whole number of 2*pi/L to its
+    # |xi|, which no sqrt(j) of an integer j sits half-way between
+    shell = np.rint(np.sqrt(j)).astype(np.int64)
+    n_shells = int(shell[-1]) + 1
+    mag = _fold(np.abs(uh.values), np.maximum)
+    env = _kernels.shell_envelope(mag.ravel(), shell[index.ravel()], n_shells)
+    radii = np.arange(n_shells) * (2.0 * np.pi / grid.L)
     return radii, env
 
 

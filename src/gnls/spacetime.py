@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FourierGrid, frozen_complex, mode_index
-from .spectral import (_centred_band, _cubic_product, _forward_factor,
+from .spectral import (_band, _cubic_product, _forward_factor,
                        _padded_samples, exp_weight)
 
 
@@ -137,9 +137,9 @@ def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
     coeffs.flags.writeable = False  # checked below without a copy
     fine = SpaceTimeSpectrum(grid=fine_grid, M=2 * M, T_win=T_win,
                              coeffs=coeffs)
-    centred, band = _centred_band(fine.coeffs, (M,) + grid.shape)
-    total = float(np.sum(np.abs(centred) ** 2))
+    band = _band(fine.coeffs, (M,) + grid.shape)
+    total = float(np.sum(np.abs(fine.coeffs) ** 2))
     kept = float(np.sum(np.abs(band) ** 2))
     leaked = 0.0 if total == 0.0 else max(total - kept, 0.0) / total
-    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
-                             coeffs=np.fft.ifftshift(band)), leaked
+    band.flags.writeable = False  # kept without a copy
+    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win, coeffs=band), leaked

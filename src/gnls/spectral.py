@@ -66,22 +66,28 @@ def to_physical(f: Field) -> Field:
 # Gevrey weight
 # ---------------------------------------------------------------------------
 
-def exp_weight(sigma: float, grid: FourierGrid) -> np.ndarray:
-    """e^{sigma |xi|} on the lattice of ``grid``, the one overflow guard:
-    raises :class:`MultiplierOverflowError` when sigma |xi|_max exceeds
+def guarded_exp(sigma: float, xi: np.ndarray, xi_max: float) -> np.ndarray:
+    """e^{sigma xi} of the |xi| values ``xi`` of a lattice whose largest
+    |xi| is ``xi_max``, the one overflow guard: raises
+    :class:`MultiplierOverflowError` when sigma xi_max exceeds
     OVERFLOW_EXPONENT, or when the weight is non-finite on the lattice.
     """
-    name = f"e^({sigma:g}|xi|)"
-    if max(sigma, 0.0) * grid.xi_max > OVERFLOW_EXPONENT:
+    if max(sigma, 0.0) * xi_max > OVERFLOW_EXPONENT:
         raise MultiplierOverflowError(
-            f"multiplier overflow: {name} exceeds exp({OVERFLOW_EXPONENT:g}) "
-            f"at |xi|_max = {grid.xi_max:g}")
-    w = np.exp(sigma * grid.xi_abs)
+            f"multiplier overflow: e^({sigma:g}|xi|) exceeds "
+            f"exp({OVERFLOW_EXPONENT:g}) at |xi|_max = {xi_max:g}")
+    w = np.exp(sigma * xi)
     if not np.all(np.isfinite(w)):
         raise MultiplierOverflowError(
-            f"multiplier overflow: {name} non-finite on lattice "
-            f"(|xi|_max = {grid.xi_max:g})")
+            f"multiplier overflow: e^({sigma:g}|xi|) non-finite on lattice "
+            f"(|xi|_max = {xi_max:g})")
     return w
+
+
+def exp_weight(sigma: float, grid: FourierGrid) -> np.ndarray:
+    """e^{sigma |xi|} on the lattice of ``grid``, guarded by
+    :func:`guarded_exp`."""
+    return guarded_exp(sigma, grid.xi_abs, grid.xi_max)
 
 
 def apply_exp_gevrey(f: Field, sigma: float) -> Field:
@@ -102,42 +108,35 @@ def apply_exp_gevrey(f: Field, sigma: float) -> Field:
 # Zero-padding and dealiased products
 # ---------------------------------------------------------------------------
 
-def _centred_block(shape, big_shape) -> tuple:
-    """Slices of the block of ``shape`` around the zero mode of an
-    ``np.fft.fftshift``-ed array of ``big_shape``."""
-    return tuple(slice((nb - n) // 2, (nb - n) // 2 + n)
-                 for n, nb in zip(shape, big_shape))
+def _band(coeffs: np.ndarray, shape) -> np.ndarray:
+    """The band of the coarser lattice ``shape`` of the FFT-ordered
+    ``coeffs``, in FFT order, in one new array.
 
-
-def _centred_band(coeffs: np.ndarray, shape) -> tuple:
-    """``(centred, band)``: ``np.fft.fftshift(coeffs)`` and its block of
-    ``shape`` around the zero mode, a view; ``np.fft.ifftshift(band)`` is
-    the band of the coarser lattice ``shape`` in FFT ordering."""
-    centred = np.fft.fftshift(coeffs)
-    return centred, centred[_centred_block(shape, centred.shape)]
+    The band's modes -n/2 ... n/2 - 1 along an axis of n points sit, in FFT
+    order, in the first n/2 and the last n/2 entries of that axis on both
+    lattices, so the band is the 2^d corners of the fine array: no shifted
+    copy of it is made.
+    """
+    # per axis, the band's head and tail: (band slice, fine slice)
+    ends = [((slice(0, n // 2),) * 2,
+             (slice(n // 2, n), slice(nb - n // 2, nb)))
+            for n, nb in zip(shape, coeffs.shape)]
+    band = np.empty(shape, np.complex128)
+    for corner in itertools.product(*ends):
+        band[tuple(c for c, _ in corner)] = coeffs[tuple(c for _, c in corner)]
+    return band
 
 
 def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
-    """Restrict spectral coefficients to the band of a coarser grid.
-
-    The band's modes -n/2 ... n/2 - 1 along each axis sit, in FFT order,
-    in the first n/2 and the last n/2 entries of that axis on both
-    lattices, so the band is the 2^d corners of the fine array, copied
-    into one read-only array that the field keeps without a copy: no
-    shifted copy of the fine array is made.
-    """
+    """Restrict spectral coefficients to the band of a coarser grid, cut by
+    :func:`_band` into one read-only array that the field keeps without a
+    copy."""
     if not f.is_spectral:
         raise ValueError("truncate_spectrum expects a spectral-space field")
     big = f.grid
     if big.L != grid.L or big.d != grid.d or big.N < grid.N:
         raise ValueError("target grid must share the torus and be coarser")
-    half = grid.N // 2
-    # per axis, the band's head and tail: (band slice, fine slice)
-    ends = ((slice(0, half), slice(0, half)),
-            (slice(half, grid.N), slice(big.N - half, big.N)))
-    band = np.empty(grid.shape, np.complex128)
-    for corner in itertools.product(ends, repeat=grid.d):
-        band[tuple(c for c, _ in corner)] = f.values[tuple(c for _, c in corner)]
+    band = _band(f.values, grid.shape)
     band.flags.writeable = False
     # the corners of a field's values are finite: no second check
     return Field(grid, band, rep=SPECTRAL, t=f.t, _check=False)

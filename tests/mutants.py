@@ -36,4 +36,16 @@ MUTANTS = (
      "out[head + (slice(2 * n - half - 1, 2 * n - 1),)]",
      "tests/test_spectral.py::"
      "test_slab_l4_equals_the_whole_array_quadrature[3-10-3.0-slab-7]"),
+    # the fold adds each negative mode one place off, -(k+1) onto k, and
+    # never reads -1
+    ("norms.py", "slice(n - 1, h, -1)", "slice(n - 2, h - 1, -1)",
+     "tests/test_norms.py::"
+     "test_shell_sums_agree_with_the_whole_grid_oracles[2-18]"),
+    # the Gevrey weight without its <xi>^{2s}: an e^{2 sigma|xi|} norm only
+    ("norms.py", " * (1.0 + xi * xi) ** s", "",
+     "tests/test_norms.py::"
+     "test_shell_sums_agree_with_the_whole_grid_oracles[1-10]"),
+    # the envelope's shells rounded down, not to the nearest 2 pi/L
+    ("norms.py", "np.rint(np.sqrt(j))", "np.floor(np.sqrt(j))",
+     "tests/test_norms.py::test_shell_envelope_is_the_whole_grid_envelope[3-18]"),
 )

@@ -8,9 +8,10 @@ filled by one slab pass over the per-axis squares
 of :func:`meshgrid`; the products synthesise padded samples without
 building a padded field, the L4 quadrature transforms axis 0 of the
 coefficient lines and streams blocks of x0-rows through the other axes,
-summing each row, the other data builders fill their samples slab by slab or
-broadcast a profile, the multiplier audit draws its ensemble block by
-block, and the runners only write sidecars.  They stay here, written out
+summing each row, the shell functionals of ``gnls.norms`` fold each slice
+onto the octant of one shell table, the other data builders fill their
+samples slab by slab or broadcast a profile, the multiplier audit draws its
+ensemble block by block, and the runners only write sidecars.  They stay here, written out
 in the plainest form, as the oracles of the tests that use them.
 """
 
@@ -21,7 +22,7 @@ from gnls.audits import XI_MAX, AuditReport
 from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 from gnls.integrator import SolverConfig
 from gnls.spacetime import SpaceTimeSpectrum
-from gnls.spectral import (_forward_factor, forward_transform,
+from gnls.spectral import (_forward_factor, exp_weight, forward_transform,
                            inverse_transform, to_spectral)
 
 
@@ -192,6 +193,38 @@ def l4_norm_whole(u: Field) -> float:
     rows = np.array([np.sum(row) for row in mag2])
     q = (grid.L / grid.N) ** grid.d
     return float((np.sum(rows) * q) ** 0.25)
+
+
+# ---------------------------------------------------------------------------
+# the shell functionals on the whole lattice
+# ---------------------------------------------------------------------------
+
+def gradient_sq_whole(u: Field) -> float:
+    """``norms.gradient_sq`` as the whole-grid sum of |xi|^2 |u^|^2."""
+    uh = to_spectral(u)
+    return float(np.sum(uh.grid.xi_abs ** 2 * np.abs(uh.values) ** 2))
+
+
+def gevrey_norm_whole(u: Field, sigma: float, s: float = 1.0) -> float:
+    """``norms.gevrey_norm`` with its weight e^{2 sigma|xi|} (1 + |xi|^2)^s
+    built on the whole grid."""
+    uh = to_spectral(u)
+    xi = uh.grid.xi_abs
+    w2 = exp_weight(2.0 * sigma, uh.grid) * (1.0 + xi * xi) ** s
+    return float(np.sqrt(np.sum(w2 * np.abs(uh.values) ** 2)))
+
+
+def shell_envelope_whole(u: Field) -> tuple:
+    """``norms.spectral_shell_envelope`` from a whole grid of shell
+    indices rint(|xi| / (2 pi/L))."""
+    uh = to_spectral(u)
+    grid = uh.grid
+    dxi = 2.0 * np.pi / grid.L
+    shell = np.rint(grid.xi_abs / dxi).astype(np.int64)
+    n_shells = int(shell.max()) + 1
+    env = _kernels.shell_envelope(np.abs(uh.values).ravel(), shell.ravel(),
+                                  n_shells)
+    return np.arange(n_shells) * dxi, env
 
 
 def direct_convolution_cubic(u: Field) -> np.ndarray:

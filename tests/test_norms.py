@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from gnls.data import gaussian, periodized_sech
 from gnls.errors import EmptySpectrumError, MultiplierOverflowError
-from gnls.grid import Field, FourierGrid, SPECTRAL
-from gnls.norms import (a_sigma, energy, gevrey_norm, l4_gevrey, mass,
-                        norm_report, radius_estimate, resolved_spectrum)
+from gnls.grid import Field, FourierGrid, SPECTRAL, shell_table
+from gnls.norms import (a_sigma, energy, gevrey_norm, gradient_sq, l4_gevrey,
+                        mass, norm_report, radius_estimate, resolved_spectrum,
+                        spectral_shell_envelope)
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, single_mode_field
-from oracles import zero_field
+from oracles import (gevrey_norm_whole, gradient_sq_whole,
+                     shell_envelope_whole, zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +292,75 @@ def test_norm_report_of_a_resolved_slice_keeps_its_memory_peak():
     g.xi_abs
     norm_report(u, 0.1)
     assert _traced_peak(lambda: norm_report(u, 0.1)) < 6.2 * 16 * g.N ** 3
+
+
+# ---------------------------------------------------------------------------
+# the shell table
+# ---------------------------------------------------------------------------
+
+# mode_index differs from fftfreq at N = 98; 10 and 18 are not powers of two
+SHELL_GRIDS = [(d, N) for d in (1, 2, 3) for N in (10, 18, 98, 32)]
+
+
+def _full_band(d, N):
+    """Random coefficients on every mode, the -N/2 modes included, decaying
+    as e^{-0.1|k|}."""
+    g = FourierGrid(d=d, N=N, L=10.0)
+    rng = np.random.default_rng(100 * d + N)
+    k2 = sum(np.meshgrid(*[g.k_axis ** 2] * d, indexing="ij", sparse=True))
+    c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    return Field(g, c * np.exp(-0.1 * np.sqrt(k2)), rep=SPECTRAL)
+
+
+def test_shell_table_holds_every_occupied_k_squared_of_the_octant():
+    j, index = shell_table(FourierGrid(d=2, N=8, L=1.0))
+    k2 = np.add.outer(np.arange(5) ** 2, np.arange(5) ** 2)
+    assert np.array_equal(j, np.unique(k2))
+    assert np.array_equal(j[index], k2)
+    assert not j.flags.writeable and not index.flags.writeable
+
+
+def test_shell_table_is_one_per_grid_value():
+    assert shell_table(FourierGrid(2, 16, 5.0)) is \
+        shell_table(FourierGrid(2, 16, 5.0))
+
+
+@pytest.mark.parametrize("d,N", SHELL_GRIDS)
+def test_shell_sums_agree_with_the_whole_grid_oracles(d, N):
+    u = _full_band(d, N)
+    assert gradient_sq(u) == pytest.approx(gradient_sq_whole(u), rel=1e-14)
+    for sigma in (0.0, 0.1):
+        for s in (1.0, 0.5):
+            assert gevrey_norm(u, sigma, s) == pytest.approx(
+                gevrey_norm_whole(u, sigma, s), rel=1e-14)
+
+
+@pytest.mark.parametrize("d,N", SHELL_GRIDS)
+def test_shell_envelope_is_the_whole_grid_envelope(d, N):
+    u = _full_band(d, N)
+    radii, env = spectral_shell_envelope(u)
+    want_radii, want_env = shell_envelope_whole(u)
+    assert np.array_equal(radii, want_radii)
+    assert np.array_equal(env, want_env)
+
+
+def test_a_radius_run_builds_one_table_per_grid(tmp_path):
+    from gnls.cli import main
+
+    # the sech's spectrum falls below the floor at |k| ~ 65, so its
+    # resolved slices live on N = 256 and the energy and fit on N = 512
+    cfg = tmp_path / "radius.cfg"
+    cfg.write_text("[grid]\nd = 1\nN = 512\nL = 20.0\n"
+                   "[data]\nkind = periodized_sech\n"
+                   "[solver]\ndt = 0.05\nt_end = 0.1\nsnapshot_stride = 1\n"
+                   "[fit]\nsigma0 = 0.5\n")
+    shell_table.cache_clear()
+    assert main(["radius", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    info = shell_table.cache_info()
+    # each slice makes its grids afresh, and finds the tables of the first
+    assert info.misses == info.currsize == 2
+    assert info.hits > 0
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,19 @@ def test_the_split_stays_in_kernels():
     assert "xi_abs" not in _references(trees["integrator"], None)
 
 
+def test_norms_read_the_shell_table_and_one_guard_raises_overflow():
+    # the shell functionals weigh shells, not whole-grid |xi| arrays
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    for name in ("xi_abs", "exp_weight"):
+        assert name not in _references(trees["norms"], None), name
+    raisers = [f"{module}.{node.name}" for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and any(isinstance(r, ast.Raise) and r.exc is not None
+                       and "MultiplierOverflowError" in _references(r.exc, None)
+                       for r in ast.walk(node))]
+    assert raisers == ["spectral.guarded_exp"]
+
+
 @pytest.mark.parametrize("command", sorted(cli._commands()))
 def test_help_lists_exactly_the_flags_of_the_table(command, capsys):
     with pytest.raises(SystemExit) as exc:
