@@ -198,11 +198,11 @@ def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
 
 def _cubic_product(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                    factor: float) -> np.ndarray:
-    """Coefficients on the doubled lattice (forward factor ``factor``) of
-    the pointwise product ``a * b * c`` of padded samples, each synthesised
-    by :func:`_padded_samples` and conjugated by the caller.  Doubling
-    every axis keeps the aliases of a cubic product out of the coarse band
-    (Orszag, J. Atmos. Sci. 28, 1971).
+    """Coefficients on the lattice of forward factor ``factor`` of the
+    pointwise product ``a * b * c`` of samples there, each synthesised and
+    conjugated by the caller.  On the doubled lattice of
+    :func:`_padded_samples` the aliases of a cubic product stay out of the
+    coarse band (Orszag, J. Atmos. Sci. 28, 1971).
     """
     prod = a * b
     prod *= c

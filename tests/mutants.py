@@ -48,4 +48,16 @@ MUTANTS = (
     # the envelope's shells rounded down, not to the nearest 2 pi/L
     ("norms.py", "np.rint(np.sqrt(j))", "np.floor(np.sqrt(j))",
      "tests/test_norms.py::test_shell_envelope_is_the_whole_grid_envelope[3-18]"),
+    # the product lattice rule admits a product that reaches +N/2, which
+    # the coarse lattice aliases onto -N/2
+    ("spacetime.py", "np.all(2 * reach < shape)", "np.all(2 * reach <= shape)",
+     "tests/test_spacetime.py::"
+     "test_products_reaching_half_the_lattice_stay_on_the_2x_lattice[k3-3-3]"),
+    # the product's reach taken as the widest factor's, not the sum of the
+    # three: one wide factor and two narrow ones alias on the coarse lattice
+    ("spacetime.py",
+     "_reach(w1.coeffs) + _reach(w2.coeffs) + _reach(w3.coeffs)",
+     "np.maximum.reduce([_reach(w.coeffs) for w in (w1, w2, w3)])",
+     "tests/test_spacetime.py::"
+     "test_products_reaching_half_the_lattice_stay_on_the_2x_lattice[k5-2-2]"),
 )

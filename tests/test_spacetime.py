@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gnls.errors import MultiplierOverflowError
-from gnls.grid import FourierGrid
+from gnls.grid import FourierGrid, mode_index
 from gnls.spacetime import (SpaceTimeSpectrum, _decay_envelope,
                             dispersive_weight, random_decaying,
                             st_triple_product, xsb_norm)
@@ -133,6 +133,20 @@ def test_prebuilt_lattice_tables_change_no_bit(st_lattice):
         assert xsb_norm(w, *spec, weight=weight) == xsb_norm(w, *spec)
 
 
+@pytest.mark.parametrize("d,N,M", [(1, 32, 16), (2, 18, 16), (3, 10, 8)])
+def test_random_decaying_is_the_seed_formula_byte_for_byte(d, N, M):
+    grid = FourierGrid(d=d, N=N, L=7.0)
+    w = random_decaying(grid, M, 2.0, np.random.default_rng(N + M))
+    rng = np.random.default_rng(N + M)
+    shape = (M,) + grid.shape
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    mask, damp = _decay_envelope(grid, M)
+    seed = np.where(mask, (a + 1j * b) * damp, 0.0)
+    assert w.coeffs.tobytes() == seed.tobytes()  # signed zeros too
+    assert not w.coeffs.flags.writeable
+
+
 def test_random_decaying_band_restriction(st_lattice):
     grid, M, T_win = st_lattice
     w = random_decaying(grid, M, T_win, np.random.default_rng(6))
@@ -218,3 +232,48 @@ def test_st_triple_product_is_exactly_the_seed_formula(d, N, M, conjugate):
         # the band energy is summed in FFT order, the reference's centred
         assert leaked == pytest.approx(ref_leaked, rel=1e-14)
     assert leaked > 0.0
+
+
+@pytest.mark.parametrize("d,N,M", [(1, 64, 64), (1, 18, 16), (2, 18, 16),
+                                   (2, 32, 16), (3, 10, 8), (3, 12, 12)])
+def test_products_of_draws_are_formed_on_the_coarse_lattice(d, N, M):
+    # three draws reach less than half of every axis together, so their
+    # product is formed without padding: its own band, nothing leaked
+    grid = FourierGrid(d=d, N=N, L=7.0)
+    rng = np.random.default_rng(10 * d + N + M)
+    for _ in range(3):
+        ws = [random_decaying(grid, M, 2.0, rng) for _ in range(3)]
+        prod, leaked = st_triple_product(*ws)
+        ref, _ = _st_product_reference(ws, (False, True, True))
+        assert leaked == 0.0
+        assert np.abs(prod.coeffs - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _banded(grid, M, T_win, rng, k, m):
+    """Random coefficients at |k_j| <= k on every spatial axis and |m| <= m,
+    zero elsewhere."""
+    shape = (M,) + grid.shape
+    inside = (grid.k_max <= k)[np.newaxis, ...] & \
+        (np.abs(mode_index(M)) <= m).reshape((M,) + (1,) * grid.d)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
+                             coeffs=np.where(inside, coeffs, 0.0))
+
+
+@pytest.mark.parametrize("ks,ms", [((3, 3, 3), (2, 2, 2)),
+                                   ((5, 2, 2), (2, 2, 2)),
+                                   ((2, 2, 2), (4, 2, 2))],
+                         ids=["k3-3-3", "k5-2-2", "m4-2-2"])
+def test_products_reaching_half_the_lattice_stay_on_the_2x_lattice(ks, ms):
+    # the factors' reaches sum to exactly N/2 (or M/2): the product reaches
+    # +N/2, which the coarse lattice would alias onto -N/2, so it is formed
+    # on the 2x lattice, bit for bit, and that mode's energy leaks.  One
+    # wide factor and two narrow ones sum there, though no one of them does
+    grid, M, T_win = FourierGrid(d=1, N=18, L=5.0), 16, 2.0
+    rng = np.random.default_rng(sum(ks) + 10 * sum(ms))
+    ws = [_banded(grid, M, T_win, rng, k, m) for k, m in zip(ks, ms)]
+    prod, leaked = st_triple_product(*ws)
+    ref, ref_leaked = _st_product_reference(ws, (False, True, True))
+    assert np.array_equal(prod.coeffs, ref)
+    assert leaked > 0.0
+    assert leaked == pytest.approx(ref_leaked, rel=1e-14)
