@@ -84,11 +84,14 @@ class FourierGrid:
         """Wavenumbers 2*pi*k/L along one axis, FFT ordering."""
         return 2.0 * np.pi * self.k_axis / self.L
 
-    @cached_property
+    @property
     def xi_abs(self) -> np.ndarray:
         """|xi| on the full d-dimensional lattice, FFT ordering: the square
         root of the sum ((0 + s0) + s1) + s2 of the squared wavenumbers per
         axis, slab by slab into the one output (``gnls._kernels._radial``).
+        Made afresh at each read and never kept: of the package, only the
+        space-time weight of the audits reads it, and the Gevrey weights of
+        a field form |xi| slab by slab (``gnls.spectral._weigh``).
         """
         sq = np.meshgrid(*[self.xi_axis ** 2] * self.d, indexing="ij",
                          sparse=True)

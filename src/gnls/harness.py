@@ -24,8 +24,8 @@ from .data import KINDS, make_initial_data, random_bandlimited
 from .errors import FitError, MultiplierOverflowError, SimulationAbort
 from .grid import Field, FourierGrid
 from .integrator import SolverConfig, evolve
-from .norms import (a_sigma, norm_report, NormReport, radius_estimate,
-                    resolved_spectrum)
+from .norms import (a_sigma, a_sigmas, norm_report, NormReport,
+                    radius_estimate, resolved_spectrum)
 from .storage import write_csv, write_field, write_sidecar
 
 
@@ -340,12 +340,8 @@ def fit_conservation_constant(cfg: ExperimentConfig, u0: Field) -> dict:
                           defocusing=cfg.defocusing)
 
     sigmas = [0.0] + sigma_grid
-
-    def a_sigmas(u):
-        resolved = resolved_spectrum(u)
-        return [a_sigma(resolved, s) for s in sigmas]
-
-    rows, abort = _track(u0, solver, a_sigmas)
+    rows, abort = _track(u0, solver,
+                         lambda u: a_sigmas(resolved_spectrum(u), sigmas))
     if abort is not None:
         raise abort
     # each sigma's column of A_sigma(t): its first entry is t = 0

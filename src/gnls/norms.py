@@ -16,8 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import EmptySpectrumError
 from .grid import Field, FourierGrid, SPECTRAL, shell_table
-from .spectral import (apply_exp_gevrey, guarded_exp, l4_norm, to_spectral,
-                       truncate_spectrum)
+from .spectral import _guarded_exp, l4_norm, to_spectral, truncate_spectrum
 
 
 #: the row of one slice at one sigma: the CSV columns of ``gnls simulate``
@@ -90,33 +89,59 @@ def energy(u: Field) -> float:
     return gradient_sq(u) + 0.5 * l4_norm(u) ** 4
 
 
+def _shell_gevrey(grid: FourierGrid, shells: tuple, sigma: float,
+                  s: float) -> float:
+    """|| e^{sigma|D|} <D>^s u ||_{L2} from ``shells``, the
+    :func:`_shell_sums` of u on ``grid``: the weight e^{2 sigma |xi|}
+    (1 + |xi|^2)^s is taken once per shell."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    j, sums = shells
+    xi = 2.0 * np.pi / grid.L * np.sqrt(j)
+    w2 = _guarded_exp(2.0 * sigma, xi, grid.xi_max) * (1.0 + xi * xi) ** s
+    return float(np.sqrt(np.sum(w2 * sums)))
+
+
 def gevrey_norm(u: Field, sigma: float, s: float = 1.0) -> float:
     """|| e^{sigma|D|} <D>^s u ||_{L2} for a strip half-width sigma >= 0;
     reduces to the H^s norm at sigma=0.  The weight
     e^{2 sigma |xi|} (1 + |xi|^2)^s is taken once per shell."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     uh = to_spectral(u)
-    j, sums = _shell_sums(uh)
-    xi = 2.0 * np.pi / uh.grid.L * np.sqrt(j)
-    w2 = guarded_exp(2.0 * sigma, xi, uh.grid.xi_max) * (1.0 + xi * xi) ** s
-    return float(np.sqrt(np.sum(w2 * sums)))
+    return _shell_gevrey(uh.grid, _shell_sums(uh), sigma, s)
 
 
 def l4_gevrey(u: Field, sigma: float) -> float:
-    """|| e^{sigma|D|} u ||_{L4} on the padded quadrature grid."""
-    return l4_norm(apply_exp_gevrey(to_spectral(u), sigma))
+    """|| e^{sigma|D|} u ||_{L4} on the padded quadrature grid, the weight
+    multiplied in by the quadrature's first pass."""
+    return l4_norm(u, sigma)
 
 
-def a_sigma(u: Field, sigma: float) -> float:
-    """A_sigma = ||u||^2_{G^{sigma,1}} + (1/2) ||e^{sigma|D|} u||^4_{L4}.
+def a_sigmas(u: Field, sigmas) -> list:
+    """[A_sigma(u) for sigma in sigmas], A_sigma = ||u||^2_{G^{sigma,1}} +
+    (1/2) ||e^{sigma|D|} u||^4_{L4}, from one transform of ``u`` and one
+    fold of its shell sums; each sigma's L4 norm is :func:`l4_gevrey`'s.
+    The sigmas are taken in order, the Gevrey part first, so an overflowing
+    sigma raises where :func:`a_sigma` of it raises, with its message.
 
     At sigma = 0 this is exactly mass + energy.
     """
     uh = to_spectral(u)
-    g = gevrey_norm(uh, sigma)
-    l4 = l4_gevrey(uh, sigma)
-    return g * g + 0.5 * l4 ** 4
+    shells = _shell_sums(uh)
+    out = []
+    for sigma in sigmas:
+        g = _shell_gevrey(uh.grid, shells, sigma, 1.0)
+        l4 = l4_gevrey(uh, sigma)
+        out.append(g * g + 0.5 * l4 ** 4)
+    return out
+
+
+def a_sigma(u: Field, sigma: float) -> float:
+    """A_sigma = ||u||^2_{G^{sigma,1}} + (1/2) ||e^{sigma|D|} u||^4_{L4}:
+    :func:`a_sigmas` at the one sigma.
+
+    At sigma = 0 this is exactly mass + energy.
+    """
+    return a_sigmas(u, (sigma,))[0]
 
 
 def resolved_spectrum(u: Field) -> Field:

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .grid import FourierGrid, frozen_complex, mode_index
 from .spectral import (_band, _cubic_product, _forward_factor,
-                       _padded_samples, exp_weight)
+                       _guarded_exp, _padded_samples)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ def dispersive_weight(grid: FourierGrid, M: int, T_win: float, sigma: float,
     if s != 0.0:
         weight = weight * (1.0 + xi * xi)[np.newaxis, ...] ** (s / 2.0)
     if sigma != 0.0:
-        weight = weight * exp_weight(sigma, grid)[np.newaxis, ...]
+        weight = weight * _guarded_exp(sigma, xi,
+                                       grid.xi_max)[np.newaxis, ...]
     return weight
 
 

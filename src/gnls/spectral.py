@@ -14,6 +14,7 @@ index embedding.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,17 +67,21 @@ def to_physical(f: Field) -> Field:
 # Gevrey weight
 # ---------------------------------------------------------------------------
 
-def guarded_exp(sigma: float, xi: np.ndarray, xi_max: float) -> np.ndarray:
+def _guarded_exp(sigma: float, xi: np.ndarray, xi_max: float,
+                out: np.ndarray = None) -> np.ndarray:
     """e^{sigma xi} of the |xi| values ``xi`` of a lattice whose largest
-    |xi| is ``xi_max``, the one overflow guard: raises
-    :class:`MultiplierOverflowError` when sigma xi_max exceeds
-    OVERFLOW_EXPONENT, or when the weight is non-finite on the lattice.
+    |xi| is ``xi_max``, into ``out`` when given (``xi`` itself may be it),
+    the one overflow guard: raises :class:`MultiplierOverflowError` when
+    sigma xi_max exceeds OVERFLOW_EXPONENT, or when the weight is
+    non-finite on the lattice.  Private, so that the slabs of a two-thread
+    pass may call it on the helper thread, which calls no public function
+    (``gnls._kernels``).
     """
     if max(sigma, 0.0) * xi_max > OVERFLOW_EXPONENT:
         raise MultiplierOverflowError(
             f"multiplier overflow: e^({sigma:g}|xi|) exceeds "
             f"exp({OVERFLOW_EXPONENT:g}) at |xi|_max = {xi_max:g}")
-    w = np.exp(sigma * xi)
+    w = np.exp(np.multiply(sigma, xi, out=out), out=out)
     if not np.all(np.isfinite(w)):
         raise MultiplierOverflowError(
             f"multiplier overflow: e^({sigma:g}|xi|) non-finite on lattice "
@@ -84,22 +89,63 @@ def guarded_exp(sigma: float, xi: np.ndarray, xi_max: float) -> np.ndarray:
     return w
 
 
-def exp_weight(sigma: float, grid: FourierGrid) -> np.ndarray:
-    """e^{sigma |xi|} on the lattice of ``grid``, guarded by
-    :func:`guarded_exp`."""
-    return guarded_exp(sigma, grid.xi_abs, grid.xi_max)
+@lru_cache(maxsize=32)
+def _squares(grid: FourierGrid) -> tuple:
+    """The squared wavenumbers of each axis of ``grid``'s lattice, a sparse
+    mesh, s0, ..., s(d-1): |xi| is the square root of their sum in axis
+    order, ((0 + s0) + s1) + s2, as ``FourierGrid.xi_abs`` forms it.
+
+    Each is a read-only view as long as the lattice along axis 1, so that a
+    piece of the lattice cut along axis 1 takes its own points' squares by
+    the same cut; cached on the grid's value, as ``grid.shell_table`` is,
+    so that the weighted quadratures of many sigma on one slice, each on a
+    grid made afresh, build them once.
+    """
+    sq = np.meshgrid(*[grid.xi_axis ** 2] * grid.d, indexing="ij",
+                     sparse=True)
+    return tuple(np.broadcast_to(s, s.shape[:1] + grid.shape[1:2]
+                                 + s.shape[2:]) for s in sq)
+
+
+def _weigh(dst, src, sq, sigma: float, xi_max: float) -> np.ndarray:
+    """``dst`` = ``src`` * e^{sigma|xi|}, about ``_kernels._SLAB`` points of
+    rows along axis 0 at a time; returns ``dst``.
+
+    ``sq`` are the per-axis squares of src's lattice points, a sparse mesh
+    that broadcasts to ``src``.  A slab's |xi| is summed from them by
+    :func:`_kernels._mesh_sum` and square-rooted in one real buffer made
+    here, and its weight is made in place there by :func:`_guarded_exp`, the
+    one overflow guard.  ``np.multiply`` then writes the product, at d >= 2
+    one row of the slab at a time: a row is contiguous, so numpy buffers at
+    most a row to cast the weight to complex, where a strided slab would
+    take three buffers of ``np.getbufsize()`` points.  Every element sees
+    the ufuncs of ``values * np.exp(sigma * xi_abs)`` in their order, so the
+    product is bit-identical to that whole-grid one at every slab width, and
+    no array of the grid is made.
+    """
+    rows = max(_kernels._SLAB * len(src) // src.size, 1)
+    buf = np.empty((min(rows, len(src)),) + src.shape[1:])
+    for lo in range(0, len(src), rows):
+        w = _kernels._mesh_sum(sq, lo, buf[:len(src) - lo])
+        np.sqrt(w, out=w)
+        _guarded_exp(sigma, w, xi_max, w)
+        parts = (src[lo:lo + len(w)], w, dst[lo:lo + len(w)])
+        for s, ws, out in zip(*parts) if src.ndim > 1 else (parts,):
+            np.multiply(s, ws, out=out)
+    return dst
 
 
 def apply_exp_gevrey(f: Field, sigma: float) -> Field:
     """Coefficient-wise product of a spectral field with e^{sigma |xi|}.
 
-    Identity at sigma = 0; guarded by :func:`exp_weight`.
+    Identity at sigma = 0; formed slab by slab by :func:`_weigh`, guarded
+    by :func:`_guarded_exp`, into one array that the field keeps without a
+    copy.
     """
     if not f.is_spectral:
         raise ValueError("apply_exp_gevrey expects a spectral-space field")
-    # the weights are freed as soon as the product is made: this call sets
-    # the peak RSS of the per-snapshot diagnostics
-    prod = f.values * exp_weight(sigma, f.grid)
+    prod = _weigh(np.empty(f.grid.shape, np.complex128), f.values,
+                  _squares(f.grid), sigma, f.grid.xi_max)
     prod.flags.writeable = False  # Field checks it without a copy
     return Field(f.grid, prod, rep=SPECTRAL, t=f.t)
 
@@ -142,16 +188,26 @@ def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
     return Field(grid, band, rep=SPECTRAL, t=f.t, _check=False)
 
 
-def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+def _copy(dst: np.ndarray, src: np.ndarray, rows: slice) -> None:
+    """The plain write of :func:`_embed_band`: ``src`` into ``dst``."""
+    np.copyto(dst, src)
+
+
+def _embed_band(band: np.ndarray, axis: int, out: np.ndarray,
+                write=_copy) -> np.ndarray:
     """Write ``band`` (FFT ordering along ``axis``) into ``out``, twice as
     long on that axis: the non-negative modes at the front, the negative
-    ones at the back and zeros between them.  Returns ``out``."""
+    ones at the back and zeros between them.  Each of the two goes in by
+    ``write(dst, src, rows)``, ``rows`` its slice of the band along
+    ``axis``: a copy, or the weighted product of :func:`_weighted_lines`.
+    Returns ``out``."""
     n = band.shape[axis]
     half = n // 2
     head = (slice(None),) * axis
-    out[head + (slice(0, half),)] = band[head + (slice(0, half),)]
+    pos, neg = slice(0, half), slice(half, n)
+    write(out[head + (pos,)], band[head + (pos,)], pos)
     out[head + (slice(half, 2 * n - half),)] = 0.0
-    out[head + (slice(2 * n - half, 2 * n),)] = band[head + (slice(half, n),)]
+    write(out[head + (slice(2 * n - half, 2 * n),)], band[head + (neg,)], neg)
     return out
 
 
@@ -161,33 +217,40 @@ def _embed_ifft(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return _kernels._fft(_embed_band(band, axis, out), out, (axis,), True)
 
 
-def _synthesise(coeffs: np.ndarray, axes) -> np.ndarray:
-    """Inverse-transform ``coeffs`` along each of ``axes`` in turn, each
-    axis embedded into its doubled length by :func:`_embed_band` just before
-    its own transform, which runs in place on that one new array.
+def _weighted_lines(band, out, sigma, xi_max, *sq):
+    """The first pass of :func:`l4_norm` on ``band``, a piece of the
+    coefficient lines along axis 0 cut along axis 1: embedded into ``out``
+    by :func:`_embed_band` along axis 0 and inverse transformed there.
+    Unless sigma is 0 each half is weighted by e^{sigma|xi|} on its way in
+    (:func:`_weigh`), ``sq`` the squares of the piece's lattice points.
+    Returns ``out``."""
+    def weighted(dst, src, rows):
+        _weigh(dst, src, (sq[0][rows], *sq[1:]), sigma, xi_max)
 
-    A line of zeros transforms to zeros, so only the lines that hold
-    coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
-    cube, with every sample equal to the full ``np.fft.ifftn``.  On a
-    split grid each axis is embedded and transformed as two halves
-    (``_kernels._halves``), cut along axis 0, or along axis 1 for axis 0.
-    """
-    a = coeffs
-    for axis in axes:
-        shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
-        emb = np.empty(shape, dtype=np.complex128)
-        _kernels._halves(_embed_ifft, None, a, axis, emb, axis=int(axis == 0))
-        a = emb
-    return a
+    _embed_band(band, 0, out, weighted if sigma else _copy)
+    return _kernels._fft(out, out, (0,), True)
 
 
 def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
     """Samples of ``coeffs`` (FFT ordering) zero-padded to twice the length
     of every axis, divided by ``factor``, the doubled lattice's forward
-    factor: the one inverse transform of a zero-padded spectrum.  The axes
-    are synthesised last first, the order ``np.fft.ifftn`` uses.
+    factor: the one inverse transform of a zero-padded spectrum.
+
+    The axes are synthesised last first, the order ``np.fft.ifftn`` uses,
+    each embedded into its doubled length by :func:`_embed_band` just
+    before its own transform, which runs in place on that one new array.  A
+    line of zeros transforms to zeros, so only the lines that hold
+    coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
+    cube, with every sample equal to the full ``np.fft.ifftn``.  On a split
+    grid each axis is embedded and transformed as two halves
+    (``_kernels._halves``), cut along axis 0, or along axis 1 for axis 0.
     """
-    a = _synthesise(coeffs, reversed(range(coeffs.ndim)))
+    a = coeffs
+    for axis in reversed(range(coeffs.ndim)):
+        shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
+        emb = np.empty(shape, dtype=np.complex128)
+        _kernels._halves(_embed_ifft, None, a, axis, emb, axis=int(axis == 0))
+        a = emb
     # numpy divides a complex by a real f as ((re + im*0) * (1/f),
     # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
     # gives the same values up to the sign of zeros
@@ -240,22 +303,28 @@ def dealiased_cubic(u: Field) -> Field:
 _SLAB = 1 << 16
 
 
-def l4_norm(u: Field) -> float:
-    """||u||_{L^4} by quadrature on the 2x-padded grid.
+def l4_norm(u: Field, sigma: float = 0.0) -> float:
+    """||e^{sigma|D|} u||_{L^4} by quadrature on the 2x-padded grid; at
+    sigma = 0, ||u||_{L^4}.
 
     |u|^4 of a band-limited field is band-limited at four times the
     bandwidth; padding makes the quadrature exact up to truncation of the
     outer half of that band.
 
     Two passes.  The first embeds every coefficient line along axis 0 into
-    its doubled length and inverse-transforms it (:func:`_synthesise`), into
-    the one grid-sized array, 2N x N^(d-1) complex: 2 field grids.
-    The second streams blocks of that array's x0-rows (:func:`_rows`): a
-    block is embedded and transformed along axes 1 ... d-1 in buffers of
-    its own, scaled on the real view, and its |u|^4 summed row by row into
-    a vector of 2N row sums, whose one ``np.sum`` is the quadrature.  On a
-    split grid each pass runs as two halves: the first cut along axis 1,
-    the second along axis 0, each half with its own block buffers.
+    its doubled length and inverse-transforms it (:func:`_weighted_lines`),
+    into the one grid-sized array, 2N x N^(d-1) complex: 2 field grids.
+    Unless sigma is 0, each block of lines is multiplied by e^{sigma|xi|} as
+    it is embedded (:func:`_weigh`), so no weighted field is made; its
+    products are those of :func:`apply_exp_gevrey`, bit for bit.  (At sigma
+    = 0 that weight is 1, whose product changes no bit of |u|^4: at most
+    the sign of a zero.)  The second streams blocks of that array's x0-rows
+    (:func:`_rows`): a block is embedded and transformed along axes 1 ...
+    d-1 in buffers of its own, scaled on the real view, and its |u|^4
+    summed row by row into a vector of 2N row sums, whose one ``np.sum`` is
+    the quadrature.  On a split grid each pass runs as two halves: the
+    first cut along axis 1, the second along axis 0, each half with its own
+    block (and weight slab) buffers.
 
     The transforms run in the axis order of ``np.fft.ifftn(padded,
     axes=(d-1, ..., 0))``, axis 0 first; every line sees the transform it
@@ -263,13 +332,15 @@ def l4_norm(u: Field) -> float:
     whole-array quadrature in their order, and every row sum is the
     ``np.sum`` of that row.  So the value is bit-identical, at every block
     width and on one thread or two, to the plain form in tests/oracles.py:
-    that ``ifftn``, |u|^4, a sum per x0-row and a sum of the row sums.  At
-    d = 1 a row is one sample, and the value is the one ``np.sum`` of the
-    whole |u|^4 array.
+    that ``ifftn``, |u|^4, a sum per x0-row and a sum of the row sums, of
+    the weighted field.  At d = 1 a row is one sample, and the value is the
+    one ``np.sum`` of the whole |u|^4 array.
     """
     grid = u.grid.refined(2)
     coeffs = to_spectral(u).values
-    cols = _synthesise(coeffs, (0,))
+    cols = np.empty((grid.N,) + coeffs.shape[1:], np.complex128)
+    _kernels._halves(_weighted_lines, None, coeffs, cols, sigma,
+                     u.grid.xi_max, *_squares(u.grid), axis=1)
     row = grid.shape[1:]
     # 5/8 of a field grid of 16-byte points, in 24-byte points
     points = _SLAB if grid.d < 3 else max(10 * u.grid.N ** 3 // 24,

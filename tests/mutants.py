@@ -36,6 +36,12 @@ MUTANTS = (
      "out[head + (slice(2 * n - half - 1, 2 * n - 1),)]",
      "tests/test_spectral.py::"
      "test_slab_l4_equals_the_whole_array_quadrature[3-10-3.0-slab-7]"),
+    # the weighted quadrature embeds the negative-mode half of each
+    # coefficient line without its Gevrey weight
+    ("spectral.py", "write(out[head + (slice(2 * n - half, 2 * n),)]",
+     "_copy(out[head + (slice(2 * n - half, 2 * n),)]",
+     "tests/test_spectral.py::test_the_slab_gevrey_weight_is_the_whole_grid_"
+     "weight[3-10-3.0-slab-straddles-cut-split]"),
     # the fold adds each negative mode one place off, -(k+1) onto k, and
     # never reads -1
     ("norms.py", "slice(n - 1, h, -1)", "slice(n - 2, h - 1, -1)",

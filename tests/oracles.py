@@ -5,13 +5,15 @@ and rotates in place slab by slab, and multiplies in its linear phase
 slab by slab from per-axis factors; ``xi_abs`` and the radial data are
 filled by one slab pass over the per-axis squares
 (``gnls._kernels._radial``) and no builder makes the whole coordinate mesh
-of :func:`meshgrid`; the products synthesise padded samples without
-building a padded field, the L4 quadrature transforms axis 0 of the
-coefficient lines and streams blocks of x0-rows through the other axes,
-summing each row, the shell functionals of ``gnls.norms`` fold each slice
-onto the octant of one shell table, the other data builders fill their
-samples slab by slab or broadcast a profile, the multiplier audit draws its
-ensemble block by block, and the runners only write sidecars.  They stay here, written out
+of :func:`meshgrid`; the Gevrey weight is formed and multiplied in slab
+by slab, inside the L4 quadrature's first pass for the weighted norm; the
+products synthesise padded samples without building a padded field, the
+L4 quadrature transforms axis 0 of the coefficient lines and streams
+blocks of x0-rows through the other axes, summing each row, the shell
+functionals of ``gnls.norms`` fold each slice onto the octant of one
+shell table, the other data builders fill their samples slab by slab or
+broadcast a profile, the multiplier audit draws its ensemble block by
+block, and the runners only write sidecars.  They stay here, written out
 in the plainest form, as the oracles of the tests that use them.
 """
 
@@ -22,7 +24,7 @@ from gnls.audits import XI_MAX, AuditReport
 from gnls.grid import Field, FourierGrid, PHYSICAL, SPECTRAL
 from gnls.integrator import SolverConfig
 from gnls.spacetime import SpaceTimeSpectrum
-from gnls.spectral import (_forward_factor, exp_weight, forward_transform,
+from gnls.spectral import (_forward_factor, _guarded_exp, forward_transform,
                            inverse_transform, to_spectral)
 
 
@@ -90,6 +92,12 @@ def xi_abs_whole(grid: FourierGrid) -> np.ndarray:
         shape[axis] = grid.N
         sq = sq + (grid.xi_axis.reshape(shape)) ** 2
     return np.sqrt(sq)
+
+
+def exp_weight_whole(sigma: float, grid: FourierGrid) -> np.ndarray:
+    """The Gevrey weight e^{sigma|xi|} on the whole lattice at once, by the
+    one overflow guard, of :func:`xi_abs_whole`."""
+    return _guarded_exp(sigma, xi_abs_whole(grid), grid.xi_max)
 
 
 def strang_step(u: Field, dt: float, cfg: SolverConfig = None) -> Field:
@@ -175,15 +183,26 @@ def pad_spectrum(f: Field, factor: int = 2) -> Field:
     return Field(big, np.fft.ifftshift(big_c), rep=SPECTRAL, t=f.t)
 
 
-def l4_norm_whole(u: Field) -> float:
+def apply_exp_gevrey_whole(f: Field, sigma: float) -> Field:
+    """``spectral.apply_exp_gevrey`` as one whole-grid product with
+    :func:`exp_weight_whole`."""
+    return Field(f.grid, f.values * exp_weight_whole(sigma, f.grid),
+                 rep=SPECTRAL, t=f.t)
+
+
+def l4_norm_whole(u: Field, sigma: float = 0.0) -> float:
     """``spectral.l4_norm`` in its plain form, in the order of its
-    arithmetic: the zero-padded spectrum inverse-transformed by one
+    arithmetic: the spectrum weighted by :func:`apply_exp_gevrey_whole`
+    unless sigma is 0, zero-padded and inverse-transformed by one
     ``np.fft.ifftn`` along axes d-1, ..., 0, which transforms axis 0 first
     and the last axis last, scaled by 1/factor on the real view; |u|^4 of
     every sample; one ``np.sum`` per x0-row; one ``np.sum`` of the row
     sums."""
     grid = u.grid.refined(2)
-    vals = np.fft.ifftn(pad_spectrum(to_spectral(u)).values,
+    uh = to_spectral(u)
+    if sigma:
+        uh = apply_exp_gevrey_whole(uh, sigma)
+    vals = np.fft.ifftn(pad_spectrum(uh).values,
                         axes=tuple(reversed(range(grid.d))))
     parts = vals.view(np.float64)
     parts *= 1.0 / _forward_factor(grid)
@@ -209,8 +228,8 @@ def gevrey_norm_whole(u: Field, sigma: float, s: float = 1.0) -> float:
     """``norms.gevrey_norm`` with its weight e^{2 sigma|xi|} (1 + |xi|^2)^s
     built on the whole grid."""
     uh = to_spectral(u)
-    xi = uh.grid.xi_abs
-    w2 = exp_weight(2.0 * sigma, uh.grid) * (1.0 + xi * xi) ** s
+    xi = xi_abs_whole(uh.grid)
+    w2 = exp_weight_whole(2.0 * sigma, uh.grid) * (1.0 + xi * xi) ** s
     return float(np.sqrt(np.sum(w2 * np.abs(uh.values) ** 2)))
 
 

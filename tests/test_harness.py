@@ -248,19 +248,24 @@ def test_sweep_plane_wave_growth_at_round_off():
 def _windowed_sweep(tmp_path):
     """A sweep of a small gaussian over a window (c0 = 50) long enough that
     A_sigma(t) turns over inside it, with every A_sigma it computes recorded
-    per sigma: ``(cfg, record, columns)``."""
+    per sigma, one sigma's by ``a_sigma`` and every sigma of a snapshot's by
+    ``a_sigmas``: ``(cfg, record, columns)``."""
     columns = {}
 
-    def recorded(u, sigma, _a_sigma=harness.a_sigma):
-        columns.setdefault(sigma, []).append(_a_sigma(u, sigma))
-        return columns[sigma][-1]
+    def recorded(u, sigmas, _a_sigmas=harness.a_sigmas):
+        values = _a_sigmas(u, sigmas)
+        for sigma, value in zip(sigmas, values):
+            columns.setdefault(sigma, []).append(value)
+        return values
 
     cfg = ExperimentConfig(kind="sweep", N=64, L=20.0, dt=1e-2, c0=50.0,
                            data_params={"A": 0.5, "w": 1.0},
                            sigma_grid=tuple(np.geomspace(1e-3, 1e-1, 6)),
                            out_dir=tmp_path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "a_sigma", recorded)
+        mp.setattr(harness, "a_sigmas", recorded)
+        mp.setattr(harness, "a_sigma",
+                   lambda u, sigma: recorded(u, [sigma])[0])
         record = run_almost_conservation_sweep(cfg)
     # the top sigma's first value is A_top, measured before the run
     columns[max(columns)].pop(0)

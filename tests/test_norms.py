@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from gnls.data import gaussian, periodized_sech
 from gnls.errors import EmptySpectrumError, MultiplierOverflowError
 from gnls.grid import Field, FourierGrid, SPECTRAL, shell_table
-from gnls.norms import (a_sigma, energy, gevrey_norm, gradient_sq, l4_gevrey,
-                        mass, norm_report, radius_estimate, resolved_spectrum,
-                        spectral_shell_envelope)
+from gnls.integrator import SolverConfig, evolve
+from gnls.norms import (a_sigma, a_sigmas, energy, gevrey_norm, gradient_sq,
+                        l4_gevrey, mass, norm_report, radius_estimate,
+                        resolved_spectrum, spectral_shell_envelope)
 from gnls.spectral import to_physical, to_spectral
 
 from conftest import random_field, single_mode_field
@@ -146,6 +147,32 @@ def test_a_sigma_collapse(grid1d):
         u = random_field(grid1d, seed=seed)
         me = mass(u) + energy(u)
         assert abs(a_sigma(u, 0.0) - me) <= 1e-12 * max(me, 1.0)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 18), (3, 10)])
+def test_a_sigmas_is_a_sigma_at_each_sigma_bit_for_bit(d, N):
+    u = _full_band(d, N)
+    sigmas = [0.0, 0.3, 0.05, 0.3, 0.1]
+    values = a_sigmas(u, sigmas)
+    assert np.array(values).tobytes() == \
+        np.array([a_sigma(u, s) for s in sigmas]).tobytes()
+    # and the functional as it reads: the Gevrey part and the L4 part
+    want = [gevrey_norm(u, s) ** 2 + 0.5 * l4_gevrey(u, s) ** 4
+            for s in sigmas]
+    assert np.array(values).tobytes() == np.array(want).tobytes()
+
+
+def test_a_sigmas_raises_at_the_sigma_a_sigma_raises_at():
+    g = FourierGrid(d=1, N=64, L=1.0)
+    u = random_field(g, seed=1)
+    bad = 1.01 * 300.0 / g.xi_max
+    with pytest.raises(MultiplierOverflowError) as one:
+        a_sigma(u, bad)
+    with pytest.raises(MultiplierOverflowError) as many:
+        a_sigmas(u, [0.1, bad, 2.0 * bad])
+    assert str(many.value) == str(one.value)
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        a_sigmas(u, [0.1, -0.1])
 
 
 def test_a_sigma_zero_field(grid1d):
@@ -286,12 +313,23 @@ def test_resolved_slice_is_scanned_without_grid_temporaries():
 
 def test_norm_report_of_a_resolved_slice_keeps_its_memory_peak():
     # nothing of the 64^3 sech is below the floor: building |u^|, the mask
-    # or a grid of mode indices would only add to the peak, 6.19 grids
+    # or a grid of mode indices would only add to the peak, 3.57 grids (the
+    # slice's transform and one quadrature).  A weighted copy of the field
+    # and its whole-grid weights made it 4.57, and a cached |xi| more
     g = FourierGrid(d=3, N=64, L=20.0)
     u = periodized_sech(g)
-    g.xi_abs
     norm_report(u, 0.1)
-    assert _traced_peak(lambda: norm_report(u, 0.1)) < 6.2 * 16 * g.N ** 3
+    assert _traced_peak(lambda: norm_report(u, 0.1)) < 3.7 * 16 * g.N ** 3
+
+
+def test_no_run_keeps_a_whole_grid_xi():
+    # the weights form |xi| slab by slab: neither a slice's diagnostics nor
+    # the solver leaves a 16 MB |xi| (at 128^3) on the grid for its lifetime
+    g = FourierGrid(d=3, N=64, L=20.0)
+    u = periodized_sech(g)
+    norm_report(u, 0.1)
+    evolve(u, SolverConfig(dt=0.01, t_end=0.01))
+    assert "xi_abs" not in vars(g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ from gnls.errors import MultiplierOverflowError, NonFiniteFieldError
 from gnls.grid import Field, FourierGrid, SPECTRAL
 from gnls.integrator import SolverConfig, evolve
 from gnls.norms import gevrey_norm
-from gnls.spectral import (apply_exp_gevrey, dealiased_cubic, exp_weight,
+from gnls.spectral import (apply_exp_gevrey, dealiased_cubic,
                            forward_transform, inverse_transform, l4_norm,
                            truncate_spectrum, to_physical, to_spectral)
 
 from conftest import (L4_SLABS, l4_slab_points, random_field, rel_err,
                       single_mode_field)
-from oracles import (direct_convolution_cubic, l4_norm_whole, pad_spectrum,
-                     xi_abs_whole, zero_field)
+from oracles import (apply_exp_gevrey_whole, direct_convolution_cubic,
+                     l4_norm_whole, pad_spectrum, xi_abs_whole, zero_field)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +235,20 @@ def test_exp_gevrey_keeps_its_product_without_a_copy():
 
     g = FourierGrid(d=3, N=64, L=8.0)
     f = to_spectral(random_field(g, seed=5))
-    apply_exp_gevrey(f, 0.1)  # the grid's cached |xi| stays out of the peak
+    apply_exp_gevrey(f, 0.1)  # any first-call set-up stays out of the peak
     tracemalloc.start()
     try:
         out = apply_exp_gevrey(f, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out.values, f.values * exp_weight(0.1, g))
+    want = apply_exp_gevrey_whole(f, 0.1).values
+    assert out.values.tobytes() == want.tobytes()
     complex_bytes = 16 * g.N ** 3
-    # the product and the real weights; a copy of the product makes it two
-    # complex grids
-    assert peak < 1.75 * complex_bytes
+    # the product and one slab's real weights, with numpy's buffer for a
+    # row of them cast to complex: 1.08 complex grids measured.  The
+    # whole-grid weights took 1.53, and a copy of the product makes it two
+    assert peak < 1.1 * complex_bytes
 
 
 def test_exp_gevrey_on_plane_wave(grid1d):
@@ -281,6 +283,31 @@ def test_overflow_guard_non_finite_weight(monkeypatch):
     with np.errstate(over="ignore"), \
             pytest.raises(MultiplierOverflowError, match="non-finite on lattice"):
         apply_exp_gevrey(f, 5.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("split", [False, True], ids=["one-thread", "split"])
+def test_both_overflow_paths_raise_from_the_one_guard(split, monkeypatch):
+    # the weight is made slab by slab, on the helper thread too, and each
+    # slab goes through the one guard: the exponent bound, and with it
+    # raised out of the way, a weight that overflows in a slab
+    import gnls.spectral as spectral
+    from gnls.norms import l4_gevrey
+
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
+    g = FourierGrid(d=2, N=64, L=1.0)     # xi_max ~ 284
+    f = zero_field(g, rep=SPECTRAL)
+    weighted = (lambda s: apply_exp_gevrey(f, s), lambda s: l4_gevrey(f, s))
+    for run in weighted:
+        with pytest.raises(MultiplierOverflowError, match="exceeds") as exc:
+            run(3.0)
+        assert exc.traceback[-1].name == "_guarded_exp"
+    monkeypatch.setattr(spectral, "OVERFLOW_EXPONENT", 1e6)
+    for run in weighted:
+        with np.errstate(over="ignore"), pytest.raises(
+                MultiplierOverflowError, match="non-finite on lattice") as exc:
+            run(5.0)
+        assert exc.traceback[-1].name == "_guarded_exp"
 
 
 def test_bracket_on_plane_wave(grid1d):
@@ -483,6 +510,35 @@ def test_slab_l4_equals_the_whole_array_quadrature(d, N, L, slab, monkeypatch):
         assert l4_norm(u) == l4_norm_whole(u)
         weighted = apply_exp_gevrey(to_spectral(u), 0.2)
         assert l4_norm(weighted) == l4_norm_whole(weighted)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-thread", "split"])
+@pytest.mark.parametrize("slab", **L4_SLABS)
+@pytest.mark.parametrize("d,N,L", [(1, 10, 3.0), (1, 64, 5.0), (2, 10, 3.0),
+                                   (2, 18, 5.0), (3, 10, 3.0), (3, 18, 4.0)])
+def test_the_slab_gevrey_weight_is_the_whole_grid_weight(d, N, L, slab, split,
+                                                        monkeypatch):
+    # the quadrature's blocks at each L4_SLABS width, with the weight's
+    # slabs of one row (7 points) or of three rows, which leave a partial
+    # slab in the coefficient lines' halves
+    import gnls.spectral as spectral
+    from gnls.data import periodized_sech
+    from gnls.norms import l4_gevrey
+
+    g = FourierGrid(d=d, N=N, L=L)
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", l4_slab_points(slab, g))
+        monkeypatch.setattr(_kernels, "_SLAB",
+                            7 if slab == 7 else 3 * N ** (d - 1))
+    monkeypatch.setattr(_kernels, "_SPLIT_MIN", 2 if split else float("inf"))
+    for u in (random_field(g, seed=N + d, band=N // 2, decay=0.05),
+              periodized_sech(g, A=1.02)):
+        uh = to_spectral(u)
+        for sigma in (0.2, -0.3):
+            assert apply_exp_gevrey(uh, sigma).values.tobytes() == \
+                apply_exp_gevrey_whole(uh, sigma).values.tobytes()
+        for sigma in (0.2, 1.5):
+            assert l4_gevrey(u, sigma) == l4_norm_whole(u, sigma)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one-thread", "split"])

@@ -117,7 +117,7 @@ def test_split_data_builds_are_bit_identical(d, N, slab, monkeypatch):
                                           lambda: build(g, *args).values)
         assert np.array_equal(serial, split)
         assert split.tobytes() == whole(g, *args).values.tobytes()
-    # |xi| of a fresh grid each time: the grid caches it
+    # |xi|, made afresh at each read
     serial, split = _serial_and_split(
         monkeypatch, lambda: FourierGrid(d=d, N=N, L=7.3).xi_abs)
     assert serial.tobytes() == split.tobytes() == xi_abs_whole(g).tobytes()
@@ -171,9 +171,7 @@ def _evolve_peak(u0, cfg, on_snapshot=None) -> int:
 
 def _sech_64():
     g = FourierGrid(d=3, N=64, L=20.0)
-    u0 = periodized_sech(g)
-    g.xi_abs
-    return u0, 16 * g.N ** 3
+    return periodized_sech(g), 16 * g.N ** 3
 
 
 def test_an_evolve_step_makes_no_grid_temporaries(monkeypatch):
@@ -224,10 +222,12 @@ def test_norm_report_peak_is_bounded(monkeypatch):
     g = FourierGrid(d=3, N=32, L=8.0)
     uh = spectral.to_spectral(periodized_sech(g, A=1.02))
     field_grid = g.N ** 3 * 16
-    # measured: 3.59 field grids under tracemalloc on one thread, 3.40 as
-    # two halves (the weighted field and one quadrature); the bound leaves
-    # 0.1 field grids for the allocator.  While the quadrature held the
-    # padded real |u|^4 array, it peaked at 5.40 and 5.77
+    # measured: 2.60 field grids under tracemalloc on one thread, 2.52 as
+    # two halves (one quadrature; its first pass weighs the coefficient
+    # lines slab by slab); the bound leaves 0.1 field grids for the
+    # allocator.  With a weighted field it peaked at 3.59 and 3.40, and
+    # while the quadrature held the padded real |u|^4 array, at 5.40 and
+    # 5.77
     for split_min in (float("inf"), 2):
         monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
         norm_report(uh, 0.2)  # any first-call set-up stays out of it
@@ -237,7 +237,7 @@ def test_norm_report_peak_is_bounded(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.7 * field_grid
+        assert peak < 2.7 * field_grid
 
 
 def _traced_peak(fn) -> int:
@@ -259,17 +259,18 @@ def test_the_quadrature_holds_its_first_pass_and_one_block_per_piece(
     # 0, 2 field grids, is the one grid-sized array of a quadrature; on top
     # come each piece's block buffers, at most 5/8 of a field grid in all.
     # Measured on one thread and as two halves: 2.56 field grids (64^3),
-    # 2.57 and 2.39 (32^3); norm_report adds its weighted field, 3.56
-    # (64^3), 3.59 and 3.40 (32^3).  The quadrature that held the padded
-    # real |u|^4 array, 4 grids, peaked at 4.09-4.19 (64^3) and 4.38-4.76
-    # (32^3)
+    # 2.57 and 2.39 (32^3); norm_report, whose weighted quadrature weighs
+    # the lines as its first pass embeds them, 2.57 (64^3), 2.60 and 2.52
+    # (32^3), where a weighted field made it 3.56, 3.59 and 3.40.  The
+    # quadrature that held the padded real |u|^4 array, 4 grids, peaked at
+    # 4.09-4.19 (64^3) and 4.38-4.76 (32^3)
     g = FourierGrid(d=3, N=N, L=8.0)
     uh = spectral.to_spectral(periodized_sech(g, A=1.02))
     field_grid = g.N ** 3 * 16
     for split_min in (float("inf"), 2):
         monkeypatch.setattr(_kernels, "_SPLIT_MIN", split_min)
         assert _traced_peak(lambda: spectral.l4_norm(uh)) < 2.7 * field_grid
-        assert _traced_peak(lambda: norm_report(uh, 0.2)) < 3.7 * field_grid
+        assert _traced_peak(lambda: norm_report(uh, 0.2)) < 2.7 * field_grid
 
 
 def test_threshold_leaves_one_dimension_and_small_grids_whole(monkeypatch):

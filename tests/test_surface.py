@@ -99,16 +99,22 @@ def test_the_split_stays_in_kernels():
 
 
 def test_norms_read_the_shell_table_and_one_guard_raises_overflow():
-    # the shell functionals weigh shells, not whole-grid |xi| arrays
+    # the shell functionals weigh shells, and the Gevrey weight of a field
+    # is formed slab by slab: no whole-grid weight exists, and the
+    # whole-grid |xi| is read only for the space-time weight
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
-    for name in ("xi_abs", "exp_weight"):
-        assert name not in _references(trees["norms"], None), name
+    assert [module for module, tree in trees.items()
+            if "xi_abs" in _references(tree, None)] == ["spacetime"]
+    assert not any("exp_weight" in _references(tree, None)
+                   or "exp_weight" in {node.name for node in tree.body
+                                       if isinstance(node, ast.FunctionDef)}
+                   for tree in trees.values())
     raisers = [f"{module}.{node.name}" for module, tree in trees.items()
                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                and any(isinstance(r, ast.Raise) and r.exc is not None
                        and "MultiplierOverflowError" in _references(r.exc, None)
                        for r in ast.walk(node))]
-    assert raisers == ["spectral.guarded_exp"]
+    assert raisers == ["spectral._guarded_exp"]
 
 
 @pytest.mark.parametrize("command", sorted(cli._commands()))
