@@ -16,7 +16,8 @@ import numpy as np
 from . import _kernels
 from .errors import EmptySpectrumError
 from .grid import Field, FourierGrid, SPECTRAL, shell_table
-from .spectral import _guarded_exp, l4_norm, to_spectral, truncate_spectrum
+from .spectral import (_guarded_exp, _reach, l4_norm, to_spectral,
+                       truncate_spectrum)
 
 
 #: the row of one slice at one sigma: the CSV columns of ``gnls simulate``
@@ -167,10 +168,8 @@ def resolved_spectrum(u: Field) -> Field:
         return uh
     grid = uh.grid
     keep = np.abs(uh.values) > floor
-    k = np.abs(grid.k_axis)
     # the largest |k_j| of a kept coefficient, over the axes j
-    band = max(int(k[keep.any(axis=tuple(set(range(grid.d)) - {j}))].max())
-               for j in range(grid.d))
+    band = int(_reach(keep).max())
     n = 8
     while n < 2 * band + 2:  # modes -n/2 ... n/2 - 1 hold |k| <= band
         n *= 2

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .grid import FourierGrid, frozen_complex, mode_index
 from .spectral import (_band, _cubic_product, _forward_factor,
-                       _guarded_exp, _padded_samples)
+                       _guarded_exp, _reach, _synthesise)
 
 
 @dataclass(frozen=True)
@@ -125,28 +124,19 @@ def random_decaying(grid: FourierGrid, M: int, T_win: float, rng, *,
 # Dealiased space-time products
 # ---------------------------------------------------------------------------
 
-def _reach(coeffs: np.ndarray) -> np.ndarray:
-    """Per axis, the largest |mode index| (FFT ordering) that holds a
-    nonzero coefficient of ``coeffs``; 0 when none does."""
-    nonzero = coeffs != 0
-    axes = range(coeffs.ndim)
-    return np.array([
-        np.abs(mode_index(n))[np.any(nonzero, axis=tuple(
-            a for a in axes if a != axis))].max(initial=0)
-        for axis, n in enumerate(coeffs.shape)])
-
-
 def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
                       w3: SpaceTimeSpectrum):
     """Pointwise product u1 * conj(u2) * conj(u3) of three space-time
     fields, on the smallest lattice on which it does not alias.
 
     The product reaches at most B = the sum of the factors' reaches
-    (:func:`_reach`) along each axis.  When 2B < n on every axis of n
-    points, time and space, every product mode is one mode of the coarse
-    lattice: it is formed there, is its own band, and leaks nothing.
-    Otherwise it is formed with every axis padded 2x and cut back to the
-    coarse band.
+    (:func:`~gnls.spectral._reach` of their nonzero coefficients) along
+    each axis.  When 2B < n on every axis of n points, time and space,
+    every product mode is one mode of the coarse lattice: it is formed
+    there, is its own band, and leaks nothing.  Otherwise it is formed
+    with every axis padded 2x and cut back to the coarse band
+    (:func:`~gnls.spectral._band`).  Either way each factor is synthesised
+    by :func:`~gnls.spectral._synthesise` on that lattice.
 
     Returns (product spectrum on the common lattice, leaked energy fraction
     beyond the coarse band).
@@ -156,30 +146,21 @@ def st_triple_product(w1: SpaceTimeSpectrum, w2: SpaceTimeSpectrum,
         raise ValueError("space-time product requires a common lattice")
     grid, M, T_win = w1.grid, w1.M, w1.T_win
     shape = (M,) + grid.shape
-    reach = _reach(w1.coeffs) + _reach(w2.coeffs) + _reach(w3.coeffs)
-    if np.all(2 * reach < shape):
-        factor = (np.sqrt(T_win) / M) * _forward_factor(grid)
-        s1, s2, s3 = (_kernels._fftn(w.coeffs, np.empty(shape, np.complex128),
-                                     inverse=True) for w in (w1, w2, w3))
-        for s in (s1, s2, s3):  # scaled on the real view, as _padded_samples
-            parts = s.view(np.float64)
-            parts *= 1.0 / factor
-        coeffs = _cubic_product(s1, np.conjugate(s2, out=s2),
-                                np.conjugate(s3, out=s3), factor)
-        coeffs.flags.writeable = False  # kept without a copy
-        return SpaceTimeSpectrum(grid=grid, M=M, T_win=T_win,
-                                 coeffs=coeffs), 0.0
-    fine_grid = grid.refined(2)
-    factor = (np.sqrt(T_win) / (2 * M)) * _forward_factor(fine_grid)
-    s1, s2, s3 = (_padded_samples(w.coeffs, factor) for w in (w1, w2, w3))
+    reach = sum(_reach(w.coeffs != 0) for w in (w1, w2, w3))
+    m = 1 if np.all(2 * reach < shape) else 2  # the lattice's refinement
+    g = grid.refined(m)
+    factor = (np.sqrt(T_win) / (m * M)) * _forward_factor(g)
+    s1, s2, s3 = (_synthesise(w.coeffs, factor, (m * M,) + g.shape)
+                  for w in (w1, w2, w3))
     coeffs = _cubic_product(s1, np.conjugate(s2, out=s2),
                             np.conjugate(s3, out=s3), factor)
     del s1, s2, s3
     coeffs.flags.writeable = False  # checked below without a copy
-    fine = SpaceTimeSpectrum(grid=fine_grid, M=2 * M, T_win=T_win,
-                             coeffs=coeffs)
-    band = _band(fine.coeffs, shape)
-    total = float(np.sum(np.abs(fine.coeffs) ** 2))
+    prod = SpaceTimeSpectrum(grid=g, M=m * M, T_win=T_win, coeffs=coeffs)
+    if m == 1:
+        return prod, 0.0
+    band = _band(prod.coeffs, shape)
+    total = float(np.sum(np.abs(prod.coeffs) ** 2))
     kept = float(np.sum(np.abs(band) ** 2))
     leaked = 0.0 if total == 0.0 else max(total - kept, 0.0) / total
     band.flags.writeable = False  # kept without a copy

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MultiplierOverflowError
-from .grid import Field, FourierGrid, PHYSICAL, SPECTRAL
+from .grid import Field, FourierGrid, PHYSICAL, SPECTRAL, mode_index
 
 #: exp(x) stays finite in double precision with margin up to this exponent
 OVERFLOW_EXPONENT = 600.0
@@ -44,13 +44,7 @@ def inverse_transform(f: Field) -> Field:
     """Unitary spectral coefficients -> physical samples."""
     if not f.is_spectral:
         raise ValueError("inverse_transform expects a spectral-space field")
-    values = _kernels._fftn(f.values, np.empty(f.grid.shape, np.complex128),
-                            inverse=True)
-    # scaled on the real view, as _padded_samples scales: equal to the
-    # complex division by the factor up to the sign of zeros, at a fifth of
-    # its cost
-    parts = values.view(np.float64)
-    _kernels._multiply(parts, 1.0 / _forward_factor(f.grid), parts)
+    values = _synthesise(f.values, _forward_factor(f.grid), f.grid.shape)
     values.flags.writeable = False  # Field checks it without a copy
     return Field(f.grid, values, rep=PHYSICAL, t=f.t)
 
@@ -154,23 +148,66 @@ def apply_exp_gevrey(f: Field, sigma: float) -> Field:
 # Zero-padding and dealiased products
 # ---------------------------------------------------------------------------
 
-def _band(coeffs: np.ndarray, shape) -> np.ndarray:
-    """The band of the coarser lattice ``shape`` of the FFT-ordered
-    ``coeffs``, in FFT order, in one new array.
+def _corners(shape, big) -> list:
+    """The 2^d corners that the FFT-ordered lattice ``shape`` shares with
+    the finer one ``big``, as (index into ``shape``, index into ``big``)
+    pairs: the one table of the pad and of the cut.
 
-    The band's modes -n/2 ... n/2 - 1 along an axis of n points sit, in FFT
-    order, in the first n/2 and the last n/2 entries of that axis on both
-    lattices, so the band is the 2^d corners of the fine array: no shifted
-    copy of it is made.
+    The modes -n/2 ... n/2 - 1 along an axis of n points sit, in FFT order,
+    in the first n/2 and the last n/2 entries of that axis on both
+    lattices, so no shifted copy of either array is made.
     """
-    # per axis, the band's head and tail: (band slice, fine slice)
+    # per axis, the head and the tail: (coarse slice, fine slice)
     ends = [((slice(0, n // 2),) * 2,
              (slice(n // 2, n), slice(nb - n // 2, nb)))
-            for n, nb in zip(shape, coeffs.shape)]
+            for n, nb in zip(shape, big)]
+    return [tuple(zip(*corner)) for corner in itertools.product(*ends)]
+
+
+def _reach(occupied: np.ndarray) -> np.ndarray:
+    """Per axis, the largest |mode index| (FFT ordering) at which the
+    boolean ``occupied`` holds True; 0 when it holds none."""
+    axes = range(occupied.ndim)
+    return np.array([
+        np.abs(mode_index(n))[np.any(occupied, axis=tuple(
+            a for a in axes if a != axis))].max(initial=0)
+        for axis, n in enumerate(occupied.shape)])
+
+
+def _band(coeffs: np.ndarray, shape) -> np.ndarray:
+    """The band of the coarser lattice ``shape`` of the FFT-ordered
+    ``coeffs``, in FFT order, in one new array: the corners of
+    :func:`_corners`."""
     band = np.empty(shape, np.complex128)
-    for corner in itertools.product(*ends):
-        band[tuple(c for c, _ in corner)] = coeffs[tuple(c for _, c in corner)]
+    for small, big in _corners(shape, coeffs.shape):
+        band[small] = coeffs[big]
     return band
+
+
+def _synthesise(coeffs: np.ndarray, factor: float, shape) -> np.ndarray:
+    """Samples on the lattice ``shape`` of the FFT-ordered ``coeffs``,
+    divided by ``factor``, that lattice's forward factor, in one new array:
+    the one whole-array inverse synthesis.
+
+    On a finer lattice the coefficients are zero-padded into that array by
+    :func:`_corners` and transformed in place there; on their own lattice
+    they are transformed straight into it.  Either way one inverse
+    ``_kernels._fftn`` runs, and its samples are scaled by 1/factor on the
+    real view: numpy divides a complex by a real f as ((re + im*0) * (1/f),
+    (im - re*0) * (1/f)), so this gives the same values up to the sign of
+    zeros, at a fifth of the cost.
+    """
+    if shape == coeffs.shape:
+        out = np.empty(shape, np.complex128)
+    else:
+        out = np.zeros(shape, np.complex128)
+        for small, big in _corners(coeffs.shape, shape):
+            out[big] = coeffs[small]
+        coeffs = out
+    _kernels._fftn(coeffs, out, inverse=True)
+    parts = out.view(np.float64)
+    _kernels._multiply(parts, 1.0 / factor, parts)
+    return out
 
 
 def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
@@ -231,40 +268,12 @@ def _weighted_lines(band, out, sigma, xi_max, *sq):
     return _kernels._fft(out, out, (0,), True)
 
 
-def _padded_samples(coeffs: np.ndarray, factor: float) -> np.ndarray:
-    """Samples of ``coeffs`` (FFT ordering) zero-padded to twice the length
-    of every axis, divided by ``factor``, the doubled lattice's forward
-    factor: the one inverse transform of a zero-padded spectrum.
-
-    The axes are synthesised last first, the order ``np.fft.ifftn`` uses,
-    each embedded into its doubled length by :func:`_embed_band` just
-    before its own transform, which runs in place on that one new array.  A
-    line of zeros transforms to zeros, so only the lines that hold
-    coefficients are transformed: 7N^2 instead of 12N^2 lines on an N^3
-    cube, with every sample equal to the full ``np.fft.ifftn``.  On a split
-    grid each axis is embedded and transformed as two halves
-    (``_kernels._halves``), cut along axis 0, or along axis 1 for axis 0.
-    """
-    a = coeffs
-    for axis in reversed(range(coeffs.ndim)):
-        shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1:]
-        emb = np.empty(shape, dtype=np.complex128)
-        _kernels._halves(_embed_ifft, None, a, axis, emb, axis=int(axis == 0))
-        a = emb
-    # numpy divides a complex by a real f as ((re + im*0) * (1/f),
-    # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
-    # gives the same values up to the sign of zeros
-    parts = a.view(np.float64)
-    parts *= 1.0 / factor
-    return a
-
-
 def _cubic_product(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                    factor: float) -> np.ndarray:
     """Coefficients on the lattice of forward factor ``factor`` of the
     pointwise product ``a * b * c`` of samples there, each synthesised and
-    conjugated by the caller.  On the doubled lattice of
-    :func:`_padded_samples` the aliases of a cubic product stay out of the
+    conjugated by the caller.  On a doubled lattice of
+    :func:`_synthesise` the aliases of a cubic product stay out of the
     coarse band (Orszag, J. Atmos. Sci. 28, 1971).
     """
     prod = a * b
@@ -283,7 +292,7 @@ def dealiased_cubic(u: Field) -> Field:
     """
     fine = u.grid.refined(2)
     factor = _forward_factor(fine)
-    s = _padded_samples(to_spectral(u).values, factor)
+    s = _synthesise(to_spectral(u).values, factor, fine.shape)
     # a named conjugate: ``s * np.conjugate(s)`` would let numpy write the
     # product into the temporary, whose loop rounds differently
     c = np.conjugate(s)
@@ -361,9 +370,8 @@ def l4_norm(u: Field, sigma: float = 0.0) -> float:
         return mid, last, quart
 
     sums = np.empty(grid.N)
-    # numpy divides a complex by a real f as ((re + im*0) * (1/f),
-    # (im - re*0) * (1/f)): scaling the real and imaginary parts by 1/f
-    # gives the same values up to the sign of zeros, which |u|^4 drops
+    # scaled on the real view, as _synthesise scales: the sign of zeros it
+    # may change, |u|^4 drops
     _kernels._halves(_rows, _kernels._pieces(coeffs, blocks, len(cols)),
                      cols, sums, 1.0 / _forward_factor(grid))
     q = (grid.L / grid.N) ** grid.d

@@ -62,8 +62,14 @@ MUTANTS = (
     # the product's reach taken as the widest factor's, not the sum of the
     # three: one wide factor and two narrow ones alias on the coarse lattice
     ("spacetime.py",
-     "_reach(w1.coeffs) + _reach(w2.coeffs) + _reach(w3.coeffs)",
-     "np.maximum.reduce([_reach(w.coeffs) for w in (w1, w2, w3)])",
+     "sum(_reach(w.coeffs != 0) for w in (w1, w2, w3))",
+     "np.maximum.reduce([_reach(w.coeffs != 0) for w in (w1, w2, w3)])",
      "tests/test_spacetime.py::"
      "test_products_reaching_half_the_lattice_stay_on_the_2x_lattice[k5-2-2]"),
+    # the negative corner one entry early on the finer lattice: the pad
+    # writes the negative modes one place down and leaves the last entry
+    # zero, and the cut reads them from there
+    ("spectral.py", "slice(nb - n // 2, nb)", "slice(nb - n // 2 - 1, nb - 1)",
+     "tests/test_spectral.py::"
+     "test_dealiased_product_is_exactly_the_seed_formula[1-64-9.0]"),
 )

@@ -7,7 +7,8 @@ filled by one slab pass over the per-axis squares
 (``gnls._kernels._radial``) and no builder makes the whole coordinate mesh
 of :func:`meshgrid`; the Gevrey weight is formed and multiplied in slab
 by slab, inside the L4 quadrature's first pass for the weighted norm; the
-products synthesise padded samples without building a padded field, the
+products pad their coefficients by a table of corners into the one array
+their whole-array synthesis transforms in place, with no shifted copy, the
 L4 quadrature transforms axis 0 of the coefficient lines and streams
 blocks of x0-rows through the other axes, summing each row, the shell
 functionals of ``gnls.norms`` fold each slice onto the octant of one

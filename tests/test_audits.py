@@ -83,10 +83,10 @@ def test_f_of_v_transforms_and_synthesises_each_factor_once(monkeypatch):
             return _transform(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     f_of_v(v, 0.05)
-    # two padded syntheses, one per cubic product, of one call per axis,
-    # and the one transform back of f(v)
-    assert sum(axes is not None for _, axes in calls["ifftn"]) == 4
-    assert len(calls["ifftn"]) == 5
+    # two padded syntheses, one per cubic product, of one whole transform
+    # each on the doubled grid, and the one transform back of f(v)
+    assert [(a.shape, axes) for a, axes in calls["ifftn"]] == \
+        [((64, 64), None)] * 2 + [((32, 32), None)]
     # v is transformed once; each product transforms once more
     assert sum(a is v.values for a, _ in calls["fftn"]) == 1
     assert len(calls["fftn"]) == 3

@@ -424,6 +424,27 @@ def test_l4_norm_padded_matches_fine_quadrature():
     assert l4_norm(u) == pytest.approx(oracle, rel=1e-12)
 
 
+
+@pytest.mark.parametrize("d,N,bound", [(3, 32, 8.5), (2, 128, 4.5)])
+def test_padded_synthesis_holds_one_padded_array(d, N, bound):
+    # the zero-padded samples, 2^d field grids, and nothing beside them:
+    # the pad is written into the array the transform then runs in
+    import tracemalloc
+
+    from gnls.spectral import _forward_factor, _synthesise
+
+    g = FourierGrid(d=d, N=N, L=5.0)
+    fine = g.refined(2)
+    coeffs = random_field(g, seed=d, band=N // 4).values
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _synthesise(coeffs, _forward_factor(fine), fine.shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * coeffs.nbytes
+
 def _padded_l4_reference(uh):
     """The quadrature's arithmetic in the order it runs: pad_spectrum, one
     full ifftn along axes d-1, ..., 0 (axis 0 first), division by the
@@ -442,15 +463,16 @@ def _padded_l4_reference(uh):
 def test_padded_l4_is_exactly_the_full_transform(d, N, L):
     from gnls.data import periodized_sech
     from gnls.norms import l4_gevrey
-    from gnls.spectral import _forward_factor, _padded_samples
+    from gnls.spectral import _forward_factor, _synthesise
 
     g = FourierGrid(d=d, N=N, L=L)
+    fine = g.refined(2)
     # a full-band random field (Nyquist modes included) and sech data
     for u in (random_field(g, seed=d, band=N // 2, decay=0.05),
               periodized_sech(g, A=1.02)):
         uh = to_spectral(u)
-        assert np.array_equal(_padded_samples(uh.values,
-                                              _forward_factor(g.refined(2))),
+        assert np.array_equal(_synthesise(uh.values, _forward_factor(fine),
+                                          fine.shape),
                               inverse_transform(pad_spectrum(uh)).values)
         assert l4_norm(u) == _padded_l4_reference(uh)
         for sigma in (0.05, 0.3):

@@ -117,6 +117,32 @@ def test_norms_read_the_shell_table_and_one_guard_raises_overflow():
     assert raisers == ["spectral._guarded_exp"]
 
 
+
+def _imported(tree):
+    """Every name a module imports, and every module it imports from."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.module
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (a.name for a in node.names)
+
+
+def test_one_synthesis_one_reach_one_corner_table():
+    # a spectrum on a lattice is one decision of gnls.spectral: the reach
+    # rule, the pad and cut by one corner table, the one whole-array
+    # synthesis; the space-time product reaches no transform of its own
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    defined = {module: {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}
+               for module, tree in trees.items()}
+    for name in ("_reach", "_corners", "_synthesise"):
+        assert [module for module, names in defined.items()
+                if name in names] == ["spectral"], name
+    assert not any("_padded_samples" in names for names in defined.values())
+    assert "_kernels" not in (set(_references(trees["spacetime"], None))
+                              | set(_imported(trees["spacetime"])))
+    assert "k_axis" not in _references(trees["norms"], None)
+
 @pytest.mark.parametrize("command", sorted(cli._commands()))
 def test_help_lists_exactly_the_flags_of_the_table(command, capsys):
     with pytest.raises(SystemExit) as exc:
