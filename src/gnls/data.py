@@ -8,12 +8,11 @@ All profiles are centered at L/2 so the bulk sits away from the seam.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from . import _kernels
 from .grid import Field, FourierGrid, PHYSICAL, SPECTRAL
+from .spectral import _weigh
 
 KINDS = ("gaussian", "periodized_sech", "plane_wave", "random_bandlimited")
 
@@ -71,19 +70,16 @@ def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
 
     The real parts are drawn first and the imaginary parts after them, in
     the stream order of two whole-grid draws, slab by slab along axis 0
-    through one real buffer of a slab; the damping, the band mask and the
-    amplitude then go over the output slab by slab in place, with the
-    ufuncs of the whole-grid formula (tests/oracles.py) in their order.
+    through one real buffer of a slab.  The output is then damped in place
+    by ``spectral._weigh``, the one slab pass of e^{sigma|xi|}, at sigma =
+    -decay on the integer lattice; the modes outside the band are zeroed
+    one axis at a time, and the amplitude is applied last: the ufuncs of
+    the whole-grid formula (tests/oracles.py) in their order.
     """
     if band is None:
         band = grid.N // 6
     rng = np.random.default_rng(seed)
     k = grid.k_axis
-    # |k|^2 sums integer squares, exact in any order
-    sq = np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True)
-    # max_j |k_j| > band: any axis outside the band
-    outside = np.meshgrid(*[np.abs(k) > band] * grid.d, indexing="ij",
-                          sparse=True)
     out = np.empty(grid.shape, np.complex128)
     rows = max(_kernels._SLAB * grid.N // out.size, 1)
     buf = np.empty((min(rows, grid.N),) + grid.shape[1:])
@@ -91,15 +87,14 @@ def random_bandlimited(grid: FourierGrid, seed: int, band: int = None,
         for lo in range(0, grid.N, rows):
             dst = part[lo:lo + rows]
             dst[...] = rng.standard_normal(out=buf[:dst.shape[0]])
-    for lo in range(0, grid.N, rows):
-        c = out[lo:lo + rows]
-        damp = _kernels._mesh_sum(sq, lo, buf[:c.shape[0]])
-        np.sqrt(damp, out=damp)
-        np.multiply(-decay, damp, out=damp)
-        c *= np.exp(damp, out=damp)
-        np.copyto(c, 0.0, where=reduce(np.logical_or,
-                                       [outside[0][lo:lo + rows], *outside[1:]]))
-        np.multiply(amplitude, c, out=c)
+    # |k|^2 sums integer squares, exact in any order
+    sq = np.meshgrid(*[k * k] * grid.d, indexing="ij", sparse=True)
+    _weigh(out, out, sq, -decay, np.sqrt(grid.d) * grid.N / 2)
+    # max_j |k_j| > band: any axis outside the band
+    outside = np.abs(k) > band
+    for axis in range(grid.d):
+        out[(slice(None),) * axis + (outside,)] = 0.0
+    np.multiply(amplitude, out, out=out)
     out.flags.writeable = False
     return Field(grid, out, rep=SPECTRAL)
 

@@ -88,14 +88,14 @@ class FourierGrid:
     def xi_abs(self) -> np.ndarray:
         """|xi| on the full d-dimensional lattice, FFT ordering: the square
         root of the sum ((0 + s0) + s1) + s2 of the squared wavenumbers per
-        axis, slab by slab into the one output (``gnls._kernels._radial``).
-        Made afresh at each read and never kept: of the package, only the
-        space-time weight of the audits reads it, and the Gevrey weights of
-        a field form |xi| slab by slab (``gnls.spectral._weigh``).
+        axis (:func:`xi_squares`), slab by slab into the one output
+        (``gnls._kernels._radial``).  Made afresh at each read and never
+        kept: of the package, only the space-time weight of the audits reads
+        it, and the Gevrey weights of a field form |xi| slab by slab from
+        the same squares (``gnls.spectral._weigh``).
         """
-        sq = np.meshgrid(*[self.xi_axis ** 2] * self.d, indexing="ij",
-                         sparse=True)
-        return _kernels._radial(sq, np.empty(self.shape), np.sqrt, 0)
+        return _kernels._radial(xi_squares(self), np.empty(self.shape),
+                                np.sqrt, 0)
 
     @cached_property
     def k_max(self) -> np.ndarray:
@@ -136,6 +136,25 @@ def shell_table(grid: FourierGrid) -> tuple:
     index = index.reshape(k2.shape)
     j.flags.writeable = index.flags.writeable = False
     return j, index
+
+
+@lru_cache(maxsize=32)
+def xi_squares(grid: FourierGrid) -> tuple:
+    """The squared wavenumbers xi_i^2 of each axis of ``grid``'s lattice,
+    as the sparse mesh s0, ..., s(d-1) that broadcasts to the grid, each
+    read-only: |xi| is the square root of their sum in axis order,
+    ((0 + s0) + s1) + s2.
+
+    The one copy of the mesh, which ``FourierGrid.xi_abs`` and the Gevrey
+    weights (``gnls.spectral._weigh``) read; cached on the grid's value, as
+    :func:`shell_table` is, so that the weighted quadratures of many sigma
+    on one slice, each on a grid made afresh, find the mesh of the first.
+    """
+    sq = np.meshgrid(*[grid.xi_axis ** 2] * grid.d, indexing="ij",
+                     sparse=True)
+    for s in sq:
+        s.flags.writeable = False
+    return tuple(sq)
 
 
 def frozen_complex(values, shape: tuple, what: str) -> np.ndarray:

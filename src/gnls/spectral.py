@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import MultiplierOverflowError
-from .grid import Field, FourierGrid, PHYSICAL, SPECTRAL, mode_index
+from .grid import (Field, FourierGrid, PHYSICAL, SPECTRAL, mode_index,
+                   xi_squares)
 
 #: exp(x) stays finite in double precision with margin up to this exponent
 OVERFLOW_EXPONENT = 600.0
@@ -67,9 +68,11 @@ def _guarded_exp(sigma: float, xi: np.ndarray, xi_max: float,
     |xi| is ``xi_max``, into ``out`` when given (``xi`` itself may be it),
     the one overflow guard: raises :class:`MultiplierOverflowError` when
     sigma xi_max exceeds OVERFLOW_EXPONENT, or when the weight is
-    non-finite on the lattice.  Private, so that the slabs of a two-thread
-    pass may call it on the helper thread, which calls no public function
-    (``gnls._kernels``).
+    non-finite on the lattice.  A negative sigma cannot overflow, and only
+    the finiteness check applies.  Every weight is made on the calling
+    thread: the per-shell weights of ``norms.gevrey_norm``, the space-time
+    weight and the slabs of :func:`_weigh`, which no pass hands to the
+    helper thread.
     """
     if max(sigma, 0.0) * xi_max > OVERFLOW_EXPONENT:
         raise MultiplierOverflowError(
@@ -83,33 +86,16 @@ def _guarded_exp(sigma: float, xi: np.ndarray, xi_max: float,
     return w
 
 
-@lru_cache(maxsize=32)
-def _squares(grid: FourierGrid) -> tuple:
-    """The squared wavenumbers of each axis of ``grid``'s lattice, a sparse
-    mesh, s0, ..., s(d-1): |xi| is the square root of their sum in axis
-    order, ((0 + s0) + s1) + s2, as ``FourierGrid.xi_abs`` forms it.
-
-    Each is a read-only view as long as the lattice along axis 1, so that a
-    piece of the lattice cut along axis 1 takes its own points' squares by
-    the same cut; cached on the grid's value, as ``grid.shell_table`` is,
-    so that the weighted quadratures of many sigma on one slice, each on a
-    grid made afresh, build them once.
-    """
-    sq = np.meshgrid(*[grid.xi_axis ** 2] * grid.d, indexing="ij",
-                     sparse=True)
-    return tuple(np.broadcast_to(s, s.shape[:1] + grid.shape[1:2]
-                                 + s.shape[2:]) for s in sq)
-
-
 def _weigh(dst, src, sq, sigma: float, xi_max: float) -> np.ndarray:
     """``dst`` = ``src`` * e^{sigma|xi|}, about ``_kernels._SLAB`` points of
     rows along axis 0 at a time; returns ``dst``.
 
     ``sq`` are the per-axis squares of src's lattice points, a sparse mesh
-    that broadcasts to ``src``.  A slab's |xi| is summed from them by
-    :func:`_kernels._mesh_sum` and square-rooted in one real buffer made
-    here, and its weight is made in place there by :func:`_guarded_exp`, the
-    one overflow guard.  ``np.multiply`` then writes the product, at d >= 2
+    that broadcasts to ``src`` (``grid.xi_squares`` of a field's grid, or a
+    cut of it); ``dst`` may be ``src``.  A slab's |xi| is summed from them
+    by :func:`_kernels._mesh_sum` and square-rooted in one real buffer made
+    here, and its weight is made in place there by :func:`_guarded_exp`,
+    the one overflow guard.  ``np.multiply`` then writes the product, at d >= 2
     one row of the slab at a time: a row is contiguous, so numpy buffers at
     most a row to cast the weight to complex, where a strided slab would
     take three buffers of ``np.getbufsize()`` points.  Every element sees
@@ -139,7 +125,7 @@ def apply_exp_gevrey(f: Field, sigma: float) -> Field:
     if not f.is_spectral:
         raise ValueError("apply_exp_gevrey expects a spectral-space field")
     prod = _weigh(np.empty(f.grid.shape, np.complex128), f.values,
-                  _squares(f.grid), sigma, f.grid.xi_max)
+                  xi_squares(f.grid), sigma, f.grid.xi_max)
     prod.flags.writeable = False  # Field checks it without a copy
     return Field(f.grid, prod, rep=SPECTRAL, t=f.t)
 
@@ -148,20 +134,25 @@ def apply_exp_gevrey(f: Field, sigma: float) -> Field:
 # Zero-padding and dealiased products
 # ---------------------------------------------------------------------------
 
-def _corners(shape, big) -> list:
-    """The 2^d corners that the FFT-ordered lattice ``shape`` shares with
-    the finer one ``big``, as (index into ``shape``, index into ``big``)
-    pairs: the one table of the pad and of the cut.
+@lru_cache(maxsize=64)
+def _corners(shape, big) -> tuple:
+    """The corners that the FFT-ordered lattice ``shape`` shares with the
+    one ``big``, finer along some axes, as (index into ``shape``, index
+    into ``big``) pairs: the one table of the pad and of the cut.
 
     The modes -n/2 ... n/2 - 1 along an axis of n points sit, in FFT order,
     in the first n/2 and the last n/2 entries of that axis on both
-    lattices, so no shifted copy of either array is made.
+    lattices, so no shifted copy of either array is made.  An axis the two
+    lattices share is one whole slice, so a pad along k axes has 2^k
+    corners.  Cached per pair of shapes: the many small quadratures of a
+    radius sweep build each table once.
     """
     # per axis, the head and the tail: (coarse slice, fine slice)
-    ends = [((slice(0, n // 2),) * 2,
+    ends = [((slice(None),) * 2,) if n == nb else
+            ((slice(0, n // 2),) * 2,
              (slice(n // 2, n), slice(nb - n // 2, nb)))
             for n, nb in zip(shape, big)]
-    return [tuple(zip(*corner)) for corner in itertools.product(*ends)]
+    return tuple(tuple(zip(*corner)) for corner in itertools.product(*ends))
 
 
 def _reach(occupied: np.ndarray) -> np.ndarray:
@@ -184,13 +175,23 @@ def _band(coeffs: np.ndarray, shape) -> np.ndarray:
     return band
 
 
+def _pad(coeffs: np.ndarray, shape) -> np.ndarray:
+    """The FFT-ordered ``coeffs`` on the lattice ``shape``, finer along some
+    axes, in one new array: the corners of :func:`_corners`, zeros between
+    them."""
+    out = np.zeros(shape, np.complex128)
+    for small, big in _corners(coeffs.shape, shape):
+        out[big] = coeffs[small]
+    return out
+
+
 def _synthesise(coeffs: np.ndarray, factor: float, shape) -> np.ndarray:
     """Samples on the lattice ``shape`` of the FFT-ordered ``coeffs``,
     divided by ``factor``, that lattice's forward factor, in one new array:
     the one whole-array inverse synthesis.
 
     On a finer lattice the coefficients are zero-padded into that array by
-    :func:`_corners` and transformed in place there; on their own lattice
+    :func:`_pad` and transformed in place there; on their own lattice
     they are transformed straight into it.  Either way one inverse
     ``_kernels._fftn`` runs, and its samples are scaled by 1/factor on the
     real view: numpy divides a complex by a real f as ((re + im*0) * (1/f),
@@ -200,10 +201,7 @@ def _synthesise(coeffs: np.ndarray, factor: float, shape) -> np.ndarray:
     if shape == coeffs.shape:
         out = np.empty(shape, np.complex128)
     else:
-        out = np.zeros(shape, np.complex128)
-        for small, big in _corners(coeffs.shape, shape):
-            out[big] = coeffs[small]
-        coeffs = out
+        out = coeffs = _pad(coeffs, shape)
     _kernels._fftn(coeffs, out, inverse=True)
     parts = out.view(np.float64)
     _kernels._multiply(parts, 1.0 / factor, parts)
@@ -225,26 +223,15 @@ def truncate_spectrum(f: Field, grid: FourierGrid) -> Field:
     return Field(grid, band, rep=SPECTRAL, t=f.t, _check=False)
 
 
-def _copy(dst: np.ndarray, src: np.ndarray, rows: slice) -> None:
-    """The plain write of :func:`_embed_band`: ``src`` into ``dst``."""
-    np.copyto(dst, src)
-
-
-def _embed_band(band: np.ndarray, axis: int, out: np.ndarray,
-                write=_copy) -> np.ndarray:
-    """Write ``band`` (FFT ordering along ``axis``) into ``out``, twice as
-    long on that axis: the non-negative modes at the front, the negative
-    ones at the back and zeros between them.  Each of the two goes in by
-    ``write(dst, src, rows)``, ``rows`` its slice of the band along
-    ``axis``: a copy, or the weighted product of :func:`_weighted_lines`.
-    Returns ``out``."""
-    n = band.shape[axis]
-    half = n // 2
-    head = (slice(None),) * axis
-    pos, neg = slice(0, half), slice(half, n)
-    write(out[head + (pos,)], band[head + (pos,)], pos)
-    out[head + (slice(half, 2 * n - half),)] = 0.0
-    write(out[head + (slice(2 * n - half, 2 * n),)], band[head + (neg,)], neg)
+def _embed_band(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """:func:`_pad` of ``band`` (FFT ordering along ``axis``) into the
+    caller's ``out``, twice as long on that axis: the non-negative modes at
+    the front and the negative ones at the back, by :func:`_corners`, and
+    zeros written only between them.  Returns ``out``."""
+    for small, big in _corners(band.shape, out.shape):
+        out[big] = band[small]
+    half = band.shape[axis] // 2
+    out[(slice(None),) * axis + (slice(half, out.shape[axis] - half),)] = 0.0
     return out
 
 
@@ -252,20 +239,6 @@ def _embed_ifft(band: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """``band`` embedded into ``out`` by :func:`_embed_band` and inverse
     transformed along ``axis`` in place there.  Returns ``out``."""
     return _kernels._fft(_embed_band(band, axis, out), out, (axis,), True)
-
-
-def _weighted_lines(band, out, sigma, xi_max, *sq):
-    """The first pass of :func:`l4_norm` on ``band``, a piece of the
-    coefficient lines along axis 0 cut along axis 1: embedded into ``out``
-    by :func:`_embed_band` along axis 0 and inverse transformed there.
-    Unless sigma is 0 each half is weighted by e^{sigma|xi|} on its way in
-    (:func:`_weigh`), ``sq`` the squares of the piece's lattice points.
-    Returns ``out``."""
-    def weighted(dst, src, rows):
-        _weigh(dst, src, (sq[0][rows], *sq[1:]), sigma, xi_max)
-
-    _embed_band(band, 0, out, weighted if sigma else _copy)
-    return _kernels._fft(out, out, (0,), True)
 
 
 def _cubic_product(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -320,20 +293,21 @@ def l4_norm(u: Field, sigma: float = 0.0) -> float:
     bandwidth; padding makes the quadrature exact up to truncation of the
     outer half of that band.
 
-    Two passes.  The first embeds every coefficient line along axis 0 into
-    its doubled length and inverse-transforms it (:func:`_weighted_lines`),
-    into the one grid-sized array, 2N x N^(d-1) complex: 2 field grids.
-    Unless sigma is 0, each block of lines is multiplied by e^{sigma|xi|} as
-    it is embedded (:func:`_weigh`), so no weighted field is made; its
-    products are those of :func:`apply_exp_gevrey`, bit for bit.  (At sigma
-    = 0 that weight is 1, whose product changes no bit of |u|^4: at most
-    the sign of a zero.)  The second streams blocks of that array's x0-rows
+    Two passes.  The first pads every coefficient line along axis 0 to its
+    doubled length (:func:`_pad`), into the one grid-sized array, 2N x
+    N^(d-1) complex: 2 field grids.  Unless sigma is 0, each of its two
+    corners is then multiplied by e^{sigma|xi|} in place (:func:`_weigh`,
+    on the calling thread), so no weighted field is made; its products are
+    those of :func:`apply_exp_gevrey`, bit for bit.  (At sigma = 0 that
+    weight is 1, whose product changes no bit of |u|^4: at most the sign of
+    a zero.)  Every line is then inverse-transformed along axis 0 in
+    place.  The second streams blocks of that array's x0-rows
     (:func:`_rows`): a block is embedded and transformed along axes 1 ...
     d-1 in buffers of its own, scaled on the real view, and its |u|^4
     summed row by row into a vector of 2N row sums, whose one ``np.sum`` is
-    the quadrature.  On a split grid each pass runs as two halves: the
-    first cut along axis 1, the second along axis 0, each half with its own
-    block (and weight slab) buffers.
+    the quadrature.  On a split grid each transform pass runs as two
+    halves: the first cut along axis 1, the second along axis 0, each half
+    of the second with its own block buffers.
 
     The transforms run in the axis order of ``np.fft.ifftn(padded,
     axes=(d-1, ..., 0))``, axis 0 first; every line sees the transform it
@@ -347,9 +321,13 @@ def l4_norm(u: Field, sigma: float = 0.0) -> float:
     """
     grid = u.grid.refined(2)
     coeffs = to_spectral(u).values
-    cols = np.empty((grid.N,) + coeffs.shape[1:], np.complex128)
-    _kernels._halves(_weighted_lines, None, coeffs, cols, sigma,
-                     u.grid.xi_max, *_squares(u.grid), axis=1)
+    cols = _pad(coeffs, (grid.N,) + coeffs.shape[1:])
+    if sigma:
+        sq = xi_squares(u.grid)
+        for small, big in _corners(coeffs.shape, cols.shape):
+            _weigh(cols[big], cols[big], (sq[0][small[0]], *sq[1:]), sigma,
+                   u.grid.xi_max)
+    _kernels._halves(_kernels._fft, None, cols, cols, (0,), True, axis=1)
     row = grid.shape[1:]
     # 5/8 of a field grid of 16-byte points, in 24-byte points
     points = _SLAB if grid.d < 3 else max(10 * u.grid.N ** 3 // 24,

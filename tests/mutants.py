@@ -30,16 +30,17 @@ MUTANTS = (
     ("spectral.py", "np.sum(sums)", "np.sum(sums[:-1])",
      "tests/test_spectral.py::"
      "test_l4_quadrature_is_within_1e_15_of_long_double[2-64-10.0]"),
-    # the embed's negative modes land one place early, and the last place
-    # of each line goes unwritten
-    ("spectral.py", "out[head + (slice(2 * n - half, 2 * n),)]",
-     "out[head + (slice(2 * n - half - 1, 2 * n - 1),)]",
+    # the embed of the second L4 pass writes each corner at its place on
+    # the coarse lattice: the negative modes land in the zeroed middle, and
+    # the back of each line keeps the buffer's old samples
+    ("spectral.py", "out[big] = band[small]", "out[small] = band[small]",
      "tests/test_spectral.py::"
      "test_slab_l4_equals_the_whole_array_quadrature[3-10-3.0-slab-7]"),
-    # the weighted quadrature embeds the negative-mode half of each
-    # coefficient line without its Gevrey weight
-    ("spectral.py", "write(out[head + (slice(2 * n - half, 2 * n),)]",
-     "_copy(out[head + (slice(2 * n - half, 2 * n),)]",
+    # the weighted quadrature weighs only the non-negative corner of the
+    # padded coefficient lines: the negative modes go in without their
+    # Gevrey weight
+    ("spectral.py", "_corners(coeffs.shape, cols.shape):",
+     "_corners(coeffs.shape, cols.shape)[:1]:",
      "tests/test_spectral.py::test_the_slab_gevrey_weight_is_the_whole_grid_"
      "weight[3-10-3.0-slab-straddles-cut-split]"),
     # the fold adds each negative mode one place off, -(k+1) onto k, and
@@ -66,6 +67,10 @@ MUTANTS = (
      "np.maximum.reduce([_reach(w.coeffs != 0) for w in (w1, w2, w3)])",
      "tests/test_spacetime.py::"
      "test_products_reaching_half_the_lattice_stay_on_the_2x_lattice[k5-2-2]"),
+    # the band cut of the random data drops its edge, |k| = band
+    ("data.py", "np.abs(k) > band", "np.abs(k) >= band",
+     "tests/test_data.py::"
+     "test_random_bandlimited_is_exactly_the_per_axis_formula[1-48]"),
     # the negative corner one entry early on the finer lattice: the pad
     # writes the negative modes one place down and leaves the last entry
     # zero, and the cut reads them from there

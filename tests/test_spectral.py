@@ -288,9 +288,9 @@ def test_overflow_guard_non_finite_weight(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 @pytest.mark.parametrize("split", [False, True], ids=["one-thread", "split"])
 def test_both_overflow_paths_raise_from_the_one_guard(split, monkeypatch):
-    # the weight is made slab by slab, on the helper thread too, and each
-    # slab goes through the one guard: the exponent bound, and with it
-    # raised out of the way, a weight that overflows in a slab
+    # the weight is made slab by slab, and each slab goes through the one
+    # guard: the exponent bound, and with it raised out of the way, a
+    # weight that overflows in a slab
     import gnls.spectral as spectral
     from gnls.norms import l4_gevrey
 
@@ -374,6 +374,36 @@ def test_pad_preserves_coefficients(grid1d):
     assert big.grid.N == 2 * grid1d.N
     assert abs(big.values[3] - f.values[3]) < 1e-14
     assert np.sum(np.abs(big.values) > 0) == 1
+
+
+def test_a_pad_along_one_axis_has_two_corners():
+    # an axis both lattices share is one whole slice, not two halves
+    from gnls.spectral import _corners
+
+    corners = _corners((4, 6), (8, 6))
+    assert len(corners) == 2
+    assert all(small[1] == big[1] == slice(None) for small, big in corners)
+    assert [(small[0], big[0]) for small, big in corners] == [
+        (slice(0, 2), slice(0, 2)), (slice(2, 4), slice(6, 8))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pad_along_any_axes_is_the_centred_embedding_and_band_undoes_it(d):
+    from itertools import combinations
+
+    from gnls.spectral import _band, _pad
+
+    rng = np.random.default_rng(d)
+    shape = (6, 4, 8)[:d]
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for k in range(1, d + 1):
+        for axes in combinations(range(d), k):
+            big = tuple(2 * n if a in axes else n for a, n in enumerate(shape))
+            padded = _pad(c, big)
+            widths = [((nb - n) // 2,) * 2 for n, nb in zip(shape, big)]
+            centred = np.pad(np.fft.fftshift(c), widths)
+            assert padded.tobytes() == np.fft.ifftshift(centred).tobytes()
+            assert _band(padded, shape).tobytes() == c.tobytes()
 
 
 def test_triple_product_plane_wave(grid1d):

@@ -130,15 +130,25 @@ def _imported(tree):
 def test_one_synthesis_one_reach_one_corner_table():
     # a spectrum on a lattice is one decision of gnls.spectral: the reach
     # rule, the pad and cut by one corner table, the one whole-array
-    # synthesis; the space-time product reaches no transform of its own
+    # synthesis, the one slab pass of e^{sigma|xi|}; the space-time product
+    # reaches no transform of its own
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
-    defined = {module: {node.name for node in tree.body
-                        if isinstance(node, ast.FunctionDef)}
-               for module, tree in trees.items()}
-    for name in ("_reach", "_corners", "_synthesise"):
+    functions = {module: {node.name: node for node in tree.body
+                          if isinstance(node, ast.FunctionDef)}
+                 for module, tree in trees.items()}
+    defined = {module: set(names) for module, names in functions.items()}
+    for name in ("_reach", "_corners", "_synthesise", "_pad", "_weigh"):
         assert [module for module, names in defined.items()
                 if name in names] == ["spectral"], name
-    assert not any("_padded_samples" in names for names in defined.values())
+    for gone in ("_padded_samples", "_weighted_lines", "_copy"):
+        assert not any(gone in names for names in defined.values()), gone
+    for name in ("_pad", "_embed_band"):
+        assert "_corners" in _references(functions["spectral"][name], None)
+    # numpy's attributes included: the random data draw no band mask of
+    # their own and damp through _weigh
+    data = {getattr(node, "attr", getattr(node, "id", None))
+            for node in ast.walk(trees["data"])}
+    assert not data & {"_mesh_sum", "logical_or"}
     assert "_kernels" not in (set(_references(trees["spacetime"], None))
                               | set(_imported(trees["spacetime"])))
     assert "k_axis" not in _references(trees["norms"], None)
